@@ -55,14 +55,12 @@ RolloutPlan::RolloutPlan(const SagdfnModel& model,
   SAGDFN_CHECK_EQ(model.output_projection().out_features(), 1);
 
   // Local copies for capture (instructions must not reference `this`).
-  const int64_t batch_n = batch_;
   const int64_t n = n_;
   const int64_t c = c_;
   const int64_t hd = hd_;
   const int64_t layers = layers_;
   const int64_t history = history_;
   const int64_t horizon = horizon_;
-  const int64_t rows = batch_n * n;
 
   auto pin = [this](const Tensor& t) -> const float* {
     pinned_.push_back(t);
@@ -81,9 +79,9 @@ RolloutPlan::RolloutPlan(const SagdfnModel& model,
     SAGDFN_CHECK_EQ(csr->cols, snapshot.a_s.dim(1));
   }
 
-  // Scratch slab layout (float offsets). Buffers are reused across
-  // timesteps and layers; xh / term_a / term_b are sized for the widest
-  // layer input and packed tightly at each layer's own width.
+  // Scratch slab layout. Buffers are reused across timesteps and layers;
+  // xh / term_a / term_b are sized for the widest layer input and packed
+  // tightly at each layer's own width.
   const int64_t max_in = std::max<int64_t>(c, hd) + hd;
   // Cache-aware node blocking for the CSR diffuse instructions: shards
   // sized so one shard's widest term rows fit in an L2 slice.
@@ -93,16 +91,19 @@ RolloutPlan::RolloutPlan(const SagdfnModel& model,
         graph::ComputeNodeShards(n, max_in *
                                         static_cast<int64_t>(sizeof(float))));
   }
-  const int64_t off_h = 0;                            // layers * rows * hd
-  const int64_t off_xh = off_h + layers * rows * hd;  // rows * max_in
-  const int64_t off_ta = off_xh + rows * max_in;      // rows * max_in
-  const int64_t off_tb = off_ta + rows * max_in;      // rows * max_in
-  const int64_t off_mm = off_tb + rows * max_in;      // rows * 2hd
-  const int64_t off_g = off_mm + rows * 2 * hd;       // rows * 2hd
-  const int64_t off_cand = off_g + rows * 2 * hd;     // rows * hd
-  const int64_t off_pred = off_cand + rows * hd;      // rows
-  const int64_t off_dec = off_pred + rows;            // rows * c
-  slab_floats_ = off_dec + rows * c;
+  // Offsets are in floats per row: a replay over ctx.rows live rows finds
+  // region X at slab + off_X * ctx.rows, so a batch below capacity packs
+  // into the front of the slab exactly as a plan of its own size would.
+  const int64_t off_h = 0;                     // layers * hd
+  const int64_t off_xh = off_h + layers * hd;  // max_in
+  const int64_t off_ta = off_xh + max_in;      // max_in
+  const int64_t off_tb = off_ta + max_in;      // max_in
+  const int64_t off_mm = off_tb + max_in;      // 2hd
+  const int64_t off_g = off_mm + 2 * hd;       // 2hd
+  const int64_t off_cand = off_g + 2 * hd;     // hd
+  const int64_t off_pred = off_cand + hd;      // 1
+  const int64_t off_dec = off_pred + 1;        // c
+  slab_floats_ = (off_dec + c) * batch_ * n;
   scratch_bytes_ = slab_floats_ * static_cast<int64_t>(sizeof(float));
 
   auto emit = [this](std::string label,
@@ -154,7 +155,7 @@ RolloutPlan::RolloutPlan(const SagdfnModel& model,
                                std::to_string(ops->size());
     seg = Segment{};
     emit(std::move(label), [=](const RunCtx& ctx) {
-      ParallelFor(0, rows, grain, [&](int64_t r0, int64_t r1) {
+      ParallelFor(0, ctx.rows, grain, [&](int64_t r0, int64_t r1) {
         for (const auto& op : *ops) op(ctx, r0, r1);
       });
     });
@@ -178,9 +179,9 @@ RolloutPlan::RolloutPlan(const SagdfnModel& model,
     const float* w0 = pin(ws[0].value());
     emit_row(tag + ".mm0", 2 * in_w * out_w,
              [=](const RunCtx& ctx, int64_t r0, int64_t r1) {
-               tensor::MatMulRowsInto(ctx.slab + off_src, w0,
-                                      ctx.slab + off_dst, r0, r1, in_w,
-                                      out_w);
+               tensor::MatMulRowsInto(ctx.slab + off_src * ctx.rows, w0,
+                                      ctx.slab + off_dst * ctx.rows, r0, r1,
+                                      in_w, out_w);
              });
     int64_t off_term = off_src;
     for (int64_t j = 1; j < conv.diffusion_steps(); ++j) {
@@ -188,25 +189,26 @@ RolloutPlan::RolloutPlan(const SagdfnModel& model,
       flush();
       emit(tag + ".diffuse" + std::to_string(j), [=](const RunCtx& ctx) {
         if (csr != nullptr) {
-          OneStepFastGConvCsrInto(*csr, ctx.slab + off_term, pinv, *idx,
-                                  *shards, batch_n, n, in_w,
-                                  ctx.slab + off_next);
+          OneStepFastGConvCsrInto(*csr, ctx.slab + off_term * ctx.rows, pinv,
+                                  *idx, *shards, ctx.batch, n, in_w,
+                                  ctx.slab + off_next * ctx.rows);
         } else {
-          OneStepFastGConvInto(pa, ctx.slab + off_term, pinv, *idx, batch_n,
-                               n, in_w, ctx.slab + off_next);
+          OneStepFastGConvInto(pa, ctx.slab + off_term * ctx.rows, pinv, *idx,
+                               ctx.batch, n, in_w,
+                               ctx.slab + off_next * ctx.rows);
         }
       });
       const float* wj = pin(ws[j].value());
       emit_row(tag + ".mm" + std::to_string(j), 2 * in_w * out_w,
                [=](const RunCtx& ctx, int64_t r0, int64_t r1) {
-                 tensor::MatMulRowsInto(ctx.slab + off_next, wj,
-                                        ctx.slab + off_mm, r0, r1, in_w,
-                                        out_w);
+                 tensor::MatMulRowsInto(ctx.slab + off_next * ctx.rows, wj,
+                                        ctx.slab + off_mm * ctx.rows, r0, r1,
+                                        in_w, out_w);
                });
       emit_row(tag + ".acc" + std::to_string(j), out_w,
                [=](const RunCtx& ctx, int64_t r0, int64_t r1) {
-                 simd::K().acc_add(ctx.slab + off_dst + r0 * out_w,
-                                   ctx.slab + off_mm + r0 * out_w,
+                 simd::K().acc_add(ctx.slab + off_dst * ctx.rows + r0 * out_w,
+                                   ctx.slab + off_mm * ctx.rows + r0 * out_w,
                                    (r1 - r0) * out_w);
                });
       off_term = off_next;
@@ -215,7 +217,7 @@ RolloutPlan::RolloutPlan(const SagdfnModel& model,
     emit_row(tag + ".bias", out_w,
              [=](const RunCtx& ctx, int64_t r0, int64_t r1) {
                const simd::Kernels& kern = simd::K();
-               float* dst = ctx.slab + off_dst;
+               float* dst = ctx.slab + off_dst * ctx.rows;
                for (int64_t r = r0; r < r1; ++r) {
                  kern.add(dst + r * out_w, bias, dst + r * out_w, out_w);
                }
@@ -229,14 +231,14 @@ RolloutPlan::RolloutPlan(const SagdfnModel& model,
                        int64_t t) {
     const int64_t in_l = (l == 0) ? c : hd;
     const int64_t in_w = in_l + hd;
-    const int64_t off_hl = off_h + l * rows * hd;
+    const int64_t off_hl = off_h + l * hd;
     const std::string tag = step + ".l" + std::to_string(l);
 
     // Stage [input | h] rows into the packed xh buffer.
     emit_row(tag + ".xh", in_w,
              [=](const RunCtx& ctx, int64_t r0, int64_t r1) {
-               float* xh = ctx.slab + off_xh;
-               const float* hb = ctx.slab + off_hl;
+               float* xh = ctx.slab + off_xh * ctx.rows;
+               const float* hb = ctx.slab + off_hl * ctx.rows;
                for (int64_t r = r0; r < r1; ++r) {
                  float* row = xh + r * in_w;
                  switch (src) {
@@ -249,13 +251,14 @@ RolloutPlan::RolloutPlan(const SagdfnModel& model,
                      break;
                    }
                    case Src::kDecoder:
-                     std::memcpy(row, ctx.slab + off_dec + r * c,
+                     std::memcpy(row, ctx.slab + off_dec * ctx.rows + r * c,
                                  sizeof(float) * c);
                      break;
                    case Src::kHiddenBelow:
-                     std::memcpy(
-                         row, ctx.slab + off_h + (l - 1) * rows * hd + r * hd,
-                         sizeof(float) * hd);
+                     std::memcpy(row,
+                                 ctx.slab + (off_h + (l - 1) * hd) * ctx.rows +
+                                     r * hd,
+                                 sizeof(float) * hd);
                      break;
                  }
                  std::memcpy(row + in_l, hb + r * hd, sizeof(float) * hd);
@@ -271,9 +274,9 @@ RolloutPlan::RolloutPlan(const SagdfnModel& model,
     emit_row(tag + ".cand_in", 8 * hd,
              [=](const RunCtx& ctx, int64_t r0, int64_t r1) {
                const simd::Kernels& kern = simd::K();
-               const float* g = ctx.slab + off_g;
-               const float* hb = ctx.slab + off_hl;
-               float* xh = ctx.slab + off_xh;
+               const float* g = ctx.slab + off_g * ctx.rows;
+               const float* hb = ctx.slab + off_hl * ctx.rows;
+               float* xh = ctx.slab + off_xh * ctx.rows;
                for (int64_t r = r0; r < r1; ++r) {
                  kern.sigmoid_mul(g + r * 2 * hd, hb + r * hd,
                                   xh + r * in_w + in_l, /*r_out=*/nullptr,
@@ -289,9 +292,9 @@ RolloutPlan::RolloutPlan(const SagdfnModel& model,
     emit_row(tag + ".blend", 12 * hd,
              [=](const RunCtx& ctx, int64_t r0, int64_t r1) {
                const simd::Kernels& kern = simd::K();
-               const float* g = ctx.slab + off_g;
-               const float* cp = ctx.slab + off_cand;
-               float* hb = ctx.slab + off_hl;
+               const float* g = ctx.slab + off_g * ctx.rows;
+               const float* cp = ctx.slab + off_cand * ctx.rows;
+               float* hb = ctx.slab + off_hl * ctx.rows;
                for (int64_t r = r0; r < r1; ++r) {
                  kern.gru_tail(g + r * 2 * hd + hd, hb + r * hd, cp + r * hd,
                                hb + r * hd, /*z_out=*/nullptr,
@@ -302,13 +305,14 @@ RolloutPlan::RolloutPlan(const SagdfnModel& model,
 
   if (kind == PlanKind::kIncremental) {
     // Resume point: import the previous tick's exported encoder state
-    // byte-for-byte into the slab's hidden region. Row-local, so it fuses
-    // into the first segment like init_h does.
+    // byte-for-byte into the slab's hidden region, which has the state's
+    // layout. Row-local, so it fuses into the first segment like init_h
+    // does.
     emit_row("load_h", layers * hd,
              [=](const RunCtx& ctx, int64_t r0, int64_t r1) {
                for (int64_t l = 0; l < layers; ++l) {
-                 std::memcpy(ctx.slab + off_h + l * rows * hd + r0 * hd,
-                             ctx.h_in + l * rows * hd + r0 * hd,
+                 std::memcpy(ctx.slab + (off_h + l * hd) * ctx.rows + r0 * hd,
+                             ctx.h_in + l * ctx.rows * hd + r0 * hd,
                              sizeof(float) * (r1 - r0) * hd);
                }
              });
@@ -316,8 +320,8 @@ RolloutPlan::RolloutPlan(const SagdfnModel& model,
     emit_row("init_h", layers * hd,
              [=](const RunCtx& ctx, int64_t r0, int64_t r1) {
                for (int64_t l = 0; l < layers; ++l) {
-                 std::memset(ctx.slab + off_h + l * rows * hd + r0 * hd, 0,
-                             sizeof(float) * (r1 - r0) * hd);
+                 std::memset(ctx.slab + (off_h + l * hd) * ctx.rows + r0 * hd,
+                             0, sizeof(float) * (r1 - r0) * hd);
                }
              });
   }
@@ -337,8 +341,8 @@ RolloutPlan::RolloutPlan(const SagdfnModel& model,
            [=](const RunCtx& ctx, int64_t r0, int64_t r1) {
              if (ctx.h_out == nullptr) return;
              for (int64_t l = 0; l < layers; ++l) {
-               std::memcpy(ctx.h_out + l * rows * hd + r0 * hd,
-                           ctx.slab + off_h + l * rows * hd + r0 * hd,
+               std::memcpy(ctx.h_out + l * ctx.rows * hd + r0 * hd,
+                           ctx.slab + (off_h + l * hd) * ctx.rows + r0 * hd,
                            sizeof(float) * (r1 - r0) * hd);
              }
            });
@@ -348,7 +352,7 @@ RolloutPlan::RolloutPlan(const SagdfnModel& model,
   const bool proj_bias = proj.has_bias();
   const float proj_bias_v =
       proj_bias ? proj.bias().value().data()[0] : 0.0f;
-  const int64_t off_hlast = off_h + (layers - 1) * rows * hd;
+  const int64_t off_hlast = off_h + (layers - 1) * hd;
 
   for (int64_t t = 0; t < horizon; ++t) {
     const std::string step = "dec.t" + std::to_string(t);
@@ -361,16 +365,16 @@ RolloutPlan::RolloutPlan(const SagdfnModel& model,
     }
     emit_row(step + ".proj", 2 * hd,
              [=](const RunCtx& ctx, int64_t r0, int64_t r1) {
-               float* pred = ctx.slab + off_pred;
-               tensor::MatMulRowsInto(ctx.slab + off_hlast, wp, pred, r0, r1,
-                                      hd, 1);
+               float* pred = ctx.slab + off_pred * ctx.rows;
+               tensor::MatMulRowsInto(ctx.slab + off_hlast * ctx.rows, wp, pred,
+                                      r0, r1, hd, 1);
                if (proj_bias) {
                  simd::K().add_s(pred + r0, proj_bias_v, pred + r0, r1 - r0);
                }
              });
     emit_row(step + ".store", 1,
              [=](const RunCtx& ctx, int64_t r0, int64_t r1) {
-               const float* pred = ctx.slab + off_pred;
+               const float* pred = ctx.slab + off_pred * ctx.rows;
                for (int64_t r = r0; r < r1; ++r) {
                  const int64_t bi = r / n;
                  ctx.out[(bi * horizon + t) * n + (r - bi * n)] = pred[r];
@@ -382,8 +386,8 @@ RolloutPlan::RolloutPlan(const SagdfnModel& model,
       // decoder's Concat).
       emit_row(step + ".next", c,
                [=](const RunCtx& ctx, int64_t r0, int64_t r1) {
-                 float* dec = ctx.slab + off_dec;
-                 const float* pred = ctx.slab + off_pred;
+                 float* dec = ctx.slab + off_dec * ctx.rows;
+                 const float* pred = ctx.slab + off_pred * ctx.rows;
                  for (int64_t r = r0; r < r1; ++r) {
                    const int64_t bi = r / n;
                    const int64_t i = r - bi * n;
@@ -420,27 +424,31 @@ Tensor RolloutPlan::Run(const Tensor& x, const Tensor& future_tod) const {
 Tensor RolloutPlan::Run(const Tensor& x, const Tensor& future_tod,
                         const Tensor* h_in, Tensor* h_out) const {
   SAGDFN_CHECK_EQ(x.ndim(), 4);
-  SAGDFN_CHECK_EQ(x.dim(0), batch_);
+  const int64_t b = x.dim(0);
+  SAGDFN_CHECK_GE(b, 1);
+  SAGDFN_CHECK_LE(b, batch_);
   SAGDFN_CHECK_EQ(x.dim(1), history_);
   SAGDFN_CHECK_EQ(x.dim(2), n_);
   SAGDFN_CHECK_EQ(x.dim(3), c_);
   SAGDFN_CHECK_EQ(future_tod.ndim(), 2);
-  SAGDFN_CHECK_EQ(future_tod.dim(0), batch_);
+  SAGDFN_CHECK_EQ(future_tod.dim(0), b);
   SAGDFN_CHECK_EQ(future_tod.dim(1), horizon_);
   if (kind_ == PlanKind::kIncremental) {
     SAGDFN_CHECK(h_in != nullptr);
-    SAGDFN_CHECK_EQ(h_in->size(), state_floats());
+    SAGDFN_CHECK_EQ(h_in->size(), state_floats(b));
   } else {
     SAGDFN_CHECK(h_in == nullptr);
   }
   if (h_out != nullptr) {
-    SAGDFN_CHECK_EQ(h_out->size(), state_floats());
+    SAGDFN_CHECK_EQ(h_out->size(), state_floats(b));
   }
 
-  Tensor out{Shape({batch_, horizon_, n_})};
+  Tensor out{Shape({b, horizon_, n_})};
   ScratchArena& arena = ScratchArena::ThreadLocal();
   ScratchArena::Scope scope(arena);
   RunCtx ctx;
+  ctx.batch = b;
+  ctx.rows = b * n_;
   ctx.x = x.data();
   ctx.ft = future_tod.data();
   ctx.out = out.data();

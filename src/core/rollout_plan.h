@@ -60,31 +60,38 @@ enum class PlanKind { kFull, kIncremental };
 /// A plan is immutable after construction and safe to replay from many
 /// threads concurrently (scratch is per-thread; the x/future_tod/output
 /// buffers are per-call). It pins handle copies of every tensor it reads,
-/// so it stays valid independent of the model's lifetime. Plans are
-/// shape-specific: one plan serves exactly one batch size (serving
-/// caches one per observed batch; see serve::FrozenModel).
+/// so it stays valid independent of the model's lifetime. A plan has a
+/// batch capacity: the slab is sized for `batch()` rows, and each replay
+/// runs the live batch b = x.dim(0), 1 <= b <= batch(), over b * N rows
+/// packed at the front of the slab, the layout a plan of capacity b
+/// would use. A row's bits do not depend on its batch, so one plan per
+/// kind serves every batch size up to its capacity (see
+/// serve::FrozenModel).
 class RolloutPlan {
  public:
-  /// Builds the instruction stream for `batch`-sized requests against the
-  /// frozen `snapshot`, then dry-runs it once on zero inputs (and, for
-  /// kIncremental, a zero imported state).
+  /// Builds the instruction stream for up to `batch`-row requests against
+  /// the frozen `snapshot`, then dry-runs it once at full capacity on
+  /// zero inputs (and, for kIncremental, a zero imported state).
   RolloutPlan(const SagdfnModel& model, const AdjacencySnapshot& snapshot,
               int64_t batch, PlanKind kind = PlanKind::kFull);
 
-  /// Replays a kFull plan: `x` [batch, history, N, C], `future_tod`
-  /// [batch, horizon]; returns scaled predictions [batch, horizon, N],
-  /// bit-identical to SagdfnModel::Predict on the same inputs.
+  /// Replays a kFull plan: `x` [b, history, N, C], `future_tod`
+  /// [b, horizon] with 1 <= b <= batch(); returns scaled predictions
+  /// [b, horizon, N], bit-identical to SagdfnModel::Predict on the same
+  /// inputs.
   tensor::Tensor Run(const tensor::Tensor& x,
                      const tensor::Tensor& future_tod) const;
 
   /// Replays with encoder-state I/O — the streaming tick entry point.
-  /// `x` is [batch, encoded_steps(), N, C] (one frame for kIncremental).
-  /// `h_in` must be a tensor of state_floats() floats for kIncremental
+  /// `x` is [b, encoded_steps(), N, C] (one frame for kIncremental).
+  /// `h_in` must be a tensor of state_floats(b) floats for kIncremental
   /// (the previous tick's exported state) and null for kFull; `h_out`,
   /// when non-null, receives the post-encoder hidden state — the resume
-  /// point the NEXT tick's kIncremental replay imports. `h_in` and
-  /// `h_out` may alias: every state row is consumed before it is
-  /// rewritten. The decoder never touches the exported copy.
+  /// point the NEXT tick's kIncremental replay imports. The state holds
+  /// the live batch only, so it moves freely between plans of any
+  /// capacity >= b. `h_in` and `h_out` may alias: every state row is
+  /// consumed before it is rewritten. The decoder never touches the
+  /// exported copy.
   tensor::Tensor Run(const tensor::Tensor& x,
                      const tensor::Tensor& future_tod,
                      const tensor::Tensor* h_in, tensor::Tensor* h_out) const;
@@ -93,10 +100,15 @@ class RolloutPlan {
   /// Encoder steps one replay consumes: `history` for kFull, 1 for
   /// kIncremental.
   int64_t encoded_steps() const { return history_; }
-  /// Floats in the carried encoder state: layers * batch * N * hidden.
-  /// Layout matches the slab's hidden region (layer-major, then row).
-  int64_t state_floats() const { return layers_ * batch_ * n_ * hd_; }
+  /// Floats in the carried encoder state of a `live_batch`-row replay:
+  /// layers * live_batch * N * hidden, layer-major, then row.
+  int64_t state_floats(int64_t live_batch) const {
+    return layers_ * live_batch * n_ * hd_;
+  }
+  /// The same at full capacity: state_floats(batch()).
+  int64_t state_floats() const { return state_floats(batch_); }
 
+  /// Batch capacity: the largest live batch one replay accepts.
   int64_t batch() const { return batch_; }
   int64_t num_instructions() const {
     return static_cast<int64_t>(instrs_.size());
@@ -109,9 +121,11 @@ class RolloutPlan {
  private:
   /// Per-call state handed to every instruction.
   struct RunCtx {
-    const float* x;    // [batch, encoded_steps, N, C]
-    const float* ft;   // [batch, horizon]
-    float* out;        // [batch, horizon, N]
+    int64_t batch;     // live batch b
+    int64_t rows;      // live rows b * N
+    const float* x;    // [b, encoded_steps, N, C]
+    const float* ft;   // [b, horizon]
+    float* out;        // [b, horizon, N]
     float* slab;       // scratch_bytes() / 4 floats of arena scratch
     const float* h_in = nullptr;  // imported encoder state (kIncremental)
     float* h_out = nullptr;       // exported resume point (optional)

@@ -59,6 +59,9 @@ InferenceEngine::InferenceEngine(std::shared_ptr<const FrozenModel> model,
   SAGDFN_CHECK_GE(options_.max_queue_depth, 1);
   SAGDFN_CHECK_GE(options_.shed_queue_depth, 0);
   SAGDFN_CHECK_GE(options_.default_deadline_us, 0);
+  // Size the model's plan for the largest batch a worker can form, so no
+  // live batch ever compiles one.
+  model_->PlanFor(options_.max_batch);
   workers_.reserve(options_.num_workers);
   for (int64_t i = 0; i < options_.num_workers; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });

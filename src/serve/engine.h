@@ -161,7 +161,9 @@ class InferenceEngine {
  public:
   /// `model` is shared read-only; the engine keeps it (and any snapshot
   /// later swapped in) alive via shared_ptr for as long as a batch might
-  /// still be running on it.
+  /// still be running on it. Sizes the model's rollout plan for
+  /// max_batch, so no batch a worker forms compiles one (the registry's
+  /// gate does the same for every candidate it swaps in).
   InferenceEngine(std::shared_ptr<const FrozenModel> model,
                   const EngineOptions& options);
 

@@ -113,11 +113,8 @@ std::shared_ptr<const TickForecast> TickStreamer::ComputeLocked(
     // O(1) tick: import last tick's state, encode only the new frame.
     std::shared_ptr<const core::RolloutPlan> plan =
         model_->PlanFor(1, core::PlanKind::kIncremental);
-    if (state_.size() != plan->state_floats()) {
-      // Cannot happen while the model is fixed (state size depends only
-      // on the config), but keep the invariant explicit.
-      state_ = Tensor{Shape({plan->state_floats()})};
-    }
+    // The state comes from the last kFull replay on this same model.
+    SAGDFN_CHECK_EQ(state_.size(), plan->state_floats(1));
     Tensor x{Shape({1, 1, n, c})};
     std::memcpy(x.data(), frames_.back().data(), sizeof(float) * n * c);
     pred = plan->Run(x, ft, &state_, &state_);
@@ -127,8 +124,8 @@ std::shared_ptr<const TickForecast> TickStreamer::ComputeLocked(
     // warmup, periodic drift guard, or first tick on a swapped model.
     std::shared_ptr<const core::RolloutPlan> plan =
         model_->PlanFor(1, core::PlanKind::kFull);
-    if (state_.size() != plan->state_floats()) {
-      state_ = Tensor{Shape({plan->state_floats()})};
+    if (state_.size() != plan->state_floats(1)) {
+      state_ = Tensor{Shape({plan->state_floats(1)})};
     }
     Tensor x{Shape({1, h, n, c})};
     float* dst = x.data();

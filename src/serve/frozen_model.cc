@@ -7,7 +7,6 @@
 
 #include "graph/csr.h"
 #include "nn/serialization.h"
-#include "obs/telemetry.h"
 #include "utils/check.h"
 
 namespace sagdfn::serve {
@@ -46,29 +45,24 @@ bool HasPrefix(const std::string& s, const std::string& prefix) {
 }  // namespace
 
 FrozenModel::FrozenModel(std::unique_ptr<core::SagdfnModel> model,
-                         core::AdjacencySnapshot snapshot,
-                         int64_t plan_capacity)
-    : model_(std::move(model)),
-      snapshot_(std::move(snapshot)),
-      plan_capacity_(plan_capacity) {}
+                         core::AdjacencySnapshot snapshot)
+    : model_(std::move(model)), snapshot_(std::move(snapshot)) {}
 
 std::unique_ptr<FrozenModel> FrozenModel::Freeze(
-    std::unique_ptr<core::SagdfnModel> model, int64_t plan_cache_capacity) {
+    std::unique_ptr<core::SagdfnModel> model) {
   SAGDFN_CHECK(model != nullptr);
-  SAGDFN_CHECK_GT(plan_cache_capacity, 0);
   model->SetTraining(false);
   core::AdjacencySnapshot snapshot = model->Snapshot();
-  return std::unique_ptr<FrozenModel>(new FrozenModel(
-      std::move(model), std::move(snapshot), plan_cache_capacity));
+  return std::unique_ptr<FrozenModel>(
+      new FrozenModel(std::move(model), std::move(snapshot)));
 }
 
 utils::Status FrozenModel::Load(const core::SagdfnConfig& config,
                                 const std::string& checkpoint_path,
-                                std::unique_ptr<FrozenModel>* out,
-                                int64_t plan_cache_capacity) {
+                                std::unique_ptr<FrozenModel>* out) {
   auto model = std::make_unique<core::SagdfnModel>(config);
   SAGDFN_RETURN_IF_ERROR(nn::LoadModule(model.get(), checkpoint_path));
-  *out = Freeze(std::move(model), plan_cache_capacity);
+  *out = Freeze(std::move(model));
   return utils::Status::Ok();
 }
 
@@ -92,9 +86,7 @@ utils::Status FrozenModel::Save(const std::string& path) const {
 
 utils::Status FrozenModel::LoadMapped(const core::SagdfnConfig& config,
                                       const std::string& path,
-                                      std::unique_ptr<FrozenModel>* out,
-                                      int64_t plan_cache_capacity) {
-  SAGDFN_CHECK_GT(plan_cache_capacity, 0);
+                                      std::unique_ptr<FrozenModel>* out) {
   nn::MappedCheckpoint mapped;
   SAGDFN_RETURN_IF_ERROR(nn::OpenMappedCheckpoint(&mapped, path));
 
@@ -201,19 +193,14 @@ utils::Status FrozenModel::LoadMapped(const core::SagdfnConfig& config,
   snapshot.csr = std::make_shared<const graph::CsrMatrix>(
       graph::CsrFromDense(snapshot.a_s));
 
-  *out = std::unique_ptr<FrozenModel>(new FrozenModel(
-      std::move(model), std::move(snapshot), plan_cache_capacity));
+  *out = std::unique_ptr<FrozenModel>(
+      new FrozenModel(std::move(model), std::move(snapshot)));
   return utils::Status::Ok();
 }
 
 tensor::Tensor FrozenModel::Predict(const tensor::Tensor& x,
                                     const tensor::Tensor& future_tod) const {
   return PlanFor(x.dim(0))->Run(x, future_tod);
-}
-
-tensor::Tensor FrozenModel::PredictEager(
-    const tensor::Tensor& x, const tensor::Tensor& future_tod) const {
-  return model_->Predict(x, future_tod, snapshot_);
 }
 
 std::shared_ptr<const core::RolloutPlan> FrozenModel::PlanFor(
@@ -223,41 +210,17 @@ std::shared_ptr<const core::RolloutPlan> FrozenModel::PlanFor(
 
 std::shared_ptr<const core::RolloutPlan> FrozenModel::PlanFor(
     int64_t batch, core::PlanKind kind) const {
-  // Plan construction (instruction build + dry run) happens under the
-  // lock: concurrent first requests for one (batch, kind) build it once,
-  // and replays through already-cached plans only pay the map lookup.
+  // A compile (instruction build + dry run) happens under the lock:
+  // concurrent first requests build it once, and replays through a plan
+  // that already covers them only pay the lock.
   std::lock_guard<std::mutex> lock(plans_mu_);
-  const PlanKey key{batch, kind};
-  auto it = plans_.find(key);
-  if (it != plans_.end()) {
-    lru_.splice(lru_.begin(), lru_, it->second.second);
-    return it->second.first;
+  std::shared_ptr<const core::RolloutPlan>& plan =
+      plans_[static_cast<size_t>(kind)];
+  if (plan == nullptr || plan->batch() < batch) {
+    plan = std::make_shared<const core::RolloutPlan>(*model_, snapshot_,
+                                                     batch, kind);
   }
-  auto plan =
-      std::make_shared<const core::RolloutPlan>(*model_, snapshot_, batch,
-                                                kind);
-  lru_.push_front(key);
-  plans_.emplace(key, std::make_pair(plan, lru_.begin()));
-  while (static_cast<int64_t>(plans_.size()) > plan_capacity_) {
-    // Evict the least-recently-used entry. Replays already holding the
-    // shared_ptr keep the evicted plan alive until they finish.
-    plans_.erase(lru_.back());
-    lru_.pop_back();
-    ++plan_evictions_;
-  }
-  obs::Telemetry::Global().SetGauge("serve.plan_cache_size",
-                                    static_cast<double>(plans_.size()));
   return plan;
-}
-
-int64_t FrozenModel::plan_cache_size() const {
-  std::lock_guard<std::mutex> lock(plans_mu_);
-  return static_cast<int64_t>(plans_.size());
-}
-
-int64_t FrozenModel::plan_cache_evictions() const {
-  std::lock_guard<std::mutex> lock(plans_mu_);
-  return plan_evictions_;
 }
 
 }  // namespace sagdfn::serve

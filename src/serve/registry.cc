@@ -168,6 +168,9 @@ utils::Status ModelRegistry::ValidateCandidate(
   // Gate 3: plan dry-run. Compiling the rollout plan and replaying one
   // window proves the candidate can actually execute on the serve path
   // (plan build, arena sizing, adjacency freeze) before it sees traffic.
+  // Sized for the engine's largest batch, this plan is the one every
+  // live batch replays after the swap.
+  candidate->PlanFor(engine_->options().max_batch);
   const core::SagdfnConfig& config = candidate->config();
   tensor::Tensor dry_x(tensor::Shape(
       {1, config.history, config.num_nodes, config.input_dim}));

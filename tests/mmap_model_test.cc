@@ -179,8 +179,9 @@ TEST(FrozenModelMappedTest, LoadMappedMatchesHeapLoadExactly) {
         rng);
     Tensor tod = Tensor::Uniform(Shape({batch, config.horizon}), rng);
     EXPECT_TRUE(SameBytes(mapped->Predict(x, tod), heap->Predict(x, tod)));
-    EXPECT_TRUE(SameBytes(mapped->PredictEager(x, tod),
-                          heap->PredictEager(x, tod)));
+    EXPECT_TRUE(
+        SameBytes(mapped->model().Predict(x, tod, mapped->snapshot()),
+                  heap->model().Predict(x, tod, heap->snapshot())));
   }
 }
 

@@ -569,6 +569,37 @@ TEST(RegistryTest, CleanCandidatePassesProbation) {
 
   ASSERT_TRUE(registry.Publish(path_b).ok());
   ASSERT_TRUE(registry.on_probation());
+
+  // The gate sized the candidate's one plan for the engine's largest
+  // batch, so no batch the engine forms after the swap compiles a plan.
+  const std::shared_ptr<const FrozenModel> live = engine.model_snapshot();
+  const int64_t max_batch = engine_options.max_batch;
+  const std::shared_ptr<const core::RolloutPlan> plan = live->PlanFor(1);
+  EXPECT_EQ(live->PlanFor(max_batch).get(), plan.get());
+
+  // Drive one batch of every size 1..max_batch: a slow_batch stall holds
+  // the worker in the previous batch while the next one queues whole.
+  ASSERT_TRUE(
+      utils::FaultInjector::Global().Configure("slow_batch@us=20000").ok());
+  const int64_t batches_before = engine.stats().batches;
+  const std::vector<RequestData> sized = MakeRequests(config, max_batch, 31);
+  std::vector<std::future<Forecast>> futures;
+  for (int64_t b = 1; b <= max_batch; ++b) {
+    while (engine.stats().queue_depth > 0) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    for (int64_t i = 0; i < b; ++i) {
+      futures.push_back(engine.Submit(sized[i].x, sized[i].future_tod));
+    }
+  }
+  for (std::future<Forecast>& future : futures) {
+    Forecast forecast = future.get();
+    ASSERT_TRUE(forecast.status.ok()) << forecast.status.ToString();
+  }
+  utils::FaultInjector::Global().Reset();
+  EXPECT_EQ(engine.stats().batches - batches_before, max_batch);
+  EXPECT_EQ(live->PlanFor(max_batch).get(), plan.get());
+
   const std::vector<RequestData> requests = MakeRequests(config, 10, 29);
   for (const RequestData& r : requests) {
     Forecast forecast = engine.Submit(r.x, r.future_tod).get();

@@ -171,7 +171,7 @@ TEST(ServeEngineTest, PlanReplayMatchesEagerBytes) {
     Tensor tod(Shape({1, config.horizon}));
     std::memcpy(tod.data(), r.future_tod.data(),
                 r.future_tod.size() * sizeof(float));
-    eager.push_back(model->PredictEager(x, tod));
+    eager.push_back(model->model().Predict(x, tod, model->snapshot()));
   }
   EngineOptions options;
   options.num_workers = 8;

@@ -95,7 +95,7 @@ Tensor EagerAccumulated(const FrozenModel& model, const Stream& stream,
   Tensor tod{Shape({1, config.horizon})};
   std::memcpy(tod.data(), stream.tod.data(),
               sizeof(float) * config.horizon);
-  return model.PredictEager(x, tod);
+  return model.model().Predict(x, tod, model.snapshot());
 }
 
 /// Eager reference for a sliding h-frame window ending at tick `t`.
@@ -113,7 +113,7 @@ Tensor EagerWindow(const FrozenModel& model, const Stream& stream,
   Tensor tod{Shape({1, config.horizon})};
   std::memcpy(tod.data(), stream.tod.data(),
               sizeof(float) * config.horizon);
-  return model.PredictEager(x, tod);
+  return model.model().Predict(x, tod, model.snapshot());
 }
 
 bool BytesEqual(const Tensor& a, const Tensor& b) {
