@@ -300,7 +300,7 @@ constexpr int64_t kSimdBenchLen = 65536;
 /// per-iteration seconds under "simd.<name>.<level>".
 template <typename Body>
 void RunSimdKernelBench(benchmark::State& state, const char* name,
-                        Body&& body) {
+                        Body&& body, int64_t items = kSimdBenchLen) {
   const auto level = static_cast<tensor::simd::Level>(state.range(0));
   SimdLevelScope scope(state, level);
   if (!scope.ok()) return;
@@ -314,7 +314,7 @@ void RunSimdKernelBench(benchmark::State& state, const char* name,
     obs::Telemetry::Global().RecordDuration(
         timer_name, std::chrono::duration<double>(t1 - t0).count());
   }
-  state.SetItemsProcessed(state.iterations() * kSimdBenchLen);
+  state.SetItemsProcessed(state.iterations() * items);
   state.SetLabel(tensor::simd::LevelName(level));
 }
 
@@ -410,6 +410,83 @@ void BM_SimdGruStep(benchmark::State& state) {
   });
 }
 BENCHMARK(BM_SimdGruStep)->ArgNames({"level"})->Arg(0)->Arg(1);
+
+// The register-resident row kernels at the stream-10k shapes: rows of
+// traffic10k-sim width (c = 10 input channels, M = 16 significant nodes)
+// for one slim-diffusion step, and the small per-row matmuls of the
+// fused cell (k = 10 inputs into n = 16 and n = 8 outputs).
+constexpr int64_t kRowBenchRows = 4096;
+constexpr int64_t kRowBenchC = 10;
+constexpr int64_t kRowBenchM = 16;
+
+void BM_SimdDiffuseRow(benchmark::State& state) {
+  static const tensor::Tensor term = [] {
+    utils::Rng rng(14);
+    return tensor::Tensor::Normal(
+        tensor::Shape({kRowBenchRows, kRowBenchC}), rng);
+  }();
+  static const tensor::Tensor a_s = [] {
+    utils::Rng rng(15);
+    return tensor::Tensor::Uniform(
+        tensor::Shape({kRowBenchRows, kRowBenchM}), rng);
+  }();
+  static const std::vector<int64_t> index_set = [] {
+    std::vector<int64_t> idx(kRowBenchM);
+    for (int64_t j = 0; j < kRowBenchM; ++j) {
+      idx[j] = (j * 2654435761LL) % kRowBenchRows;
+    }
+    return idx;
+  }();
+  static tensor::Tensor out =
+      tensor::Tensor::Zeros(tensor::Shape({kRowBenchRows, kRowBenchC}));
+  RunSimdKernelBench(
+      state, "diffuse_row",
+      [&](const tensor::simd::Kernels& k) {
+        for (int64_t i = 0; i < kRowBenchRows; ++i) {
+          k.diffuse_row(term.data() + i * kRowBenchC,
+                        a_s.data() + i * kRowBenchM, index_set.data(),
+                        kRowBenchM, term.data(), 0.5f,
+                        out.data() + i * kRowBenchC, kRowBenchC);
+        }
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+      },
+      kRowBenchRows * kRowBenchM * kRowBenchC);
+}
+BENCHMARK(BM_SimdDiffuseRow)->ArgNames({"level"})->Arg(0)->Arg(1);
+
+void BM_SimdMatMulRows(benchmark::State& state) {
+  static const tensor::Tensor a = [] {
+    utils::Rng rng(16);
+    return tensor::Tensor::Normal(
+        tensor::Shape({kRowBenchRows, kRowBenchC}), rng);
+  }();
+  static const tensor::Tensor w16 = [] {
+    utils::Rng rng(17);
+    return tensor::Tensor::Normal(tensor::Shape({kRowBenchC, 16}), rng);
+  }();
+  static const tensor::Tensor w8 = [] {
+    utils::Rng rng(18);
+    return tensor::Tensor::Normal(tensor::Shape({kRowBenchC, 8}), rng);
+  }();
+  static tensor::Tensor o16 =
+      tensor::Tensor::Zeros(tensor::Shape({kRowBenchRows, 16}));
+  static tensor::Tensor o8 =
+      tensor::Tensor::Zeros(tensor::Shape({kRowBenchRows, 8}));
+  RunSimdKernelBench(
+      state, "matmul_rows",
+      [&](const tensor::simd::Kernels& k) {
+        k.matmul_rows(a.data(), w16.data(), o16.data(), kRowBenchRows,
+                      kRowBenchC, 16);
+        k.matmul_rows(a.data(), w8.data(), o8.data(), kRowBenchRows,
+                      kRowBenchC, 8);
+        benchmark::DoNotOptimize(o16.data());
+        benchmark::DoNotOptimize(o8.data());
+        benchmark::ClobberMemory();
+      },
+      kRowBenchRows * kRowBenchC * (16 + 8));
+}
+BENCHMARK(BM_SimdMatMulRows)->ArgNames({"level"})->Arg(0)->Arg(1);
 
 // Deterministic block reduction over the bench buffer. The per-block
 // partials live in the calling thread's ScratchArena, so this bench also

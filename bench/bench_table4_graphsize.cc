@@ -6,9 +6,10 @@
 // size).
 //
 // With --scaling the bench instead measures the scale-tier contract
-// (ISSUE: 10k–100k nodes): per-N dense-vs-CSR diffusion step latency
-// normalized to ns per (node x slim column) — which must stay ~flat as N
-// grows, i.e. linear N*M total cost — plus frozen-model heap-vs-mmap
+// (10k–100k nodes): per-N dense and CSR diffusion step latency, with the
+// dense step — the kernel rollout plans run — normalized to ns per (node
+// x slim column), which must stay ~flat as N grows, i.e. linear N*M
+// total cost — plus frozen-model heap-vs-mmap
 // load times and a served plan tick, with two byte-equality invariants
 // (CSR step == dense step, mmap forecasts == heap forecasts). Results go
 // to BENCH_graphsize_scaling.json for
@@ -68,7 +69,7 @@ struct ScaleRow {
   int64_t m = 0;
   double dense_step_ms = 0.0;
   double csr_step_ms = 0.0;
-  double ns_per_nm = 0.0;  // csr step, ns per (node x slim column)
+  double ns_per_nm = 0.0;  // dense step, ns per (node x slim column)
   double heap_load_ms = 0.0;
   double mmap_load_ms = 0.0;
   double tick_ms = 0.0;
@@ -157,7 +158,7 @@ int RunScaling(bool full) {
                                         shards, 1, n, c, out_csr.data());
         },
         0.2, 5);
-    row.ns_per_nm = row.csr_step_ms * 1e6 /
+    row.ns_per_nm = row.dense_step_ms * 1e6 /
                     static_cast<double>(n * config.m);
     if (std::memcmp(out_dense.data(), out_csr.data(),
                     out_dense.size() * sizeof(float)) != 0) {

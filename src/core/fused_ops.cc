@@ -50,15 +50,8 @@ void OneStepFastGConvInto(const float* a_s, const float* term,
       const int64_t b = r / n;
       const int64_t i = r - b * n;
       const float* t_base = term + b * n * c;
-      float* out_row = out + r * c;
-      std::memcpy(out_row, t_base + i * c, sizeof(float) * c);
-      const float* a_row = a_s + i * k;
-      for (int64_t j = 0; j < k; ++j) {
-        const float av = a_row[j];
-        if (av == 0.0f) continue;
-        kern.axpy(av, t_base + idx[j] * c, out_row, c);
-      }
-      kern.scale(out_row, inv_deg[i], c);
+      kern.diffuse_row(t_base + i * c, a_s + i * k, idx, k, t_base,
+                       inv_deg[i], out + r * c, c);
     }
   });
 }

@@ -69,28 +69,11 @@ RolloutPlan::RolloutPlan(const SagdfnModel& model,
   const float* pa = pin(snapshot.a_s);
   const float* pinv = pin(snapshot.inv_deg);
   auto idx = std::make_shared<const std::vector<int64_t>>(snapshot.index_set);
-  // Frozen snapshots carry a CSR view of a_s; diffuse instructions then
-  // run the node-sharded CSR gather (byte-identical to the dense slim
-  // kernel, O(nnz) per step). Hand-built snapshots without one replay
-  // through the dense kernel.
-  auto csr = snapshot.csr;
-  if (csr != nullptr) {
-    SAGDFN_CHECK_EQ(csr->rows, n_);
-    SAGDFN_CHECK_EQ(csr->cols, snapshot.a_s.dim(1));
-  }
 
   // Scratch slab layout. Buffers are reused across timesteps and layers;
   // xh / term_a / term_b are sized for the widest layer input and packed
   // tightly at each layer's own width.
   const int64_t max_in = std::max<int64_t>(c, hd) + hd;
-  // Cache-aware node blocking for the CSR diffuse instructions: shards
-  // sized so one shard's widest term rows fit in an L2 slice.
-  std::shared_ptr<const graph::NodeShards> shards;
-  if (csr != nullptr) {
-    shards = std::make_shared<const graph::NodeShards>(
-        graph::ComputeNodeShards(n, max_in *
-                                        static_cast<int64_t>(sizeof(float))));
-  }
   // Offsets are in floats per row: a replay over ctx.rows live rows finds
   // region X at slab + off_X * ctx.rows, so a batch below capacity packs
   // into the front of the slab exactly as a plan of its own size would.
@@ -168,8 +151,10 @@ RolloutPlan::RolloutPlan(const SagdfnModel& model,
   // (rows x out_w). Mirrors FastGraphConv::Forward exactly: W_0 matmul,
   // then per diffusion step a fused graph-diffusion (barrier), a W_j
   // matmul into mm scratch and an in-place accumulate, then the bias
-  // row-add. Matmul rows use the same k-tile order as the eager
-  // BatchedMatMul (see tensor::MatMulRowsInto).
+  // row-add. Matmul rows use the same per-row order as the eager
+  // BatchedMatMul (see tensor::MatMulRowsInto), and the diffusion runs
+  // the dense slim kernel, which is byte-identical to the eager path's
+  // CSR gather.
   auto emit_conv = [&](const std::string& tag, const FastGraphConv& conv,
                        int64_t in_w, int64_t out_w, int64_t off_src,
                        int64_t off_dst) {
@@ -188,15 +173,9 @@ RolloutPlan::RolloutPlan(const SagdfnModel& model,
       const int64_t off_next = (j % 2 == 1) ? off_ta : off_tb;
       flush();
       emit(tag + ".diffuse" + std::to_string(j), [=](const RunCtx& ctx) {
-        if (csr != nullptr) {
-          OneStepFastGConvCsrInto(*csr, ctx.slab + off_term * ctx.rows, pinv,
-                                  *idx, *shards, ctx.batch, n, in_w,
-                                  ctx.slab + off_next * ctx.rows);
-        } else {
-          OneStepFastGConvInto(pa, ctx.slab + off_term * ctx.rows, pinv, *idx,
-                               ctx.batch, n, in_w,
-                               ctx.slab + off_next * ctx.rows);
-        }
+        OneStepFastGConvInto(pa, ctx.slab + off_term * ctx.rows, pinv, *idx,
+                             ctx.batch, n, in_w,
+                             ctx.slab + off_next * ctx.rows);
       });
       const float* wj = pin(ws[j].value());
       emit_row(tag + ".mm" + std::to_string(j), 2 * in_w * out_w,

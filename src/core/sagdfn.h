@@ -23,10 +23,11 @@ struct AdjacencySnapshot {
   tensor::Tensor a_s;              // [N, M]
   tensor::Tensor inv_deg;          // [N, 1]
   std::vector<int64_t> index_set;  // M node ids (columns of a_s)
-  /// CsrFromDense(a_s), shared with eval rollouts / serving plans so the
-  /// diffusion gather walks nonzeros instead of scanning N x M rows.
-  /// Always set by Snapshot(); may be null in hand-built snapshots, which
-  /// then fall back to the dense slim kernels.
+  /// CsrFromDense(a_s), read by the eager eval rollout (Predict with a
+  /// snapshot). Rollout plans ignore it and diffuse through a_s: the
+  /// learned slim adjacency has no zeros in practice, so CSR saves no
+  /// terms. Always set by Snapshot(); may be null in hand-built
+  /// snapshots, which then use the dense slim kernels everywhere.
   std::shared_ptr<const graph::CsrMatrix> csr;
 };
 

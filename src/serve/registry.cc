@@ -25,6 +25,10 @@ namespace {
 /// small enough that OnBatch stays O(1)-ish.
 constexpr size_t kComputeRingCapacity = 256;
 
+/// Probation batches that must exceed the relative p99 limit before the
+/// probe rolls back: a lone outlier batch never does.
+constexpr int64_t kMinSlowBatches = 2;
+
 bool AllFinite(const float* data, int64_t size) {
   for (int64_t i = 0; i < size; ++i) {
     if (!std::isfinite(data[i])) return false;
@@ -332,8 +336,18 @@ void ModelRegistry::OnBatch(const BatchReport& report) {
   if (options_.p99_regression_factor > 0.0 && baseline_p99_us_ > 0.0 &&
       static_cast<int64_t>(probation_compute_us_.size()) >=
           options_.min_health_batches) {
+    // Over a short probation window the interpolated p99 sits next to
+    // the maximum, so one preempted or cold batch alone would carry it
+    // over the limit. A regression must therefore also show in at least
+    // kMinSlowBatches batches; past ~100 samples the p99 condition
+    // already implies that.
+    const double limit = baseline_p99_us_ * options_.p99_regression_factor;
     const double p99 = P99Us(probation_compute_us_);
-    if (p99 > baseline_p99_us_ * options_.p99_regression_factor) {
+    const auto slow_batches =
+        std::count_if(probation_compute_us_.begin(),
+                      probation_compute_us_.end(),
+                      [limit](double us) { return us > limit; });
+    if (p99 > limit && slow_batches >= kMinSlowBatches) {
       RollbackLocked("batch compute p99 " +
                      std::to_string(static_cast<int64_t>(p99)) +
                      " us exceeded baseline p99 " +

@@ -48,8 +48,9 @@ struct RegistryOptions {
   int64_t max_nonfinite = 0;
   /// Relative latency probe: rollback when the probation model's p99
   /// batch-compute time exceeds the pre-swap baseline p99 times this
-  /// factor. Needs `min_health_batches` probation samples and a recorded
-  /// baseline; <= 0 disables.
+  /// factor and at least two probation batches do (a lone outlier batch
+  /// never trips it). Needs `min_health_batches` probation samples and a
+  /// recorded baseline; <= 0 disables.
   double p99_regression_factor = 3.0;
   /// Absolute latency probe: rollback as soon as one probation batch's
   /// compute time exceeds this many microseconds. 0 disables.

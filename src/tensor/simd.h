@@ -113,6 +113,26 @@ struct Kernels {
   /// sum_i (double)a[i]; fixed intra-call order per level.
   double (*sum)(const float* a, int64_t n);
 
+  // -- Register-resident row kernels ----------------------------------------
+  // Each output element goes through exactly the ops of the axpy/scale
+  // composition it replaces: zero weights are skipped (so a signed zero
+  // or 0 * inf never reaches the sum), one fma per remaining term in
+  // ascending order, then the final multiply. Only the loads and stores
+  // change — the row stays in registers in blocks of at most 32 floats —
+  // so results are bit-identical to the composition at the same level.
+  /// One slim-diffusion output row of width c:
+  ///   out = (self + sum_{j < m} a[j] * src[idx[j] * c .. +c]) * inv_deg,
+  /// i.e. memcpy(out, self), axpy(a[j], src row idx[j], out) for each
+  /// a[j] != 0, then scale(out, inv_deg). `out` must not alias a src row.
+  void (*diffuse_row)(const float* self, const float* a, const int64_t* idx,
+                      int64_t m, const float* src, float inv_deg, float* out,
+                      int64_t c);
+  /// o[r, :] += sum_{kk < k} a[r, kk] * b[kk, :] for r < rows, with a
+  /// [rows, k], b [k, n] and o [rows, n] row-major: per row, one
+  /// axpy(a[r, kk], b row kk, o row r) per nonzero a[r, kk].
+  void (*matmul_rows)(const float* a, const float* b, float* o, int64_t rows,
+                      int64_t k, int64_t n);
+
   // -- Model-specific fusions -----------------------------------------------
   /// o = z*h + (1-z)*c   (GRU state blend, one pass)
   void (*gru_blend)(const float* z, const float* h, const float* c, float* o,

@@ -21,6 +21,7 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 
@@ -429,6 +430,121 @@ double Sum(const float* a, int64_t n) {
   return acc;
 }
 
+// ---------------------------------------------------------------------------
+// Register-resident row kernels. A row is processed in blocks of up to
+// kRowVecs vectors (32 floats) that stay in ymm accumulators across the
+// whole term loop. A partial last vector is loaded and stored under a
+// lane mask (masked-off lanes are neither read nor written, so a row may
+// end at a page boundary); its fmadd/mul lanes round exactly like the
+// std::fma / `*=` scalar tails of Axpy and Scale.
+// ---------------------------------------------------------------------------
+
+constexpr int kRowVecs = 4;
+
+/// Mask enabling the first `live` (1..8) lanes.
+inline __m256i LaneMask(int64_t live) {
+  static const int32_t kBits[16] = {-1, -1, -1, -1, -1, -1, -1, -1,
+                                    0,  0,  0,  0,  0,  0,  0,  0};
+  return _mm256_loadu_si256(
+      reinterpret_cast<const __m256i*>(kBits + 8 - live));
+}
+
+/// Loads vector v of a block; only the last vector of a kTail block is
+/// partial.
+template <int NV, bool kTail>
+inline __m256 LoadVec(const float* p, int v, __m256i mask) {
+  if (kTail && v == NV - 1) return _mm256_maskload_ps(p + 8 * v, mask);
+  return _mm256_loadu_ps(p + 8 * v);
+}
+template <int NV, bool kTail>
+inline void StoreVec(float* p, int v, __m256 x, __m256i mask) {
+  if (kTail && v == NV - 1) {
+    _mm256_maskstore_ps(p + 8 * v, mask, x);
+  } else {
+    _mm256_storeu_ps(p + 8 * v, x);
+  }
+}
+
+template <int NV, bool kTail>
+void DiffuseBlock(const float* self, const float* a, const int64_t* idx,
+                  int64_t m, const float* src, int64_t stride, float inv_deg,
+                  float* out, __m256i mask) {
+  __m256 acc[NV];
+  for (int v = 0; v < NV; ++v) acc[v] = LoadVec<NV, kTail>(self, v, mask);
+  for (int64_t j = 0; j < m; ++j) {
+    const float av = a[j];
+    if (av == 0.0f) continue;
+    const __m256 va = _mm256_set1_ps(av);
+    const float* row = src + idx[j] * stride;
+    for (int v = 0; v < NV; ++v) {
+      acc[v] = _mm256_fmadd_ps(va, LoadVec<NV, kTail>(row, v, mask), acc[v]);
+    }
+  }
+  const __m256 vs = _mm256_set1_ps(inv_deg);
+  for (int v = 0; v < NV; ++v) {
+    StoreVec<NV, kTail>(out, v, _mm256_mul_ps(acc[v], vs), mask);
+  }
+}
+
+template <int NV, bool kTail>
+void MatMulBlock(const float* a_row, const float* b, int64_t stride, int64_t k,
+                 float* o, __m256i mask) {
+  __m256 acc[NV];
+  for (int v = 0; v < NV; ++v) acc[v] = LoadVec<NV, kTail>(o, v, mask);
+  for (int64_t kk = 0; kk < k; ++kk) {
+    const float av = a_row[kk];
+    if (av == 0.0f) continue;
+    const __m256 va = _mm256_set1_ps(av);
+    const float* b_row = b + kk * stride;
+    for (int v = 0; v < NV; ++v) {
+      acc[v] =
+          _mm256_fmadd_ps(va, LoadVec<NV, kTail>(b_row, v, mask), acc[v]);
+    }
+  }
+  for (int v = 0; v < NV; ++v) StoreVec<NV, kTail>(o, v, acc[v], mask);
+}
+
+/// Runs `block.template operator()<NV, kTail>(b0, mask)` over the
+/// <= 32-float blocks of a width-`w` row.
+template <typename Block>
+inline void ForEachRowBlock(int64_t w, Block&& block) {
+  for (int64_t b0 = 0; b0 < w; b0 += 8 * kRowVecs) {
+    const int64_t width = std::min<int64_t>(8 * kRowVecs, w - b0);
+    const int64_t rem = width % 8;
+    const __m256i mask = LaneMask(rem == 0 ? 8 : rem);
+    switch ((width + 7) / 8 * 2 + (rem != 0 ? 1 : 0)) {
+      case 2: block.template operator()<1, false>(b0, mask); break;
+      case 3: block.template operator()<1, true>(b0, mask); break;
+      case 4: block.template operator()<2, false>(b0, mask); break;
+      case 5: block.template operator()<2, true>(b0, mask); break;
+      case 6: block.template operator()<3, false>(b0, mask); break;
+      case 7: block.template operator()<3, true>(b0, mask); break;
+      case 8: block.template operator()<4, false>(b0, mask); break;
+      default: block.template operator()<4, true>(b0, mask); break;
+    }
+  }
+}
+
+void DiffuseRow(const float* self, const float* a, const int64_t* idx,
+                int64_t m, const float* src, float inv_deg, float* out,
+                int64_t c) {
+  ForEachRowBlock(c, [&]<int NV, bool kTail>(int64_t b0, __m256i mask) {
+    DiffuseBlock<NV, kTail>(self + b0, a, idx, m, src + b0, c, inv_deg,
+                            out + b0, mask);
+  });
+}
+
+void MatMulRows(const float* a, const float* b, float* o, int64_t rows,
+                int64_t k, int64_t n) {
+  for (int64_t r = 0; r < rows; ++r) {
+    const float* a_row = a + r * k;
+    float* o_row = o + r * n;
+    ForEachRowBlock(n, [&]<int NV, bool kTail>(int64_t b0, __m256i mask) {
+      MatMulBlock<NV, kTail>(a_row, b + b0, n, k, o_row + b0, mask);
+    });
+  }
+}
+
 void GruBlend(const float* z, const float* h, const float* c, float* o,
               int64_t n) {
   const __m256 one = _mm256_set1_ps(1.0f);
@@ -728,6 +844,8 @@ const Kernels& Avx2Kernels() {
       .scale = Scale,
       .dot = Dot,
       .sum = Sum,
+      .diffuse_row = DiffuseRow,
+      .matmul_rows = MatMulRows,
       .gru_blend = GruBlend,
       .sigmoid_mul = SigmoidMul,
       .gru_tail = GruTail,

@@ -3,6 +3,7 @@
 // are deliberately simple — the compiler may auto-vectorize them, but the
 // accumulation orders are fixed, so results are bit-identical run to run
 // and thread count to thread count.
+#include <algorithm>
 #include <cmath>
 
 #include "tensor/simd_internal.h"
@@ -118,6 +119,48 @@ void Axpy(float a, const float* x, float* dst, int64_t n) {
 void Scale(float* dst, float s, int64_t n) {
   for (int64_t i = 0; i < n; ++i) dst[i] *= s;
 }
+
+// The row kernels accumulate one <= 32-float block of the output row in
+// a local array across the whole term loop; per element the expression
+// sequence is Axpy's `+= a * x` followed by Scale's `*= s`.
+constexpr int64_t kRowBlock = 32;
+
+void DiffuseRow(const float* self, const float* a, const int64_t* idx,
+                int64_t m, const float* src, float inv_deg, float* out,
+                int64_t c) {
+  for (int64_t b0 = 0; b0 < c; b0 += kRowBlock) {
+    const int64_t w = std::min(kRowBlock, c - b0);
+    float acc[kRowBlock];
+    for (int64_t i = 0; i < w; ++i) acc[i] = self[b0 + i];
+    for (int64_t j = 0; j < m; ++j) {
+      const float av = a[j];
+      if (av == 0.0f) continue;
+      const float* row = src + idx[j] * c + b0;
+      for (int64_t i = 0; i < w; ++i) acc[i] += av * row[i];
+    }
+    for (int64_t i = 0; i < w; ++i) out[b0 + i] = acc[i] * inv_deg;
+  }
+}
+void MatMulRows(const float* a, const float* b, float* o, int64_t rows,
+                int64_t k, int64_t n) {
+  for (int64_t r = 0; r < rows; ++r) {
+    const float* a_row = a + r * k;
+    float* o_row = o + r * n;
+    for (int64_t b0 = 0; b0 < n; b0 += kRowBlock) {
+      const int64_t w = std::min(kRowBlock, n - b0);
+      float acc[kRowBlock];
+      for (int64_t i = 0; i < w; ++i) acc[i] = o_row[b0 + i];
+      for (int64_t kk = 0; kk < k; ++kk) {
+        const float av = a_row[kk];
+        if (av == 0.0f) continue;
+        const float* b_row = b + kk * n + b0;
+        for (int64_t i = 0; i < w; ++i) acc[i] += av * b_row[i];
+      }
+      for (int64_t i = 0; i < w; ++i) o_row[b0 + i] = acc[i];
+    }
+  }
+}
+
 double Dot(const float* a, const float* b, int64_t n) {
   double acc = 0.0;
   for (int64_t i = 0; i < n; ++i) {
@@ -273,6 +316,8 @@ const Kernels& ScalarKernels() {
       .scale = Scale,
       .dot = Dot,
       .sum = Sum,
+      .diffuse_row = DiffuseRow,
+      .matmul_rows = MatMulRows,
       .gru_blend = GruBlend,
       .sigmoid_mul = SigmoidMul,
       .gru_tail = GruTail,

@@ -32,6 +32,13 @@ constexpr int64_t kMatMulGrainFlops = 1 << 16;
 // (kKTile x n floats) stays resident while a task's rows stream past it.
 constexpr int64_t kKTile = 256;
 
+// Widest output row the register-resident matmul_rows kernel serves (the
+// cell's conv matmuls are at most 2 x hidden columns wide). It walks B in
+// 32-column strips, and on wider rows those strips stride whole cache
+// sets apart: at n = 1024-2048 the streaming k-tiled axpy path is ~2x
+// faster.
+constexpr int64_t kRegisterRowMaxCols = 256;
+
 // Applies one operation elementwise over broadcast inputs. The three
 // contiguous fast paths run the dispatched SIMD kernels: `vv` for
 // identical shapes, `vs` (o = a[i] OP s) when the rhs is a scalar, `sv`
@@ -215,13 +222,19 @@ inline void MatMulRowTile(const float* a_row, const float* pb, float* out_row,
   }
 }
 
-// Shared [rows in [i0, i1)] x [k tiles] kernel used by both MatMul and
-// BatchedMatMul. The k tiles advance in order inside each row, so per-row
-// accumulation order equals the sequential kernel's (bit-identical output
-// for every thread count / partition).
+// Shared [rows in [i0, i1)] kernel used by MatMul, BatchedMatMul and
+// MatMulRowsInto. Rows up to kRegisterRowMaxCols wide run the
+// register-resident matmul_rows kernel; wider rows advance k tiles in
+// order inside each row. Both issue the same per-element fma sequence,
+// so per-row accumulation order equals the sequential kernel's
+// (bit-identical output for every thread count / partition / path).
 inline void MatMulRows(const float* pa, const float* pb, float* po,
                        int64_t i0, int64_t i1, int64_t k, int64_t n) {
   const simd::Kernels& kern = simd::K();
+  if (n <= kRegisterRowMaxCols) {
+    kern.matmul_rows(pa + i0 * k, pb, po + i0 * n, i1 - i0, k, n);
+    return;
+  }
   for (int64_t k0 = 0; k0 < k; k0 += kKTile) {
     const int64_t k1 = std::min<int64_t>(k, k0 + kKTile);
     for (int64_t i = i0; i < i1; ++i) {

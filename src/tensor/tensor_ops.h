@@ -52,7 +52,7 @@ Tensor MatMul(const Tensor& a, const Tensor& b);
 Tensor BatchedMatMul(const Tensor& a, const Tensor& b);
 
 /// Raw-pointer matmul into a caller-owned buffer: o[rows, n] = a[rows, k]
-/// x b[k, n]. Zeroes `o`, then runs the same row-parallel k-tiled
+/// x b[k, n]. Zeroes `o`, then runs the same row-parallel
 /// macro-kernel as MatMul / BatchedMatMul — per-row accumulation order is
 /// identical, so for equal operand values the output rows are
 /// bit-identical to those ops. This is what lets the eval-mode rollout
@@ -64,8 +64,8 @@ void MatMulInto(const float* a, const float* b, float* o, int64_t rows,
 /// Row-range variant of MatMulInto for callers that fuse the matmul into
 /// a larger per-row-range parallel region (one ParallelFor dispatch
 /// covering several row-local stages): zeroes rows [i0, i1) of `o` and
-/// accumulates a[i0:i1] x b into them with the same per-row k-tile order
-/// as MatMul / MatMulInto. Per-row results are independent of how the
+/// accumulates a[i0:i1] x b into them with the same per-row accumulation
+/// order as MatMul / MatMulInto. Per-row results are independent of how the
 /// caller partitions the row range, so any partition is bit-identical to
 /// the full-matrix ops.
 void MatMulRowsInto(const float* a, const float* b, float* o, int64_t i0,

@@ -550,6 +550,112 @@ TEST(RegistryTest, SlowBatchProbeRollsBack) {
   std::remove(path_b.c_str());
 }
 
+/// Serves `count` fast batch-1 requests on the live model so the
+/// registry's baseline ring holds real compute samples for the relative
+/// p99 probe.
+void WarmBaseline(InferenceEngine& engine, const core::SagdfnConfig& config,
+                  int64_t count) {
+  for (const RequestData& r : MakeRequests(config, count, 41)) {
+    Forecast forecast = engine.Submit(r.x, r.future_tod).get();
+    ASSERT_TRUE(forecast.status.ok()) << forecast.status.ToString();
+  }
+}
+
+TEST(RegistryTest, RelativeP99ProbeIgnoresLoneOutlierBatch) {
+  const core::SagdfnConfig config = TinyConfig();
+  const std::string path_a = TempPath("health_p99_lone_a.ckpt");
+  const std::string path_b = TempPath("health_p99_lone_b.ckpt");
+  SaveCandidate(config, 931, path_a);
+  SaveCandidate(config, 932, path_b);
+  auto model_a = LoadFrozen(config, path_a);
+
+  RegistryOptions options;
+  options.health_window = 12;
+  options.p99_regression_factor = 3.0;
+  options.min_health_batches = 4;
+  EngineOptions engine_options;
+  engine_options.num_workers = 1;
+  engine_options.max_batch = 1;
+  engine_options.max_wait_us = 0;
+  InferenceEngine engine(model_a, engine_options);
+  ModelRegistry registry(&engine, options);
+  WarmBaseline(engine, config, 32);
+
+  ASSERT_TRUE(registry.Publish(path_b).ok());
+  ASSERT_TRUE(registry.on_probation());
+
+  // The first probation batch stalls far past 3x any baseline batch —
+  // one preempted batch. Every later batch runs at full speed, so the
+  // probe must see a healthy candidate once the window fills.
+  const std::vector<RequestData> requests =
+      MakeRequests(config, options.health_window, 43);
+  ASSERT_TRUE(
+      utils::FaultInjector::Global().Configure("slow_batch@us=50000").ok());
+  Forecast slow = engine.Submit(requests[0].x, requests[0].future_tod).get();
+  utils::FaultInjector::Global().Reset();
+  ASSERT_TRUE(slow.status.ok()) << slow.status.ToString();
+  for (size_t i = 1; i < requests.size(); ++i) {
+    Forecast forecast =
+        engine.Submit(requests[i].x, requests[i].future_tod).get();
+    ASSERT_TRUE(forecast.status.ok()) << forecast.status.ToString();
+  }
+
+  EXPECT_EQ(registry.stats().rollbacks, 0);
+  EXPECT_EQ(engine.stats().rollbacks, 0);
+  EXPECT_EQ(registry.stats().health_passes, 1);
+  EXPECT_FALSE(registry.on_probation());
+  EXPECT_NE(engine.model_snapshot().get(), model_a.get());
+  std::remove(path_a.c_str());
+  std::remove(path_b.c_str());
+}
+
+TEST(RegistryTest, RelativeP99ProbeRollsBackOnSustainedSlowdown) {
+  const core::SagdfnConfig config = TinyConfig();
+  const std::string path_a = TempPath("health_p99_slow_a.ckpt");
+  const std::string path_b = TempPath("health_p99_slow_b.ckpt");
+  SaveCandidate(config, 941, path_a);
+  SaveCandidate(config, 942, path_b);
+  auto model_a = LoadFrozen(config, path_a);
+
+  RegistryOptions options;
+  options.health_window = 12;
+  options.p99_regression_factor = 3.0;
+  options.min_health_batches = 4;
+  EngineOptions engine_options;
+  engine_options.num_workers = 1;
+  engine_options.max_batch = 1;
+  engine_options.max_wait_us = 0;
+  InferenceEngine engine(model_a, engine_options);
+  ModelRegistry registry(&engine, options);
+  WarmBaseline(engine, config, 32);
+
+  ASSERT_TRUE(registry.Publish(path_b).ok());
+  ASSERT_TRUE(registry.on_probation());
+
+  // Every probation batch is slow: the probe fires as soon as it has
+  // min_health_batches samples.
+  const std::vector<RequestData> requests =
+      MakeRequests(config, options.health_window, 47);
+  ASSERT_TRUE(
+      utils::FaultInjector::Global().Configure("slow_batch@us=50000").ok());
+  int64_t batches = 0;
+  while (batches < options.health_window && engine.stats().rollbacks == 0) {
+    Forecast forecast = engine.Submit(requests[batches].x,
+                                      requests[batches].future_tod).get();
+    EXPECT_TRUE(forecast.status.ok()) << forecast.status.ToString();
+    ++batches;
+  }
+  utils::FaultInjector::Global().Reset();
+
+  EXPECT_EQ(batches, options.min_health_batches);
+  EXPECT_EQ(engine.stats().rollbacks, 1);
+  EXPECT_EQ(registry.stats().rollbacks, 1);
+  EXPECT_EQ(registry.stats().health_passes, 0);
+  EXPECT_EQ(engine.model_snapshot().get(), model_a.get());
+  std::remove(path_a.c_str());
+  std::remove(path_b.c_str());
+}
+
 TEST(RegistryTest, CleanCandidatePassesProbation) {
   const core::SagdfnConfig config = TinyConfig();
   const std::string path_b = TempPath("health_pass_b.ckpt");

@@ -55,19 +55,20 @@ high-water drift). Like the serve comparison this is wall-clock bound,
 so CI runs it NON-BLOCKING with the JSON uploaded as an artifact.
 
 With --graphsize-fresh the script checks a BENCH_graphsize_scaling.json
-written by bench/bench_table4_graphsize --scaling (per-N CSR diffusion
-step time, frozen-model load time, and serve tick latency). The load-
-bearing criterion is LINEARITY: ns_per_nm is the CSR diffusion cost
-normalized by N*M, so it must stay roughly flat as N grows. Between
-consecutive sizes it may grow by at most --max-superlinear-ratio
-(default 2.0; an O(N^2) kernel would show ~5x from 2k to 10k). The
-script also requires every scenario's mmap_load_ms to stay under
---max-mmap-load-ms (default 100 — the mapped frozen-model load must be
-milliseconds even at 100k nodes), requires the bench's byte-identity
-invariants (csr_matches_dense, mmap_matches_heap) to hold, and compares
-ns_per_nm against --graphsize-baseline with the usual --threshold. The
-linearity and invariant checks are fresh-run-only and PR-BLOCKING; the
-baseline comparison is wall-clock bound and advisory like the others.
+written by bench/bench_table4_graphsize --scaling (per-N dense and CSR
+diffusion step time, frozen-model load time, and serve tick latency).
+The load-bearing criterion is LINEARITY: ns_per_nm is the dense slim
+diffusion cost (the kernel rollout plans run) normalized by N*M, so it
+must stay roughly flat as N grows. Between consecutive sizes it may grow
+by at most --max-superlinear-ratio (default 2.0; an O(N^2) kernel would
+show ~5x from 2k to 10k). The script also requires every scenario's
+mmap_load_ms to stay under --max-mmap-load-ms (default 100 — the mapped
+frozen-model load must be milliseconds even at 100k nodes), requires the
+bench's byte-identity invariants (csr_matches_dense, mmap_matches_heap)
+to hold, and compares ns_per_nm against --graphsize-baseline with the
+usual --threshold. The linearity and invariant checks are fresh-run-only
+and PR-BLOCKING; the baseline comparison is wall-clock bound and
+advisory like the others.
 
 Exit codes: 0 ok, 1 regression (or speedup requirement unmet), 2 bad
 invocation or unreadable input.
@@ -317,7 +318,8 @@ def check_graphsize(fresh, baseline, invariants, threshold_pct,
         row = fresh[name]
         nodes = row.get("nodes", 0)
         ns = row.get("ns_per_nm", 0.0)
-        line = (f"  {name:8s} N={nodes:<7d} csr {row.get('csr_step_ms', 0.0):8.3f}ms"
+        line = (f"  {name:8s} N={nodes:<7d}"
+                f" dense {row.get('dense_step_ms', 0.0):8.3f}ms"
                 f"  ns/(N*M) {ns:7.3f}")
         if prev is not None and prev[1] > 0.0:
             ratio = ns / prev[1]

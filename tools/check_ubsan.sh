@@ -3,8 +3,9 @@
 # UndefinedBehaviorSanitizer and runs them. The suites were chosen for
 # where UB hides in this codebase: the mmap'd weight-file reader
 # (misaligned loads through raw byte offsets), the CSR index arithmetic
-# (int32 columns x int64 row pointers), and the autograd kernels (signed
-# index math in gather/scatter). -fno-sanitize-recover means the first
+# (int32 columns x int64 row pointers), the autograd kernels (signed
+# index math in gather/scatter) and the register-resident row kernels
+# (block and lane-mask index math). -fno-sanitize-recover means the first
 # report aborts the run.
 #
 # Usage: tools/check_ubsan.sh [build-dir]   (default: build-ubsan)
@@ -24,7 +25,7 @@ cmake -B "${BUILD_DIR}" -S "${REPO_ROOT}" \
   -DSAGDFN_SANITIZE=undefined \
   ${LAUNCHER_ARGS[@]+"${LAUNCHER_ARGS[@]}"}
 cmake --build "${BUILD_DIR}" -j "$(nproc)" \
-  --target tensor_ops_test autograd_test serialization_test \
+  --target tensor_ops_test autograd_test row_kernel_test serialization_test \
   fast_gconv_test csr_test mmap_model_test scale_smoke_test
 
 export UBSAN_OPTIONS="print_stacktrace=1 ${UBSAN_OPTIONS:-}"
@@ -32,6 +33,7 @@ export UBSAN_OPTIONS="print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 echo "== tensor op + autograd kernels (UBSan) =="
 "${BUILD_DIR}/tests/tensor_ops_test"
 "${BUILD_DIR}/tests/autograd_test"
+"${BUILD_DIR}/tests/row_kernel_test"
 
 echo "== checkpoint + mapped weight-file serialization (UBSan) =="
 "${BUILD_DIR}/tests/serialization_test"
