@@ -33,8 +33,7 @@ ag::Variable FastGraphConv::InverseDegree(const ag::Variable& a_s) {
 
 ag::Variable FastGraphConv::Forward(
     const ag::Variable& a_s, const std::vector<int64_t>& index_set,
-    const ag::Variable& x, const ag::Variable* inv_deg,
-    const std::shared_ptr<const graph::CsrMatrix>& csr) const {
+    const ag::Variable& x, const ag::Variable* inv_deg) const {
   SAGDFN_SCOPED_TIMER("gconv.forward");
   SAGDFN_CHECK_EQ(x.shape().ndim(), 3);
   SAGDFN_CHECK_EQ(x.dim(2), in_dim_);
@@ -57,9 +56,7 @@ ag::Variable FastGraphConv::Forward(
   ag::Variable term = x;
   ag::Variable out = ag::BatchedMatMul(term, weights_[0]);
   for (int64_t j = 1; j < diffusion_steps_; ++j) {
-    term = csr != nullptr
-               ? OneStepFastGConvCsr(a_s, csr, term, index_set, *inv_deg)
-               : OneStepFastGConv(a_s, term, index_set, *inv_deg);
+    term = OneStepFastGConv(a_s, term, index_set, *inv_deg);
     out = ag::Add(out, ag::BatchedMatMul(term, weights_[j]));
   }
   return ag::Add(out, bias_);
@@ -79,8 +76,7 @@ GConvGruCell::GConvGruCell(int64_t in_dim, int64_t hidden_dim,
 ag::Variable GConvGruCell::Forward(
     const ag::Variable& a_s, const std::vector<int64_t>& index_set,
     const ag::Variable& x, const ag::Variable& h,
-    const ag::Variable* inv_deg,
-    const std::shared_ptr<const graph::CsrMatrix>& csr) const {
+    const ag::Variable* inv_deg) const {
   SAGDFN_CHECK_EQ(x.dim(2), in_dim_);
   SAGDFN_CHECK_EQ(h.dim(2), hidden_dim_);
 
@@ -94,13 +90,13 @@ ag::Variable GConvGruCell::Forward(
   }
 
   ag::Variable xh = ag::Concat({x, h}, 2);
-  ag::Variable gates = gate_conv_->Forward(a_s, index_set, xh, inv_deg, csr);
+  ag::Variable gates = gate_conv_->Forward(a_s, index_set, xh, inv_deg);
   // Fused tail (core/fused_ops.h): r is applied inside the candidate-input
   // build, z/tanh/blend collapse into one pass. Bit-identical to the
   // Sigmoid(Slice) -> Mul -> Concat -> Tanh -> GruBlend chain it replaces.
   ag::Variable x_rh = GruCandidateInput(gates, x, h);
   ag::Variable candidate_pre =
-      candidate_conv_->Forward(a_s, index_set, x_rh, inv_deg, csr);
+      candidate_conv_->Forward(a_s, index_set, x_rh, inv_deg);
   return GruTailBlend(gates, h, candidate_pre);
 }
 

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "autograd/ops.h"
-#include "graph/csr.h"
 #include "nn/module.h"
 
 namespace sagdfn::core {
@@ -34,17 +33,10 @@ class FastGraphConv : public nn::Module {
   /// column; it depends only on `a_s`, so callers that apply several
   /// convolutions (or timesteps) against one adjacency should compute it
   /// once and pass it through instead of paying the reduction per call.
-  ///
-  /// `csr` optionally supplies CsrFromDense(a_s) for frozen adjacencies
-  /// (serving / eval rollouts): the diffusion steps then run the sharded
-  /// CSR gather kernel — byte-identical output, O(nnz) instead of O(N*M)
-  /// row scans. Callers must keep `csr` in sync with `a_s`.
   autograd::Variable Forward(const autograd::Variable& a_s,
                              const std::vector<int64_t>& index_set,
                              const autograd::Variable& x,
-                             const autograd::Variable* inv_deg = nullptr,
-                             const std::shared_ptr<const graph::CsrMatrix>&
-                                 csr = nullptr) const;
+                             const autograd::Variable* inv_deg = nullptr) const;
 
   /// (D + I)^{-1} with D_ii = sum_j |A_s[i, j]|: [N, 1], broadcasts over
   /// batch and channels. Differentiable through `a_s`.
@@ -85,15 +77,11 @@ class GConvGruCell : public nn::Module {
   /// `inv_deg` optionally supplies FastGraphConv::InverseDegree(a_s),
   /// shared by the gate and candidate convolutions; when null it is
   /// computed once per call (still amortized across the two convs).
-  /// `csr` is forwarded to FastGraphConv::Forward (frozen-adjacency CSR
-  /// diffusion; see there).
   autograd::Variable Forward(const autograd::Variable& a_s,
                              const std::vector<int64_t>& index_set,
                              const autograd::Variable& x,
                              const autograd::Variable& h,
-                             const autograd::Variable* inv_deg = nullptr,
-                             const std::shared_ptr<const graph::CsrMatrix>&
-                                 csr = nullptr) const;
+                             const autograd::Variable* inv_deg = nullptr) const;
 
   /// Zero hidden state [B, N, hidden].
   autograd::Variable InitialState(int64_t batch, int64_t num_nodes) const;

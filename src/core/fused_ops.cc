@@ -249,135 +249,6 @@ ag::Variable OneStepFastGConv(const ag::Variable& a_s,
       });
 }
 
-ag::Variable OneStepFastGConvCsr(
-    const ag::Variable& a_s, const std::shared_ptr<const graph::CsrMatrix>& csr,
-    const ag::Variable& term, const std::vector<int64_t>& index_set,
-    const ag::Variable& inv_deg) {
-  SAGDFN_CHECK(csr != nullptr);
-  SAGDFN_CHECK_EQ(term.shape().ndim(), 3);
-  SAGDFN_CHECK_EQ(a_s.shape().ndim(), 2);
-  const int64_t batch = term.dim(0);
-  const int64_t n = term.dim(1);
-  const int64_t c = term.dim(2);
-  const int64_t k = static_cast<int64_t>(index_set.size());
-  SAGDFN_CHECK_EQ(a_s.dim(0), n);
-  SAGDFN_CHECK_EQ(a_s.dim(1), k);
-  SAGDFN_CHECK_EQ(csr->rows, n);
-  SAGDFN_CHECK_EQ(csr->cols, k);
-  SAGDFN_CHECK_EQ(inv_deg.dim(0), n);
-  SAGDFN_CHECK_EQ(inv_deg.size(), n);
-  for (int64_t j = 0; j < k; ++j) {
-    SAGDFN_CHECK_GE(index_set[j], 0);
-    SAGDFN_CHECK_LT(index_set[j], n);
-  }
-
-  const graph::NodeShards shards =
-      graph::ComputeNodeShards(n, c * static_cast<int64_t>(sizeof(float)));
-  Tensor out{Shape({batch, n, c})};
-  OneStepFastGConvCsrInto(*csr, term.value().data(), inv_deg.value().data(),
-                          index_set, shards, batch, n, c, out.data());
-
-  auto na = a_s.node();
-  auto nt = term.node();
-  auto ninv = inv_deg.node();
-  std::vector<int64_t> idx = index_set;
-  return MakeOp(
-      "OneStepFastGConvCsr", out, {a_s, term, inv_deg},
-      [na, nt, ninv, csr, idx, out, batch, n, c, k](const Tensor& g) {
-        // Mirrors OneStepFastGConv's backward instruction-for-instruction;
-        // only the gather pass walks CSR nonzeros instead of scanning the
-        // dense a_s rows (the skipped entries are exact zeros, so the axpy
-        // sequence — and every gradient byte — is unchanged).
-        const int64_t kk = k;
-        const float* pg = g.data();
-        const float* pt = nt->value.data();
-        const float* pinv = ninv->value.data();
-        const float* pout = out.data();
-        const int64_t* row_ptr = csr->row_ptr.data();
-        const int32_t* pcol = csr->col.data();
-        const float* pval = csr->val.data();
-
-        Tensor d_term{Shape({batch, n, c})};
-        float* pdt = d_term.data();
-        ParallelFor(0, batch * n, RowGrain(c), [&](int64_t r0, int64_t r1) {
-          const simd::Kernels& kern = simd::K();
-          for (int64_t r = r0; r < r1; ++r) {
-            const int64_t i = r % n;
-            kern.mul_s(pg + r * c, pinv[i], pdt + r * c, c);
-          }
-        });
-
-        if (na->requires_grad) {
-          // d_a is dense even though a_s is sparse: the loss gradient
-          // exists at zero entries too (same dense pass as the slim op).
-          Tensor d_a{Shape({n, kk})};
-          float* pda = d_a.data();
-          ParallelFor(0, n, RowGrain(kk * c * batch),
-                      [&](int64_t i0, int64_t i1) {
-                        const simd::Kernels& kern = simd::K();
-                        for (int64_t i = i0; i < i1; ++i) {
-                          float* da_row = pda + i * kk;
-                          for (int64_t j = 0; j < kk; ++j) {
-                            double acc = 0.0;
-                            for (int64_t b = 0; b < batch; ++b) {
-                              acc += kern.dot(pdt + (b * n + i) * c,
-                                              pt + (b * n + idx[j]) * c, c);
-                            }
-                            da_row[j] = static_cast<float>(acc);
-                          }
-                        }
-                      });
-          Accumulate(na, d_a);
-        }
-
-        if (ninv->requires_grad) {
-          Tensor d_inv{Shape({n, 1})};
-          float* pdi = d_inv.data();
-          ParallelFor(0, n, RowGrain(batch * c), [&](int64_t i0, int64_t i1) {
-            const simd::Kernels& kern = simd::K();
-            for (int64_t i = i0; i < i1; ++i) {
-              double acc = 0.0;
-              for (int64_t b = 0; b < batch; ++b) {
-                acc += kern.dot(pg + (b * n + i) * c,
-                                pout + (b * n + i) * c, c);
-              }
-              pdi[i] = static_cast<float>(acc / pinv[i]);
-            }
-          });
-          Accumulate(ninv, d_inv);
-        }
-
-        if (nt->requires_grad) {
-          // Gather backward, CSR edition: the per-batch dg slab and the
-          // ascending (i, then column) accumulation order are identical
-          // to the dense op; the scatter still visits every j (adding an
-          // exact 0.0f row for columns with no nonzeros, as the dense op
-          // does) so even signed-zero bytes match.
-          ParallelFor(0, batch, 1, [&](int64_t b0, int64_t b1) {
-            const simd::Kernels& kern = simd::K();
-            ScratchArena& arena = ScratchArena::ThreadLocal();
-            for (int64_t b = b0; b < b1; ++b) {
-              ScratchArena::Scope scope(arena);
-              float* dg = arena.AllocArray<float>(kk * c);
-              std::memset(dg, 0, sizeof(float) * kk * c);
-              const float* gm_base = pdt + b * n * c;
-              for (int64_t i = 0; i < n; ++i) {
-                const float* gm_row = gm_base + i * c;
-                for (int64_t e = row_ptr[i]; e < row_ptr[i + 1]; ++e) {
-                  kern.axpy(pval[e], gm_row, dg + pcol[e] * c, c);
-                }
-              }
-              float* dt_base = pdt + b * n * c;
-              for (int64_t j = 0; j < kk; ++j) {
-                kern.acc_add(dt_base + idx[j] * c, dg + j * c, c);
-              }
-            }
-          });
-          Accumulate(nt, d_term);
-        }
-      });
-}
-
 ag::Variable GruBlend(const ag::Variable& z, const ag::Variable& h,
                       const ag::Variable& c) {
   SAGDFN_CHECK(z.shape() == h.shape());

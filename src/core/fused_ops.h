@@ -2,7 +2,6 @@
 #define SAGDFN_CORE_FUSED_OPS_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "autograd/ops.h"
@@ -29,25 +28,6 @@ autograd::Variable OneStepFastGConv(const autograd::Variable& a_s,
                                     const autograd::Variable& term,
                                     const std::vector<int64_t>& index_set,
                                     const autograd::Variable& inv_deg);
-
-/// CSR variant of OneStepFastGConv for frozen adjacencies. `csr` must be
-/// CsrFromDense(a_s.value()) — i.e. hold exactly the nonzero entries of
-/// a_s with ascending columns. Because the dense kernel skips exact-zero
-/// entries in ascending j order, walking the CSR nonzeros issues the
-/// identical axpy sequence and the result (forward AND all three
-/// gradients) is byte-identical to OneStepFastGConv. The win at scale:
-/// the inner loop touches nnz entries instead of scanning the full N x K
-/// row block, and the forward is sharded into cache-sized contiguous node
-/// blocks (see graph::ComputeNodeShards) per batch element.
-///
-/// The caller owns keeping `csr` in sync with `a_s` — use this only where
-/// a_s is frozen (serving snapshots, eval rollouts), not in training
-/// steps that recompute a_s.
-autograd::Variable OneStepFastGConvCsr(
-    const autograd::Variable& a_s,
-    const std::shared_ptr<const graph::CsrMatrix>& csr,
-    const autograd::Variable& term, const std::vector<int64_t>& index_set,
-    const autograd::Variable& inv_deg);
 
 /// Fused GRU state blend: out = z * h + (1 - z) * c, all operands the
 /// same shape. Replaces the RSubScalar -> Mul -> Mul -> Add chain at the
@@ -92,11 +72,14 @@ void OneStepFastGConvInto(const float* a_s, const float* term,
                           const std::vector<int64_t>& index_set,
                           int64_t batch, int64_t n, int64_t c, float* out);
 
-/// CSR core of OneStepFastGConvCsr: one diffusion step into `out`
-/// [batch, n, c], parallelized over (batch x node-shard) tasks. Each task
-/// owns a contiguous block of output rows, so writes are disjoint and the
+/// CSR variant of OneStepFastGConvInto: one diffusion step into `out`
+/// [batch, n, c] walking only the nonzeros of `csr` = CsrFromDense(a_s),
+/// parallelized over (batch x node-shard) tasks. Each task owns a
+/// contiguous block of output rows, so writes are disjoint and the
 /// result is bit-identical to OneStepFastGConvInto for any thread count
-/// or shard partition. `out` must not alias `term`.
+/// or shard partition. `out` must not alias `term`. No model path calls
+/// it (every rollout diffuses dense); it stays for the diffusion probes
+/// in perfbench and bench_table4_graphsize, and for csr_test.
 void OneStepFastGConvCsrInto(const graph::CsrMatrix& csr, const float* term,
                              const float* inv_deg,
                              const std::vector<int64_t>& index_set,

@@ -177,8 +177,7 @@ ag::Variable SagdfnModel::Rollout(
     const ag::Variable& a_s, const ag::Variable& inv_deg,
     const std::vector<int64_t>& index_set, const tensor::Tensor& x,
     const tensor::Tensor& future_tod, const tensor::Tensor* teacher,
-    double teacher_prob, utils::Rng* sampling_rng,
-    const std::shared_ptr<const graph::CsrMatrix>& csr) const {
+    double teacher_prob, utils::Rng* sampling_rng) const {
   SAGDFN_CHECK_EQ(x.ndim(), 4);
   const int64_t b = x.dim(0);
   const int64_t h = x.dim(1);
@@ -213,7 +212,7 @@ ag::Variable SagdfnModel::Rollout(
       for (int64_t layer = 0; layer < config_.num_layers; ++layer) {
         hidden[layer] = cells_[layer]->Forward(a_s, index_set,
                                                layer_input, hidden[layer],
-                                               &inv_deg, csr);
+                                               &inv_deg);
         layer_input = hidden[layer];
       }
     }
@@ -234,7 +233,7 @@ ag::Variable SagdfnModel::Rollout(
     ag::Variable layer_input = dec_input;
     for (int64_t layer = 0; layer < config_.num_layers; ++layer) {
       hidden[layer] = cells_[layer]->Forward(a_s, index_set, layer_input,
-                                             hidden[layer], &inv_deg, csr);
+                                             hidden[layer], &inv_deg);
       layer_input = hidden[layer];
     }
     ag::Variable pred = output_proj_->Forward(ag::Reshape(
@@ -304,8 +303,7 @@ tensor::Tensor SagdfnModel::Predict(
   ag::NoGradGuard guard;
   return Rollout(ag::Variable(snapshot.a_s), ag::Variable(snapshot.inv_deg),
                  snapshot.index_set, x, future_tod, /*teacher=*/nullptr,
-                 /*teacher_prob=*/0.0, /*sampling_rng=*/nullptr,
-                 snapshot.csr)
+                 /*teacher_prob=*/0.0, /*sampling_rng=*/nullptr)
       .value();
 }
 

@@ -9,6 +9,7 @@
 #include "core/seq_model.h"
 #include "core/sns.h"
 #include "core/ssma.h"
+#include "graph/csr.h"
 #include "nn/linear.h"
 
 namespace sagdfn::core {
@@ -23,11 +24,12 @@ struct AdjacencySnapshot {
   tensor::Tensor a_s;              // [N, M]
   tensor::Tensor inv_deg;          // [N, 1]
   std::vector<int64_t> index_set;  // M node ids (columns of a_s)
-  /// CsrFromDense(a_s), read by the eager eval rollout (Predict with a
-  /// snapshot). Rollout plans ignore it and diffuse through a_s: the
-  /// learned slim adjacency has no zeros in practice, so CSR saves no
-  /// terms. Always set by Snapshot(); may be null in hand-built
-  /// snapshots, which then use the dense slim kernels everywhere.
+  /// CsrFromDense(a_s). No forecast path reads it: Predict and the
+  /// rollout plans diffuse through a_s, because the learned slim
+  /// adjacency has no zeros in practice and CSR saves no terms. It is
+  /// kept only for the CSR-vs-dense diffusion probes in perfbench and
+  /// bench_table4_graphsize. Set by Snapshot() and
+  /// FrozenModel::LoadMapped; may be null in hand-built snapshots.
   std::shared_ptr<const graph::CsrMatrix> csr;
 };
 
@@ -170,9 +172,7 @@ class SagdfnModel : public SeqModel {
                              const tensor::Tensor& future_tod,
                              const tensor::Tensor* teacher,
                              double teacher_prob,
-                             utils::Rng* sampling_rng,
-                             const std::shared_ptr<const graph::CsrMatrix>&
-                                 csr = nullptr) const;
+                             utils::Rng* sampling_rng) const;
 
   SagdfnConfig config_;
   utils::Rng rng_;

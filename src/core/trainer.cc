@@ -165,12 +165,7 @@ utils::Status Trainer::DoSaveTrainerCheckpoint(const std::string& path,
   SAGDFN_SCOPED_TIMER("trainer.ckpt_save");
   EnsureOptimizer();
   nn::Checkpoint ckpt;
-  for (const auto& [name, var] : model_->NamedParameters()) {
-    ckpt.tensors.emplace_back("model/" + name, var.value());
-  }
-  for (const auto& [name, buffer] : model_->NamedBuffers()) {
-    ckpt.tensors.emplace_back("model/buffer:" + name, buffer);
-  }
+  nn::AppendModuleState(*model_, "model/", &ckpt);
   const auto& m = optimizer_->moments_m();
   const auto& v = optimizer_->moments_v();
   for (size_t i = 0; i < m.size(); ++i) {
@@ -464,23 +459,16 @@ void Trainer::RestoreBestWeights(TrainResult* result) {
     if (!fs::exists(best, ec)) return;  // validation never improved
     nn::Checkpoint ckpt;
     utils::Status status = nn::LoadCheckpoint(&ckpt, best);
+    // Validate the whole file first so a malformed best.ckpt cannot
+    // leave the model half-overwritten; only the parameters are restored.
+    std::vector<const tensor::Tensor*> sources;
     if (status.ok()) {
-      // Two passes so a malformed best.ckpt cannot leave the model
-      // half-overwritten.
-      auto params = model_->NamedParameters();
-      for (const auto& [name, var] : params) {
-        const tensor::Tensor* t = ckpt.FindTensor(name);
-        if (t == nullptr || !(t->shape() == var.value().shape())) {
-          status = utils::Status::InvalidArgument(
-              "best checkpoint is missing or mismatched for " + name);
-          break;
-        }
-      }
-      if (status.ok()) {
-        for (auto& [name, var] : params) {
-          autograd::Variable param = var;  // shared handle
-          param.mutable_value().CopyFrom(*ckpt.FindTensor(name));
-        }
+      status = nn::MatchModuleState(*model_, ckpt, /*prefix=*/"", &sources);
+    }
+    if (status.ok()) {
+      size_t i = 0;
+      for (auto& [name, var] : model_->NamedParameters()) {
+        var.mutable_value().CopyFrom(*sources[i++]);
       }
     }
     if (!status.ok()) {

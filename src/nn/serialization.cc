@@ -9,8 +9,6 @@
 #include <cstring>
 #include <fstream>
 #include <map>
-#include <set>
-#include <sstream>
 #include <utility>
 
 #include "utils/fault.h"
@@ -19,22 +17,19 @@
 namespace sagdfn::nn {
 namespace {
 
-constexpr uint32_t kMagic = 0x53414744;        // "SAGD" (streamed v2)
-constexpr uint32_t kMappedMagic = 0x4D474153;  // "SAGM" (mapped format)
+constexpr uint32_t kMagic = 0x4D474153;  // "SAGM"
 constexpr uint64_t kMaxNameLen = 4096;
 constexpr uint64_t kMaxRank = 16;
 constexpr uint64_t kMaxElements = uint64_t{1} << 40;
-constexpr uint64_t kMappedHeaderBytes = 64;
-constexpr uint64_t kMappedAlign = 64;
+constexpr uint64_t kHeaderBytes = 64;
+constexpr uint64_t kAlign = 64;
 
-uint64_t Align64(uint64_t v) {
-  return (v + kMappedAlign - 1) & ~(kMappedAlign - 1);
-}
+uint64_t Align64(uint64_t v) { return (v + kAlign - 1) & ~(kAlign - 1); }
 
 // ---------------------------------------------------------------------------
-// Writing. Every write goes through ByteSink so the serialized size is
-// tracked exactly (the header's payload_bytes field) and a stream failure
-// (full disk, I/O error) is detected at the write that caused it.
+// Writing. Every write goes through ByteSink so the file offset is tracked
+// exactly (payload placement) and a stream failure (full disk, I/O error)
+// is detected.
 
 class ByteSink {
  public:
@@ -60,397 +55,107 @@ class ByteSink {
   uint64_t written_ = 0;
 };
 
-// The payload (everything after the fixed-size header) for one checkpoint.
-void WritePayload(ByteSink& sink, const Checkpoint& checkpoint) {
+// Exact byte count of the index region for `checkpoint` (names, ranks,
+// dims, word counts, offsets — everything except the aligned payloads).
+uint64_t IndexBytes(const Checkpoint& checkpoint) {
+  uint64_t bytes = 0;
   for (const auto& [name, value] : checkpoint.tensors) {
+    bytes += 8 + name.size();                  // name
+    bytes += 8;                                // rank
+    bytes += 8 * value.shape().dims().size();  // dims
+    bytes += 8;                                // payload offset
+  }
+  for (const auto& [name, words] : checkpoint.meta) {
+    bytes += 8 + name.size();  // name
+    bytes += 8;                // word count
+    bytes += 8;                // payload offset
+  }
+  return bytes;
+}
+
+// Serializes `checkpoint` into `tmp`. Payload offsets follow the layout
+// the reader enforces: one aligned slot per entry in index order.
+utils::Status WriteFile(const Checkpoint& checkpoint, const std::string& tmp) {
+  const uint64_t index_bytes = IndexBytes(checkpoint);
+  uint64_t cursor = Align64(kHeaderBytes + index_bytes);
+  std::vector<uint64_t> tensor_offsets;
+  tensor_offsets.reserve(checkpoint.tensors.size());
+  for (const auto& [name, value] : checkpoint.tensors) {
+    tensor_offsets.push_back(cursor);
+    cursor = Align64(cursor +
+                     static_cast<uint64_t>(value.size()) * sizeof(float));
+  }
+  std::vector<uint64_t> meta_offsets;
+  meta_offsets.reserve(checkpoint.meta.size());
+  for (const auto& [name, words] : checkpoint.meta) {
+    meta_offsets.push_back(cursor);
+    cursor = Align64(cursor + words.size() * sizeof(uint64_t));
+  }
+  const uint64_t file_bytes = cursor;
+
+  std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+  if (!out.is_open()) {
+    return utils::Status::NotFound("cannot open for write: " + tmp);
+  }
+  ByteSink sink(out);
+  sink.WriteU32(kMagic);
+  sink.WriteU32(kFormatVersion);
+  sink.WriteU64(checkpoint.tensors.size());
+  sink.WriteU64(checkpoint.meta.size());
+  sink.WriteU64(index_bytes);
+  sink.WriteU64(file_bytes);
+  const char zeros[kAlign] = {};
+  sink.Write(zeros, kHeaderBytes - sink.written());
+
+  for (size_t i = 0; i < checkpoint.tensors.size(); ++i) {
+    const auto& [name, value] = checkpoint.tensors[i];
     sink.WriteString(name);
     const auto& dims = value.shape().dims();
     sink.WriteU64(dims.size());
     for (int64_t d : dims) sink.WriteU64(static_cast<uint64_t>(d));
-    sink.Write(value.data(), value.size() * sizeof(float));
+    sink.WriteU64(tensor_offsets[i]);
   }
-  for (const auto& [name, words] : checkpoint.meta) {
+  for (size_t i = 0; i < checkpoint.meta.size(); ++i) {
+    const auto& [name, words] = checkpoint.meta[i];
     sink.WriteString(name);
     sink.WriteU64(words.size());
+    sink.WriteU64(meta_offsets[i]);
+  }
+
+  // Payloads at their precomputed aligned offsets; the gaps between
+  // entries are explicit zeros so the file content is a pure function of
+  // the checkpoint (byte-identical re-saves).
+  auto pad_to = [&](uint64_t offset) {
+    while (sink.written() < offset) {
+      const uint64_t gap =
+          std::min<uint64_t>(sizeof(zeros), offset - sink.written());
+      sink.Write(zeros, gap);
+    }
+  };
+  for (size_t i = 0; i < checkpoint.tensors.size(); ++i) {
+    pad_to(tensor_offsets[i]);
+    const auto& value = checkpoint.tensors[i].second;
+    sink.Write(value.data(),
+               static_cast<uint64_t>(value.size()) * sizeof(float));
+  }
+  for (size_t i = 0; i < checkpoint.meta.size(); ++i) {
+    pad_to(meta_offsets[i]);
+    const auto& words = checkpoint.meta[i].second;
     sink.Write(words.data(), words.size() * sizeof(uint64_t));
   }
+  pad_to(file_bytes);
+  out.flush();
+  if (!sink.ok() || sink.written() != file_bytes) {
+    out.close();
+    std::remove(tmp.c_str());
+    return utils::Status::ResourceExhausted(
+        "write failed (disk full or I/O error): " + tmp);
+  }
+  return utils::Status::Ok();
 }
 
 // ---------------------------------------------------------------------------
-// Reading. ByteSource mirrors ByteSink: every read is checked and counted
-// so a truncated file fails at the exact field, and the total consumed is
-// compared against the header's payload_bytes.
-
-class ByteSource {
- public:
-  explicit ByteSource(std::istream& in) : in_(in) {}
-
-  bool Read(void* data, size_t bytes) {
-    in_.read(static_cast<char*>(data), static_cast<std::streamsize>(bytes));
-    if (in_.gcount() != static_cast<std::streamsize>(bytes)) return false;
-    consumed_ += bytes;
-    return true;
-  }
-  bool ReadU32(uint32_t* v) { return Read(v, sizeof(*v)); }
-  bool ReadU64(uint64_t* v) { return Read(v, sizeof(*v)); }
-  bool ReadString(std::string* s) {
-    uint64_t len = 0;
-    if (!ReadU64(&len) || len > kMaxNameLen) return false;
-    s->assign(len, '\0');
-    return Read(s->data(), len);
-  }
-
-  uint64_t consumed() const { return consumed_; }
-
- private:
-  std::istream& in_;
-  uint64_t consumed_ = 0;
-};
-
-utils::Status LoadCheckpointImpl(Checkpoint* checkpoint,
-                                 const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) {
-    return utils::Status::NotFound("cannot open: " + path);
-  }
-  in.seekg(0, std::ios::end);
-  const uint64_t file_size = static_cast<uint64_t>(in.tellg());
-  in.seekg(0, std::ios::beg);
-  ByteSource src(in);
-
-  uint32_t magic = 0;
-  uint32_t version = 0;
-  if (!src.ReadU32(&magic) || magic != kMagic) {
-    return utils::Status::InvalidArgument("bad checkpoint magic: " + path);
-  }
-  if (!src.ReadU32(&version) || version != kCheckpointVersion) {
-    return utils::Status::InvalidArgument(
-        "unsupported checkpoint version " + std::to_string(version) +
-        " (this build reads version " + std::to_string(kCheckpointVersion) +
-        "): " + path);
-  }
-  uint64_t tensor_count = 0;
-  uint64_t meta_count = 0;
-  uint64_t payload_bytes = 0;
-  if (!src.ReadU64(&tensor_count) || !src.ReadU64(&meta_count) ||
-      !src.ReadU64(&payload_bytes)) {
-    return utils::Status::InvalidArgument("truncated checkpoint header: " +
-                                          path);
-  }
-
-  const uint64_t header_bytes = src.consumed();
-  // Anchor the declared payload to the actual file size: every later
-  // per-entry bound is relative to payload_bytes, so a corrupted (huge)
-  // payload field would otherwise let a corrupted dim/word count size a
-  // multi-terabyte allocation before any read fails.
-  if (payload_bytes != file_size - header_bytes) {
-    return utils::Status::InvalidArgument(
-        "declared payload (" + std::to_string(payload_bytes) +
-        " bytes) does not match file size: " + path);
-  }
-  // Each entry consumes at least a name length field plus a rank/word
-  // count (16 bytes), which bounds the counts before the reserves trust
-  // them.
-  if (tensor_count > payload_bytes / 16 || meta_count > payload_bytes / 16) {
-    return utils::Status::InvalidArgument("implausible entry count: " + path);
-  }
-
-  Checkpoint result;
-  result.tensors.reserve(tensor_count);
-  result.meta.reserve(meta_count);
-
-  for (uint64_t i = 0; i < tensor_count; ++i) {
-    std::string name;
-    if (!src.ReadString(&name)) {
-      return utils::Status::InvalidArgument(
-          "truncated or corrupt tensor name (entry " + std::to_string(i) +
-          "): " + path);
-    }
-    uint64_t rank = 0;
-    if (!src.ReadU64(&rank) || rank > kMaxRank) {
-      return utils::Status::InvalidArgument("corrupt rank for " + name +
-                                            ": " + path);
-    }
-    std::vector<int64_t> dims(rank);
-    uint64_t elements = 1;
-    for (auto& d : dims) {
-      uint64_t v = 0;
-      if (!src.ReadU64(&v) || v > kMaxElements) {
-        return utils::Status::InvalidArgument("corrupt dims for " + name +
-                                              ": " + path);
-      }
-      d = static_cast<int64_t>(v);
-      elements *= v == 0 ? 1 : v;
-      if (elements > kMaxElements) {
-        return utils::Status::InvalidArgument(
-            "implausible element count for " + name + ": " + path);
-      }
-    }
-    // A corrupted dim field must be rejected before the allocation it
-    // sizes: the tensor's data cannot occupy more bytes than the header
-    // says remain in the payload.
-    const uint64_t payload_consumed = src.consumed() - header_bytes;
-    if (payload_consumed > payload_bytes ||
-        elements * sizeof(float) > payload_bytes - payload_consumed) {
-      return utils::Status::InvalidArgument(
-          "tensor " + name + " exceeds declared payload: " + path);
-    }
-    tensor::Tensor value{tensor::Shape(dims)};
-    if (!src.Read(value.data(), value.size() * sizeof(float))) {
-      return utils::Status::InvalidArgument("truncated data for " + name +
-                                            ": " + path);
-    }
-    result.tensors.emplace_back(std::move(name), std::move(value));
-  }
-
-  for (uint64_t i = 0; i < meta_count; ++i) {
-    std::string name;
-    if (!src.ReadString(&name)) {
-      return utils::Status::InvalidArgument(
-          "truncated or corrupt meta name (entry " + std::to_string(i) +
-          "): " + path);
-    }
-    uint64_t words = 0;
-    if (!src.ReadU64(&words) || words > kMaxElements) {
-      return utils::Status::InvalidArgument("corrupt meta size for " + name +
-                                            ": " + path);
-    }
-    const uint64_t payload_consumed = src.consumed() - header_bytes;
-    if (payload_consumed > payload_bytes ||
-        words * sizeof(uint64_t) > payload_bytes - payload_consumed) {
-      return utils::Status::InvalidArgument(
-          "meta " + name + " exceeds declared payload: " + path);
-    }
-    std::vector<uint64_t> values(words);
-    if (!src.Read(values.data(), words * sizeof(uint64_t))) {
-      return utils::Status::InvalidArgument("truncated meta for " + name +
-                                            ": " + path);
-    }
-    result.meta.emplace_back(std::move(name), std::move(values));
-  }
-
-  // The payload byte count in the header must agree with what the
-  // entries actually occupied, and the file must end exactly there — a
-  // disagreement means a truncated, padded, or tampered checkpoint.
-  const uint64_t consumed_payload = src.consumed() - header_bytes;
-  if (consumed_payload != payload_bytes) {
-    return utils::Status::InvalidArgument(
-        "payload size mismatch: header declares " +
-        std::to_string(payload_bytes) + " bytes, entries occupy " +
-        std::to_string(consumed_payload) + ": " + path);
-  }
-  if (in.peek() != std::ifstream::traits_type::eof()) {
-    return utils::Status::InvalidArgument(
-        "trailing bytes after checkpoint payload: " + path);
-  }
-
-  *checkpoint = std::move(result);
-  return utils::Status::Ok();
-}
-
-// fsyncs a path (file or directory) so a rename-published checkpoint
-// survives power loss. Best-effort on filesystems without dirsync.
-bool SyncPath(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) return false;
-  const bool ok = ::fsync(fd) == 0;
-  ::close(fd);
-  return ok;
-}
-
-std::string DirName(const std::string& path) {
-  const size_t slash = path.find_last_of('/');
-  if (slash == std::string::npos) return ".";
-  if (slash == 0) return "/";
-  return path.substr(0, slash);
-}
-
-/// Collects parameter and buffer storage handles by qualified name.
-std::map<std::string, tensor::Tensor> StateMap(Module* module) {
-  std::map<std::string, tensor::Tensor> by_name;
-  for (auto& [name, var] : module->NamedParameters()) {
-    by_name.emplace(name, var.mutable_value());
-  }
-  for (auto& [name, buffer] : module->NamedBuffers()) {
-    by_name.emplace("buffer:" + name, buffer);
-  }
-  return by_name;
-}
-
-}  // namespace
-
-const tensor::Tensor* Checkpoint::FindTensor(const std::string& name) const {
-  for (const auto& [n, t] : tensors) {
-    if (n == name) return &t;
-  }
-  return nullptr;
-}
-
-const std::vector<uint64_t>* Checkpoint::FindMeta(
-    const std::string& name) const {
-  for (const auto& [n, w] : meta) {
-    if (n == name) return &w;
-  }
-  return nullptr;
-}
-
-utils::Status SaveCheckpoint(const Checkpoint& checkpoint,
-                             const std::string& path) {
-  utils::FaultInjector& injector = utils::FaultInjector::Global();
-  if (injector.FireCounted(utils::FaultSite::kSaveFail)) {
-    return utils::Status::Internal("injected I/O failure saving " + path);
-  }
-
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out.is_open()) {
-      return utils::Status::NotFound("cannot open for write: " + tmp);
-    }
-    // Serialize the payload once to learn its exact byte count, then
-    // write header + payload. Checkpoints are MB-scale here, so the
-    // extra in-memory pass is cheap and keeps the header trustworthy.
-    std::ostringstream payload_stream;
-    ByteSink payload(payload_stream);
-    WritePayload(payload, checkpoint);
-    const std::string payload_bytes = payload_stream.str();
-
-    ByteSink sink(out);
-    sink.WriteU32(kMagic);
-    sink.WriteU32(kCheckpointVersion);
-    sink.WriteU64(checkpoint.tensors.size());
-    sink.WriteU64(checkpoint.meta.size());
-    sink.WriteU64(payload_bytes.size());
-    sink.Write(payload_bytes.data(), payload_bytes.size());
-    out.flush();
-    if (!sink.ok()) {
-      out.close();
-      std::remove(tmp.c_str());
-      return utils::Status::ResourceExhausted(
-          "write failed (disk full or I/O error): " + tmp);
-    }
-  }
-
-  if (injector.FireCounted(utils::FaultSite::kTruncate)) {
-    // Simulate a torn write: chop the tail third off the temp file. The
-    // verification pass below must catch this before the rename.
-    std::ifstream probe(tmp, std::ios::binary | std::ios::ate);
-    const auto size = static_cast<int64_t>(probe.tellg());
-    probe.close();
-    if (::truncate(tmp.c_str(), size * 2 / 3) != 0) {
-      std::remove(tmp.c_str());
-      return utils::Status::Internal("fault injection truncate failed: " +
-                                     tmp);
-    }
-  }
-
-  // Verify-before-publish: re-read the temp file end to end. Only a
-  // checkpoint that parses cleanly may replace the previous one.
-  Checkpoint readback;
-  utils::Status verify = LoadCheckpointImpl(&readback, tmp);
-  if (!verify.ok()) {
-    std::remove(tmp.c_str());
-    return utils::Status::Internal(
-        "checkpoint failed post-write verification (" + verify.message() +
-        "); previous checkpoint left intact");
-  }
-
-  if (!SyncPath(tmp)) {
-    std::remove(tmp.c_str());
-    return utils::Status::Internal("fsync failed: " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return utils::Status::Internal("rename failed: " + tmp + " -> " + path);
-  }
-  if (!SyncPath(DirName(path))) {
-    SAGDFN_LOG(Warning) << "directory fsync failed for " << path
-                        << " (checkpoint published but may not survive "
-                           "power loss)";
-  }
-  return utils::Status::Ok();
-}
-
-utils::Status LoadCheckpoint(Checkpoint* checkpoint,
-                             const std::string& path) {
-  if (utils::FaultInjector::Global().FireCounted(
-          utils::FaultSite::kLoadFail)) {
-    return utils::Status::Internal("injected I/O failure loading " + path);
-  }
-  return LoadCheckpointImpl(checkpoint, path);
-}
-
-utils::Status SaveModule(const Module& module, const std::string& path) {
-  Checkpoint checkpoint;
-  for (const auto& [name, var] : module.NamedParameters()) {
-    checkpoint.tensors.emplace_back(name, var.value());
-  }
-  for (const auto& [name, buffer] : module.NamedBuffers()) {
-    checkpoint.tensors.emplace_back("buffer:" + name, buffer);
-  }
-  return SaveCheckpoint(checkpoint, path);
-}
-
-utils::Status LoadModuleFromCheckpoint(Module* module,
-                                       const Checkpoint& checkpoint,
-                                       const std::string& prefix) {
-  std::map<std::string, tensor::Tensor> by_name = StateMap(module);
-  // Two passes so a bad checkpoint can never leave the module half
-  // overwritten: validate every record (membership, shape, duplicates),
-  // and only if the whole set is coherent copy any data.
-  std::vector<std::pair<tensor::Tensor*, const tensor::Tensor*>> plan;
-  std::set<std::string> seen;
-  for (const auto& [name, value] : checkpoint.tensors) {
-    if (name.compare(0, prefix.size(), prefix) != 0) continue;
-    const std::string local = name.substr(prefix.size());
-    auto it = by_name.find(local);
-    if (it == by_name.end()) {
-      return utils::Status::NotFound("unknown entry in checkpoint: " + name);
-    }
-    if (!seen.insert(local).second) {
-      return utils::Status::InvalidArgument(
-          "duplicate entry in checkpoint: " + name);
-    }
-    if (!(value.shape() == it->second.shape())) {
-      return utils::Status::InvalidArgument(
-          "shape mismatch for " + name + ": file " +
-          value.shape().ToString() + " vs module " +
-          it->second.shape().ToString());
-    }
-    plan.emplace_back(&it->second, &value);
-  }
-  if (plan.size() != by_name.size()) {
-    return utils::Status::InvalidArgument(
-        "state count mismatch: checkpoint has " +
-        std::to_string(plan.size()) + " entries under '" + prefix +
-        "', module has " + std::to_string(by_name.size()));
-  }
-  for (auto& [dst, src] : plan) dst->CopyFrom(*src);
-  module->OnStateLoaded();
-  return utils::Status::Ok();
-}
-
-utils::Status LoadModule(Module* module, const std::string& path) {
-  Checkpoint checkpoint;
-  SAGDFN_RETURN_IF_ERROR(LoadCheckpoint(&checkpoint, path));
-  return LoadModuleFromCheckpoint(module, checkpoint, /*prefix=*/"");
-}
-
-utils::Status CopyModuleState(const Module& src, Module* dst) {
-  Checkpoint checkpoint;
-  for (const auto& [name, var] : src.NamedParameters()) {
-    checkpoint.tensors.emplace_back(name, var.value());
-  }
-  for (const auto& [name, buffer] : src.NamedBuffers()) {
-    checkpoint.tensors.emplace_back("buffer:" + name, buffer);
-  }
-  return LoadModuleFromCheckpoint(dst, checkpoint, /*prefix=*/"");
-}
-
-// ---------------------------------------------------------------------------
-// Mapped ("SAGM") weight files.
-
-namespace {
+// Reading.
 
 // Bounds-checked cursor over the mapped index region. Fields are
 // memcpy'd out: the index packs strings between integers, so u64 fields
@@ -485,193 +190,14 @@ class MemCursor {
   uint64_t pos_ = 0;
 };
 
-// Exact byte count of the index region for `checkpoint` (names, ranks,
-// dims, word counts, offsets — everything except the aligned payloads).
-uint64_t MappedIndexBytes(const Checkpoint& checkpoint) {
-  uint64_t bytes = 0;
-  for (const auto& [name, value] : checkpoint.tensors) {
-    bytes += 8 + name.size();                          // name
-    bytes += 8;                                        // rank
-    bytes += 8 * value.shape().dims().size();          // dims
-    bytes += 8;                                        // payload offset
-  }
-  for (const auto& [name, words] : checkpoint.meta) {
-    bytes += 8 + name.size();  // name
-    bytes += 8;                // word count
-    bytes += 8;                // payload offset
-  }
-  return bytes;
-}
-
-}  // namespace
-
-const tensor::Tensor* MappedCheckpoint::FindTensor(
-    const std::string& name) const {
-  for (const auto& [n, t] : tensors) {
-    if (n == name) return &t;
-  }
-  return nullptr;
-}
-
-const std::vector<uint64_t>* MappedCheckpoint::FindMeta(
-    const std::string& name) const {
-  for (const auto& [n, w] : meta) {
-    if (n == name) return &w;
-  }
-  return nullptr;
-}
-
-utils::Status SaveMappedCheckpoint(const Checkpoint& checkpoint,
-                                   const std::string& path) {
-  utils::FaultInjector& injector = utils::FaultInjector::Global();
-  if (injector.FireCounted(utils::FaultSite::kSaveFail)) {
-    return utils::Status::Internal("injected I/O failure saving " + path);
-  }
-  for (const auto& [name, value] : checkpoint.tensors) {
-    if (name.size() > kMaxNameLen ||
-        value.shape().dims().size() > kMaxRank) {
-      return utils::Status::InvalidArgument(
-          "tensor not representable in mapped format: " + name);
-    }
-  }
-  for (const auto& [name, words] : checkpoint.meta) {
-    if (name.size() > kMaxNameLen) {
-      return utils::Status::InvalidArgument(
-          "meta name too long for mapped format: " + name);
-    }
-    (void)words;
-  }
-
-  // Lay out payload offsets: aligned region after the index, one aligned
-  // slot per entry in index order.
-  const uint64_t index_bytes = MappedIndexBytes(checkpoint);
-  uint64_t cursor = Align64(kMappedHeaderBytes + index_bytes);
-  std::vector<uint64_t> tensor_offsets;
-  tensor_offsets.reserve(checkpoint.tensors.size());
-  for (const auto& [name, value] : checkpoint.tensors) {
-    tensor_offsets.push_back(cursor);
-    cursor = Align64(cursor +
-                     static_cast<uint64_t>(value.size()) * sizeof(float));
-  }
-  std::vector<uint64_t> meta_offsets;
-  meta_offsets.reserve(checkpoint.meta.size());
-  for (const auto& [name, words] : checkpoint.meta) {
-    meta_offsets.push_back(cursor);
-    cursor = Align64(cursor + words.size() * sizeof(uint64_t));
-  }
-  const uint64_t file_bytes = cursor;
-
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out.is_open()) {
-      return utils::Status::NotFound("cannot open for write: " + tmp);
-    }
-    ByteSink sink(out);
-    sink.WriteU32(kMappedMagic);
-    sink.WriteU32(kMappedFormatVersion);
-    sink.WriteU64(checkpoint.tensors.size());
-    sink.WriteU64(checkpoint.meta.size());
-    sink.WriteU64(index_bytes);
-    sink.WriteU64(file_bytes);
-    const char zeros[kMappedAlign] = {};
-    sink.Write(zeros, kMappedHeaderBytes - sink.written());
-
-    for (size_t i = 0; i < checkpoint.tensors.size(); ++i) {
-      const auto& [name, value] = checkpoint.tensors[i];
-      sink.WriteString(name);
-      const auto& dims = value.shape().dims();
-      sink.WriteU64(dims.size());
-      for (int64_t d : dims) sink.WriteU64(static_cast<uint64_t>(d));
-      sink.WriteU64(tensor_offsets[i]);
-    }
-    for (size_t i = 0; i < checkpoint.meta.size(); ++i) {
-      const auto& [name, words] = checkpoint.meta[i];
-      sink.WriteString(name);
-      sink.WriteU64(words.size());
-      sink.WriteU64(meta_offsets[i]);
-    }
-
-    // Payloads at their precomputed aligned offsets; the gaps between
-    // entries are explicit zeros so the file content is a pure function
-    // of the checkpoint (byte-identical re-saves).
-    auto pad_to = [&](uint64_t offset) {
-      while (sink.written() < offset) {
-        const uint64_t gap =
-            std::min<uint64_t>(sizeof(zeros), offset - sink.written());
-        sink.Write(zeros, gap);
-      }
-    };
-    for (size_t i = 0; i < checkpoint.tensors.size(); ++i) {
-      pad_to(tensor_offsets[i]);
-      const auto& value = checkpoint.tensors[i].second;
-      sink.Write(value.data(),
-                 static_cast<uint64_t>(value.size()) * sizeof(float));
-    }
-    for (size_t i = 0; i < checkpoint.meta.size(); ++i) {
-      pad_to(meta_offsets[i]);
-      const auto& words = checkpoint.meta[i].second;
-      sink.Write(words.data(), words.size() * sizeof(uint64_t));
-    }
-    pad_to(file_bytes);
-    out.flush();
-    if (!sink.ok() || sink.written() != file_bytes) {
-      out.close();
-      std::remove(tmp.c_str());
-      return utils::Status::ResourceExhausted(
-          "write failed (disk full or I/O error): " + tmp);
-    }
-  }
-
-  if (injector.FireCounted(utils::FaultSite::kTruncate)) {
-    std::ifstream probe(tmp, std::ios::binary | std::ios::ate);
-    const auto size = static_cast<int64_t>(probe.tellg());
-    probe.close();
-    if (::truncate(tmp.c_str(), size * 2 / 3) != 0) {
-      std::remove(tmp.c_str());
-      return utils::Status::Internal("fault injection truncate failed: " +
-                                     tmp);
-    }
-  }
-
-  // Verify-before-publish, through the same reader consumers will use.
-  MappedCheckpoint readback;
-  utils::Status verify = OpenMappedCheckpoint(&readback, tmp);
-  if (!verify.ok()) {
-    std::remove(tmp.c_str());
-    return utils::Status::Internal(
-        "mapped checkpoint failed post-write verification (" +
-        verify.message() + "); previous file left intact");
-  }
-  readback = MappedCheckpoint{};  // drop the mapping before rename
-
-  if (!SyncPath(tmp)) {
-    std::remove(tmp.c_str());
-    return utils::Status::Internal("fsync failed: " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return utils::Status::Internal("rename failed: " + tmp + " -> " + path);
-  }
-  if (!SyncPath(DirName(path))) {
-    SAGDFN_LOG(Warning) << "directory fsync failed for " << path
-                        << " (weight file published but may not survive "
-                           "power loss)";
-  }
-  return utils::Status::Ok();
-}
-
-utils::Status OpenMappedCheckpoint(MappedCheckpoint* out,
-                                   const std::string& path) {
-  if (utils::FaultInjector::Global().FireCounted(
-          utils::FaultSite::kLoadFail)) {
-    return utils::Status::Internal("injected I/O failure loading " + path);
-  }
+// The parser behind LoadCheckpoint, without its fault-injection site:
+// SaveCheckpoint's verification pass reads through it too.
+utils::Status ReadFile(Checkpoint* out, const std::string& path) {
   std::shared_ptr<utils::MappedFile> file;
   SAGDFN_RETURN_IF_ERROR(utils::MappedFile::Open(path, &file));
   const uint8_t* base = file->data();
   const uint64_t size = file->size();
-  if (size < kMappedHeaderBytes) {
+  if (size < kHeaderBytes) {
     return utils::Status::InvalidArgument("file too small for header: " +
                                           path);
   }
@@ -682,21 +208,21 @@ utils::Status OpenMappedCheckpoint(MappedCheckpoint* out,
   uint64_t meta_count = 0;
   uint64_t index_bytes = 0;
   uint64_t file_bytes = 0;
-  MemCursor header(base, kMappedHeaderBytes);
+  MemCursor header(base, kHeaderBytes);
   header.Read(&magic, sizeof(magic));
   header.Read(&version, sizeof(version));
   header.ReadU64(&tensor_count);
   header.ReadU64(&meta_count);
   header.ReadU64(&index_bytes);
   header.ReadU64(&file_bytes);
-  if (magic != kMappedMagic) {
-    return utils::Status::InvalidArgument("bad mapped-file magic: " + path);
+  if (magic != kMagic) {
+    return utils::Status::InvalidArgument("bad checkpoint magic: " + path);
   }
-  if (version != kMappedFormatVersion) {
+  if (version != kFormatVersion) {
     return utils::Status::InvalidArgument(
-        "unsupported mapped-file version " + std::to_string(version) +
-        " (this build reads version " +
-        std::to_string(kMappedFormatVersion) + "): " + path);
+        "unsupported checkpoint version " + std::to_string(version) +
+        " (this build reads version " + std::to_string(kFormatVersion) +
+        "): " + path);
   }
   if (file_bytes != size) {
     return utils::Status::InvalidArgument(
@@ -704,7 +230,7 @@ utils::Status OpenMappedCheckpoint(MappedCheckpoint* out,
         " bytes) does not match file size (" + std::to_string(size) +
         "): " + path);
   }
-  if (index_bytes > size - kMappedHeaderBytes) {
+  if (index_bytes > size - kHeaderBytes) {
     return utils::Status::InvalidArgument("index exceeds file: " + path);
   }
   // Every index entry occupies at least name-length + count + offset.
@@ -712,22 +238,28 @@ utils::Status OpenMappedCheckpoint(MappedCheckpoint* out,
     return utils::Status::InvalidArgument("implausible entry count: " + path);
   }
 
-  MappedCheckpoint result;
+  Checkpoint result;
   result.file = file;
   result.tensors.reserve(tensor_count);
   result.meta.reserve(meta_count);
-  MemCursor index(base + kMappedHeaderBytes, index_bytes);
+  MemCursor index(base + kHeaderBytes, index_bytes);
 
-  auto check_payload = [&](uint64_t offset, uint64_t bytes,
+  // Payloads must sit exactly where WriteFile puts them: a corrupted
+  // offset that is merely aligned and in bounds could otherwise alias
+  // one entry onto another's bytes and still load.
+  uint64_t expected = Align64(kHeaderBytes + index_bytes);
+  auto claim_payload = [&](uint64_t offset, uint64_t bytes,
                            const std::string& name) -> utils::Status {
-    if (offset % kMappedAlign != 0) {
-      return utils::Status::InvalidArgument("misaligned payload for " +
-                                            name + ": " + path);
+    if (offset != expected) {
+      return utils::Status::InvalidArgument(
+          "payload for " + name + " at offset " + std::to_string(offset) +
+          ", expected " + std::to_string(expected) + ": " + path);
     }
     if (offset > size || bytes > size - offset) {
       return utils::Status::InvalidArgument("payload for " + name +
                                             " exceeds file: " + path);
     }
+    expected = Align64(offset + bytes);
     return utils::Status::Ok();
   };
 
@@ -766,7 +298,7 @@ utils::Status OpenMappedCheckpoint(MappedCheckpoint* out,
     tensor::Shape shape(dims);
     const uint64_t bytes =
         static_cast<uint64_t>(shape.NumElements()) * sizeof(float);
-    SAGDFN_RETURN_IF_ERROR(check_payload(offset, bytes, name));
+    SAGDFN_RETURN_IF_ERROR(claim_payload(offset, bytes, name));
     // The mapping is PROT_READ; the const_cast hands out a pointer that
     // must never be written (FromExternal documents the contract).
     float* data = const_cast<float*>(
@@ -791,7 +323,7 @@ utils::Status OpenMappedCheckpoint(MappedCheckpoint* out,
                                             name + ": " + path);
     }
     SAGDFN_RETURN_IF_ERROR(
-        check_payload(offset, words * sizeof(uint64_t), name));
+        claim_payload(offset, words * sizeof(uint64_t), name));
     std::vector<uint64_t> values(words);
     if (words > 0) {
       std::memcpy(values.data(), base + offset, words * sizeof(uint64_t));
@@ -805,9 +337,214 @@ utils::Status OpenMappedCheckpoint(MappedCheckpoint* out,
         std::to_string(index_bytes) + " bytes, entries occupy " +
         std::to_string(index.pos()) + ": " + path);
   }
+  if (expected != file_bytes) {
+    return utils::Status::InvalidArgument(
+        "payloads end at " + std::to_string(expected) + ", file declares " +
+        std::to_string(file_bytes) + " bytes: " + path);
+  }
 
   *out = std::move(result);
   return utils::Status::Ok();
+}
+
+// fsyncs a path (file or directory) so a rename-published checkpoint
+// survives power loss. Best-effort on filesystems without dirsync.
+bool SyncPath(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) return false;
+  const bool ok = ::fsync(fd) == 0;
+  ::close(fd);
+  return ok;
+}
+
+std::string DirName(const std::string& path) {
+  const size_t slash = path.find_last_of('/');
+  if (slash == std::string::npos) return ".";
+  if (slash == 0) return "/";
+  return path.substr(0, slash);
+}
+
+}  // namespace
+
+const tensor::Tensor* Checkpoint::FindTensor(const std::string& name) const {
+  for (const auto& [n, t] : tensors) {
+    if (n == name) return &t;
+  }
+  return nullptr;
+}
+
+const std::vector<uint64_t>* Checkpoint::FindMeta(
+    const std::string& name) const {
+  for (const auto& [n, w] : meta) {
+    if (n == name) return &w;
+  }
+  return nullptr;
+}
+
+utils::Status SaveCheckpoint(const Checkpoint& checkpoint,
+                             const std::string& path) {
+  utils::FaultInjector& injector = utils::FaultInjector::Global();
+  if (injector.FireCounted(utils::FaultSite::kSaveFail)) {
+    return utils::Status::Internal("injected I/O failure saving " + path);
+  }
+  for (const auto& [name, value] : checkpoint.tensors) {
+    if (name.size() > kMaxNameLen ||
+        value.shape().dims().size() > kMaxRank) {
+      return utils::Status::InvalidArgument(
+          "tensor not representable in a checkpoint: " + name);
+    }
+  }
+  for (const auto& entry : checkpoint.meta) {
+    if (entry.first.size() > kMaxNameLen) {
+      return utils::Status::InvalidArgument(
+          "meta name too long for a checkpoint: " + entry.first);
+    }
+  }
+
+  const std::string tmp = path + ".tmp";
+  SAGDFN_RETURN_IF_ERROR(WriteFile(checkpoint, tmp));
+
+  if (injector.FireCounted(utils::FaultSite::kTruncate)) {
+    // Simulate a torn write: chop the tail third off the temp file. The
+    // verification pass below must catch this before the rename.
+    std::ifstream probe(tmp, std::ios::binary | std::ios::ate);
+    const auto size = static_cast<int64_t>(probe.tellg());
+    probe.close();
+    if (::truncate(tmp.c_str(), size * 2 / 3) != 0) {
+      std::remove(tmp.c_str());
+      return utils::Status::Internal("fault injection truncate failed: " +
+                                     tmp);
+    }
+  }
+
+  // Verify-before-publish, through the parser every reader uses. Only a
+  // checkpoint that parses cleanly may replace the previous one.
+  {
+    Checkpoint readback;  // its mapping is dropped before the rename
+    utils::Status verify = ReadFile(&readback, tmp);
+    if (!verify.ok()) {
+      std::remove(tmp.c_str());
+      return utils::Status::Internal(
+          "checkpoint failed post-write verification (" + verify.message() +
+          "); previous checkpoint left intact");
+    }
+  }
+
+  if (!SyncPath(tmp)) {
+    std::remove(tmp.c_str());
+    return utils::Status::Internal("fsync failed: " + tmp);
+  }
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    return utils::Status::Internal("rename failed: " + tmp + " -> " + path);
+  }
+  if (!SyncPath(DirName(path))) {
+    SAGDFN_LOG(Warning) << "directory fsync failed for " << path
+                        << " (checkpoint published but may not survive "
+                           "power loss)";
+  }
+  return utils::Status::Ok();
+}
+
+utils::Status LoadCheckpoint(Checkpoint* checkpoint,
+                             const std::string& path) {
+  if (utils::FaultInjector::Global().FireCounted(
+          utils::FaultSite::kLoadFail)) {
+    return utils::Status::Internal("injected I/O failure loading " + path);
+  }
+  return ReadFile(checkpoint, path);
+}
+
+void AppendModuleState(const Module& module, const std::string& prefix,
+                       Checkpoint* checkpoint) {
+  for (const auto& [name, var] : module.NamedParameters()) {
+    checkpoint->tensors.emplace_back(prefix + name, var.value());
+  }
+  for (const auto& [name, buffer] : module.NamedBuffers()) {
+    checkpoint->tensors.emplace_back(prefix + "buffer:" + name, buffer);
+  }
+}
+
+utils::Status MatchModuleState(const Module& module,
+                               const Checkpoint& checkpoint,
+                               const std::string& prefix,
+                               std::vector<const tensor::Tensor*>* sources) {
+  std::map<std::string, size_t> slot_by_name;
+  std::vector<tensor::Shape> shapes;
+  for (const auto& [name, var] : module.NamedParameters()) {
+    slot_by_name.emplace(name, shapes.size());
+    shapes.push_back(var.value().shape());
+  }
+  for (const auto& [name, buffer] : module.NamedBuffers()) {
+    slot_by_name.emplace("buffer:" + name, shapes.size());
+    shapes.push_back(buffer.shape());
+  }
+
+  std::vector<const tensor::Tensor*> matched(shapes.size(), nullptr);
+  size_t found = 0;
+  for (const auto& [name, value] : checkpoint.tensors) {
+    if (name.compare(0, prefix.size(), prefix) != 0) continue;
+    auto it = slot_by_name.find(name.substr(prefix.size()));
+    if (it == slot_by_name.end()) {
+      return utils::Status::NotFound("unknown entry in checkpoint: " + name);
+    }
+    const tensor::Tensor*& slot = matched[it->second];
+    if (slot != nullptr) {
+      return utils::Status::InvalidArgument(
+          "duplicate entry in checkpoint: " + name);
+    }
+    if (!(value.shape() == shapes[it->second])) {
+      return utils::Status::InvalidArgument(
+          "shape mismatch for " + name + ": file " +
+          value.shape().ToString() + " vs module " +
+          shapes[it->second].ToString());
+    }
+    slot = &value;
+    ++found;
+  }
+  if (found != matched.size()) {
+    return utils::Status::InvalidArgument(
+        "state count mismatch: checkpoint has " + std::to_string(found) +
+        " entries under '" + prefix + "', module has " +
+        std::to_string(matched.size()));
+  }
+  *sources = std::move(matched);
+  return utils::Status::Ok();
+}
+
+utils::Status SaveModule(const Module& module, const std::string& path) {
+  Checkpoint checkpoint;
+  AppendModuleState(module, /*prefix=*/"", &checkpoint);
+  return SaveCheckpoint(checkpoint, path);
+}
+
+utils::Status LoadModuleFromCheckpoint(Module* module,
+                                       const Checkpoint& checkpoint,
+                                       const std::string& prefix) {
+  std::vector<const tensor::Tensor*> sources;
+  SAGDFN_RETURN_IF_ERROR(
+      MatchModuleState(*module, checkpoint, prefix, &sources));
+  size_t i = 0;
+  for (auto& [name, var] : module->NamedParameters()) {
+    var.mutable_value().CopyFrom(*sources[i++]);
+  }
+  for (auto& [name, buffer] : module->NamedBuffers()) {
+    buffer.CopyFrom(*sources[i++]);
+  }
+  module->OnStateLoaded();
+  return utils::Status::Ok();
+}
+
+utils::Status LoadModule(Module* module, const std::string& path) {
+  Checkpoint checkpoint;
+  SAGDFN_RETURN_IF_ERROR(LoadCheckpoint(&checkpoint, path));
+  return LoadModuleFromCheckpoint(module, checkpoint, /*prefix=*/"");
+}
+
+utils::Status CopyModuleState(const Module& src, Module* dst) {
+  Checkpoint checkpoint;
+  AppendModuleState(src, /*prefix=*/"", &checkpoint);
+  return LoadModuleFromCheckpoint(dst, checkpoint, /*prefix=*/"");
 }
 
 }  // namespace sagdfn::nn

@@ -13,19 +13,34 @@
 
 namespace sagdfn::nn {
 
-/// Checkpoint format version written by this build. Version 2 added the
-/// self-describing header (entry counts + payload byte count) and the
-/// u64 metadata entries that carry optimizer/trainer/RNG state.
-inline constexpr uint32_t kCheckpointVersion = 2;
+/// Weight-file ("SAGM") format version written and read by this build.
+/// Every checkpoint, candidate and frozen model uses this one layout:
+///   [0, 64)    header: magic "SAGM", version, tensor count, meta count,
+///              index byte count, total file byte count, zero padding
+///   [64, ...)  index: per tensor {name, rank, dims..., payload offset},
+///              then per meta entry {name, word count, payload offset}
+///   aligned    payloads: raw float / u64 arrays in index order, the
+///              first at Align64(64 + index bytes), each next one at
+///              Align64(previous end), zero-padded between entries; the
+///              file ends at the last aligned end
+/// All integers are little-endian u32/u64; offsets are absolute file
+/// offsets. Readers reject a file whose declared sizes, counts or
+/// offsets disagree with that layout or with the actual file.
+inline constexpr uint32_t kFormatVersion = 1;
 
-/// In-memory image of a checkpoint file: named float tensors (model
-/// parameters, buffers, optimizer moment slots) plus named vectors of
-/// opaque 64-bit words (iteration counters, RNG streams, bit-cast
-/// doubles). Entry order is preserved on disk, so writing the same
-/// state twice produces byte-identical files.
+/// A checkpoint: named float tensors (model parameters, buffers,
+/// optimizer moment slots) plus named vectors of opaque 64-bit words
+/// (iteration counters, RNG streams, bit-cast doubles). Entry order is
+/// preserved on disk, so writing the same state twice produces
+/// byte-identical files.
 struct Checkpoint {
   std::vector<std::pair<std::string, tensor::Tensor>> tensors;
   std::vector<std::pair<std::string, std::vector<uint64_t>>> meta;
+  /// Set by LoadCheckpoint: the read-only mapping the loaded `tensors`
+  /// alias (zero copy; writing through their data() faults). Each tensor
+  /// also keeps it alive, so views may outlive this struct. Meta words
+  /// are small and decoded onto the heap.
+  std::shared_ptr<utils::MappedFile> file;
 
   /// Returns the named tensor or nullptr.
   const tensor::Tensor* FindTensor(const std::string& name) const;
@@ -35,39 +50,55 @@ struct Checkpoint {
 };
 
 /// Atomically writes `checkpoint` to `path`:
-///   1. serialize into `path + ".tmp"` with a versioned header that
-///      records entry counts and the exact payload byte count, checking
-///      the stream after every write (a full disk fails loudly, never
-///      silently truncates);
-///   2. re-read and validate the temp file (verify-before-publish, so a
-///      corrupted write can never shadow a good checkpoint);
+///   1. serialize into `path + ".tmp"`, checking the stream after every
+///      write (a full disk fails loudly, never silently truncates);
+///   2. re-read and validate the temp file through LoadCheckpoint's
+///      parser (verify-before-publish, so a corrupted write can never
+///      shadow a good checkpoint);
 ///   3. fsync the file and its directory, then rename() over `path`.
 /// On any failure the temp file is removed and an existing `path` is
 /// left untouched. Honors FaultInjector's io_fail@save / truncate_ckpt.
 utils::Status SaveCheckpoint(const Checkpoint& checkpoint,
                              const std::string& path);
 
-/// Reads a checkpoint written by SaveCheckpoint. Validates the magic,
-/// version, every length/shape field, and that the payload byte count in
-/// the header matches both the bytes consumed and the file's actual
-/// size; truncated or padded files are rejected. Honors FaultInjector's
+/// Maps a file written by SaveCheckpoint read-only. Validates the header,
+/// every name/rank/dim, and that every payload sits exactly where the
+/// writer puts it before exposing any view; corrupt, truncated or padded
+/// files are rejected without faulting. Honors FaultInjector's
 /// io_fail@load.
 utils::Status LoadCheckpoint(Checkpoint* checkpoint,
                              const std::string& path);
+
+/// Appends every named parameter and buffer of `module` to `checkpoint`
+/// as `prefix` + name (buffers as `prefix` + "buffer:" + name), sharing
+/// storage with the module (no copy).
+void AppendModuleState(const Module& module, const std::string& prefix,
+                       Checkpoint* checkpoint);
+
+/// Matches the tensors of `checkpoint` whose names start with `prefix`
+/// against `module`'s state as AppendModuleState names it. Strict: every
+/// such entry must name a distinct parameter or buffer with an identical
+/// shape, and every parameter and buffer must be present. On success
+/// `sources` holds the checkpoint tensor for each parameter
+/// (NamedParameters order) followed by each buffer (NamedBuffers order).
+/// Touches nothing, so a caller that copies or binds only after it
+/// succeeds never leaves a module half loaded.
+utils::Status MatchModuleState(const Module& module,
+                               const Checkpoint& checkpoint,
+                               const std::string& prefix,
+                               std::vector<const tensor::Tensor*>* sources);
 
 /// Writes every named parameter and buffer of `module` as a checkpoint
 /// (atomically, via SaveCheckpoint).
 utils::Status SaveModule(const Module& module, const std::string& path);
 
-/// Loads a checkpoint produced by SaveModule into `module`. Every stored
-/// name must exist in the module with an identical shape, and every
-/// module parameter must be present in the file (strict matching).
+/// Loads a checkpoint produced by SaveModule into `module` (strict
+/// matching, see MatchModuleState).
 utils::Status LoadModule(Module* module, const std::string& path);
 
-/// Copies `checkpoint` tensors whose names start with `prefix` into the
-/// module's parameters and buffers (strict: every module state tensor
-/// must be present under `prefix` with an identical shape). Calls
-/// OnStateLoaded() on success. Shared by LoadModule and the trainer's
+/// Copies the module state stored under `prefix` in `checkpoint` into the
+/// module's parameters and buffers (strict, see MatchModuleState), then
+/// calls OnStateLoaded(). Shared by LoadModule and the trainer's
 /// full-state resume.
 utils::Status LoadModuleFromCheckpoint(Module* module,
                                        const Checkpoint& checkpoint,
@@ -80,54 +111,6 @@ utils::Status LoadModuleFromCheckpoint(Module* module,
 /// clone from a live serving snapshot (the restored SNS index buffer
 /// keeps the clone's neighbor structure frozen).
 utils::Status CopyModuleState(const Module& src, Module* dst);
-
-// ---------------------------------------------------------------------------
-// Memory-mapped weight files ("SAGM" format). Unlike the streamed v2
-// checkpoint above — which copies every tensor into fresh heap storage on
-// load — a mapped file stores tensor data at 64-byte-aligned offsets so a
-// reader can mmap the file once and hand out zero-copy tensor views.
-// Loading a 100k-node frozen model becomes an O(index) parse instead of
-// an O(weights) copy, and every process serving the same model shares one
-// physical copy of the pages.
-
-/// Mapped weight-file format version. Version 1 layout:
-///   [0, 64)    header: magic "SAGM", version, tensor count, meta count,
-///              index byte count, total file byte count, zero padding
-///   [64, ...)  index: per tensor {name, rank, dims..., payload offset},
-///              then per meta entry {name, word count, payload offset}
-///   aligned    payloads: raw float / u64 arrays, each at a 64-byte
-///              boundary, in index order, zero-padded between entries
-/// All integers are little-endian u32/u64; offsets are absolute file
-/// offsets. Readers reject files whose declared sizes, counts, offsets,
-/// or alignments disagree with the actual file.
-inline constexpr uint32_t kMappedFormatVersion = 1;
-
-/// A weight file opened read-only via mmap: `tensors` alias the mapping
-/// (zero copy — treat them as read-only; writing through data() faults),
-/// kept alive by `file`. Meta entries are small and decoded eagerly.
-struct MappedCheckpoint {
-  std::shared_ptr<utils::MappedFile> file;
-  std::vector<std::pair<std::string, tensor::Tensor>> tensors;
-  std::vector<std::pair<std::string, std::vector<uint64_t>>> meta;
-
-  const tensor::Tensor* FindTensor(const std::string& name) const;
-  const std::vector<uint64_t>* FindMeta(const std::string& name) const;
-};
-
-/// Atomically writes `checkpoint` in the mapped ("SAGM") format with the
-/// same verify-before-publish choreography as SaveCheckpoint: serialize
-/// to `path + ".tmp"`, re-open and validate the temp file via
-/// OpenMappedCheckpoint, fsync, then rename over `path`. Honors
-/// FaultInjector's io_fail@save / truncate_ckpt sites.
-utils::Status SaveMappedCheckpoint(const Checkpoint& checkpoint,
-                                   const std::string& path);
-
-/// Opens a file written by SaveMappedCheckpoint. Validates the header,
-/// every name/rank/dim, and that each payload offset is 64-byte aligned
-/// and in bounds before exposing any view; corrupt or truncated files are
-/// rejected without faulting.
-utils::Status OpenMappedCheckpoint(MappedCheckpoint* out,
-                                   const std::string& path);
 
 }  // namespace sagdfn::nn
 

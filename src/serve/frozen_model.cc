@@ -1,7 +1,5 @@
 #include "serve/frozen_model.h"
 
-#include <map>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -16,6 +14,7 @@ namespace {
 // Weight-file entry names for the frozen snapshot. The "__frozen:" prefix
 // cannot collide with module state: parameter names are dot-qualified and
 // buffers are stored under "buffer:".
+constexpr char kFrozenPrefix[] = "__frozen:";
 constexpr char kFrozenAs[] = "__frozen:a_s";
 constexpr char kFrozenInvDeg[] = "__frozen:inv_deg";
 constexpr char kFrozenIndexSet[] = "__frozen:index_set";
@@ -68,12 +67,7 @@ utils::Status FrozenModel::Load(const core::SagdfnConfig& config,
 
 utils::Status FrozenModel::Save(const std::string& path) const {
   nn::Checkpoint checkpoint;
-  for (const auto& [name, var] : model_->NamedParameters()) {
-    checkpoint.tensors.emplace_back(name, var.value());
-  }
-  for (const auto& [name, buffer] : model_->NamedBuffers()) {
-    checkpoint.tensors.emplace_back("buffer:" + name, buffer);
-  }
+  nn::AppendModuleState(*model_, /*prefix=*/"", &checkpoint);
   checkpoint.tensors.emplace_back(kFrozenAs, snapshot_.a_s);
   checkpoint.tensors.emplace_back(kFrozenInvDeg, snapshot_.inv_deg);
   checkpoint.meta.emplace_back(
@@ -81,16 +75,16 @@ utils::Status FrozenModel::Save(const std::string& path) const {
       std::vector<uint64_t>(snapshot_.index_set.begin(),
                             snapshot_.index_set.end()));
   checkpoint.meta.emplace_back(kFrozenConfig, ConfigFingerprint(config()));
-  return nn::SaveMappedCheckpoint(checkpoint, path);
+  return nn::SaveCheckpoint(checkpoint, path);
 }
 
 utils::Status FrozenModel::LoadMapped(const core::SagdfnConfig& config,
                                       const std::string& path,
                                       std::unique_ptr<FrozenModel>* out) {
-  nn::MappedCheckpoint mapped;
-  SAGDFN_RETURN_IF_ERROR(nn::OpenMappedCheckpoint(&mapped, path));
+  nn::Checkpoint file;
+  SAGDFN_RETURN_IF_ERROR(nn::LoadCheckpoint(&file, path));
 
-  const std::vector<uint64_t>* fingerprint = mapped.FindMeta(kFrozenConfig);
+  const std::vector<uint64_t>* fingerprint = file.FindMeta(kFrozenConfig);
   if (fingerprint == nullptr) {
     return utils::Status::InvalidArgument(
         "not a frozen-model weight file (no config fingerprint): " + path);
@@ -101,60 +95,21 @@ utils::Status FrozenModel::LoadMapped(const core::SagdfnConfig& config,
         path);
   }
 
+  // Validate the module state (every entry outside the frozen snapshot)
+  // before anything is bound, so a bad file never leaves a half-bound
+  // model.
+  nn::Checkpoint state;
+  for (const auto& entry : file.tensors) {
+    if (!HasPrefix(entry.first, kFrozenPrefix)) state.tensors.push_back(entry);
+  }
   auto model = std::make_unique<core::SagdfnModel>(config);
-  auto params = model->NamedParameters();
-  auto buffers = model->NamedBuffers();
-  std::map<std::string, autograd::Variable*> param_by_name;
-  for (auto& [name, var] : params) param_by_name.emplace(name, &var);
-  std::map<std::string, tensor::Tensor> buffer_by_name;
-  for (auto& [name, buffer] : buffers) {
-    buffer_by_name.emplace("buffer:" + name, buffer);
-  }
+  std::vector<const tensor::Tensor*> sources;
+  SAGDFN_RETURN_IF_ERROR(
+      nn::MatchModuleState(*model, state, /*prefix=*/"", &sources));
 
-  // Two passes so a bad file never leaves a half-bound model: validate
-  // every entry against the module first, then bind/copy.
-  std::vector<std::pair<autograd::Variable*, const tensor::Tensor*>> binds;
-  std::vector<std::pair<tensor::Tensor*, const tensor::Tensor*>> copies;
-  std::set<std::string> seen;
-  for (const auto& [name, view] : mapped.tensors) {
-    if (HasPrefix(name, "__frozen:")) continue;
-    if (!seen.insert(name).second) {
-      return utils::Status::InvalidArgument(
-          "duplicate entry in weight file: " + name);
-    }
-    if (auto it = buffer_by_name.find(name); it != buffer_by_name.end()) {
-      if (!(view.shape() == it->second.shape())) {
-        return utils::Status::InvalidArgument(
-            "shape mismatch for " + name + ": file " +
-            view.shape().ToString() + " vs module " +
-            it->second.shape().ToString());
-      }
-      copies.emplace_back(&it->second, &view);
-      continue;
-    }
-    auto it = param_by_name.find(name);
-    if (it == param_by_name.end()) {
-      return utils::Status::NotFound("unknown entry in weight file: " +
-                                     name);
-    }
-    if (!(view.shape() == it->second->shape())) {
-      return utils::Status::InvalidArgument(
-          "shape mismatch for " + name + ": file " +
-          view.shape().ToString() + " vs module " +
-          it->second->shape().ToString());
-    }
-    binds.emplace_back(it->second, &view);
-  }
-  if (seen.size() != param_by_name.size() + buffer_by_name.size()) {
-    return utils::Status::InvalidArgument(
-        "state count mismatch: weight file has " +
-        std::to_string(seen.size()) + " module entries, module has " +
-        std::to_string(param_by_name.size() + buffer_by_name.size()));
-  }
-
-  const tensor::Tensor* a_s = mapped.FindTensor(kFrozenAs);
-  const tensor::Tensor* inv_deg = mapped.FindTensor(kFrozenInvDeg);
-  const std::vector<uint64_t>* ids = mapped.FindMeta(kFrozenIndexSet);
+  const tensor::Tensor* a_s = file.FindTensor(kFrozenAs);
+  const tensor::Tensor* inv_deg = file.FindTensor(kFrozenInvDeg);
+  const std::vector<uint64_t>* ids = file.FindMeta(kFrozenIndexSet);
   if (a_s == nullptr || inv_deg == nullptr || ids == nullptr) {
     return utils::Status::InvalidArgument(
         "weight file is missing the frozen adjacency snapshot: " + path);
@@ -180,8 +135,13 @@ utils::Status FrozenModel::LoadMapped(const core::SagdfnConfig& config,
   // Bind: parameters alias the mapping (zero copy — the Variables' nodes
   // rebind their storage to the mapped pages); buffers are tiny mutable
   // state and are copied onto the heap.
-  for (auto& [var, view] : binds) var->mutable_value() = *view;
-  for (auto& [dst, view] : copies) dst->CopyFrom(*view);
+  size_t i = 0;
+  for (auto& [name, var] : model->NamedParameters()) {
+    var.mutable_value() = *sources[i++];
+  }
+  for (auto& [name, buffer] : model->NamedBuffers()) {
+    buffer.CopyFrom(*sources[i++]);
+  }
   model->OnStateLoaded();
   model->SetTraining(false);
 

@@ -25,16 +25,16 @@ class FrozenModel {
   static std::unique_ptr<FrozenModel> Freeze(
       std::unique_ptr<core::SagdfnModel> model);
 
-  /// Builds a model from `config`, restores it from a v2 checkpoint
-  /// written by nn::SaveModule (parameters, buffers, and the trained
-  /// index set), and freezes it. Fails cleanly — never returns a
+  /// Builds a model from `config`, restores it from a checkpoint written
+  /// by nn::SaveModule (parameters, buffers, and the trained index set),
+  /// and freezes it. Fails cleanly — never returns a
   /// partially populated model — on any checkpoint mismatch.
   static utils::Status Load(const core::SagdfnConfig& config,
                             const std::string& checkpoint_path,
                             std::unique_ptr<FrozenModel>* out);
 
-  /// Writes this frozen model as a memory-mapped weight file (the "SAGM"
-  /// format, nn::SaveMappedCheckpoint): all parameters and buffers plus
+  /// Writes this frozen model as a weight file (nn::SaveCheckpoint, the
+  /// one "SAGM" format): all parameters and buffers plus
   /// the frozen adjacency snapshot (a_s, inverse degrees, index set) and
   /// a config fingerprint. Written atomically (verify-before-publish).
   utils::Status Save(const std::string& path) const;

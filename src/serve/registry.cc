@@ -14,6 +14,7 @@
 #include "utils/check.h"
 #include "utils/fault.h"
 #include "utils/logging.h"
+#include "utils/percentile.h"
 
 namespace sagdfn::serve {
 
@@ -391,8 +392,10 @@ void ModelRegistry::RollbackLocked(const std::string& reason) {
 uint64_t ModelRegistry::Fingerprint(const std::string& path) {
   // FNV-1a over the file size plus the first and last 4 KiB of content:
   // cheap (two reads regardless of checkpoint size) and sensitive to
-  // both the header (format/meta records live up front) and the payload
-  // tail (trained weights land late in the file).
+  // both ends of a weight file. The header and the index of names,
+  // shapes and offsets sit in front, followed by the first tensor
+  // payloads; the last tensor payloads and any meta payloads (index
+  // set, config fingerprint) sit at the end.
   constexpr size_t kBlock = 4096;
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) return 0;
@@ -424,18 +427,9 @@ uint64_t ModelRegistry::Fingerprint(const std::string& path) {
 }
 
 double ModelRegistry::P99Us(const std::deque<double>& samples_us) {
-  if (samples_us.empty()) return 0.0;
   std::vector<double> sorted(samples_us.begin(), samples_us.end());
   std::sort(sorted.begin(), sorted.end());
-  // Unbiased linear interpolation at rank 0.99 * (n-1) — the same
-  // estimator as bench::PercentileSorted. The former +0.5 index bias
-  // returned the sample max for small probation windows, making the
-  // relative-p99 health probe trip on a single outlier batch.
-  const double rank = 0.99 * static_cast<double>(sorted.size() - 1);
-  const size_t lo = static_cast<size_t>(rank);
-  const size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
+  return utils::PercentileSorted(sorted, 99.0);
 }
 
 RegistryStats ModelRegistry::stats() const {

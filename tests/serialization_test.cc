@@ -29,6 +29,39 @@ std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
 }
 
+std::string ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+void WriteFileBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+std::vector<Tensor> SnapshotParams(Module& module) {
+  std::vector<Tensor> snapshot;
+  for (auto& [name, param] : module.NamedParameters()) {
+    snapshot.push_back(param.value().Clone());
+  }
+  return snapshot;
+}
+
+bool ParamsMemEqual(Module& module, const std::vector<Tensor>& snapshot) {
+  auto params = module.NamedParameters();
+  if (params.size() != snapshot.size()) return false;
+  for (size_t i = 0; i < params.size(); ++i) {
+    const Tensor& value = params[i].second.value();
+    if (value.size() != snapshot[i].size() ||
+        std::memcmp(value.data(), snapshot[i].data(),
+                    value.size() * sizeof(float)) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
 TEST(SerializationTest, MlpRoundTrip) {
   utils::Rng rng(1);
   Mlp original({3, 5, 2}, Activation::kRelu, rng);
@@ -91,15 +124,107 @@ TEST(SerializationTest, MissingFileRejected) {
 }
 
 TEST(SerializationTest, CorruptFileRejected) {
-  const std::string path = TempPath("corrupt.ckpt");
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << "not a checkpoint";
-  }
+  // The corrupt-file matrix of the one reader, run over a module file and
+  // over a checkpoint whose file ends in meta payloads: every variant is
+  // rejected with InvalidArgument, and a failed LoadModule leaves its
+  // target untouched.
   utils::Rng rng(4);
-  Mlp mlp({2, 2}, Activation::kRelu, rng);
-  utils::Status status = LoadModule(&mlp, path);
-  EXPECT_FALSE(status.ok());
+  Mlp mlp({3, 5, 2}, Activation::kRelu, rng);
+  const std::string module_path = TempPath("corrupt_module.ckpt");
+  ASSERT_TRUE(SaveModule(mlp, module_path).ok());
+  Checkpoint with_meta;
+  with_meta.tensors.emplace_back("w", Tensor::Normal(Shape({7, 3}), rng));
+  with_meta.meta.emplace_back("steps", std::vector<uint64_t>{1, 2, 3});
+  with_meta.meta.emplace_back("empty", std::vector<uint64_t>{});
+  const std::string meta_path = TempPath("corrupt_meta.ckpt");
+  ASSERT_TRUE(SaveCheckpoint(with_meta, meta_path).ok());
+
+  const std::string path = TempPath("corrupt.ckpt");
+  for (const std::string& source : {module_path, meta_path}) {
+    const std::string pristine = ReadFileBytes(source);
+    ASSERT_GT(pristine.size(), 80u);
+    std::string bad_magic = pristine;
+    bad_magic[0] = static_cast<char>(bad_magic[0] ^ 0xFF);
+    std::string future_version = pristine;
+    future_version[4] = 99;
+    const std::vector<std::pair<std::string, std::string>> variants = {
+        {"empty file", ""},
+        {"not a checkpoint", "not a checkpoint"},
+        {"bad magic", bad_magic},
+        {"future version", future_version},
+        {"truncated by 1 byte", pristine.substr(0, pristine.size() - 1)},
+        {"truncated by 8 bytes", pristine.substr(0, pristine.size() - 8)},
+        {"truncated to half", pristine.substr(0, pristine.size() / 2)},
+        {"truncated to 10 bytes", pristine.substr(0, 10)},
+        {"one trailing byte", pristine + std::string(1, '\0')},
+        {"trailing garbage", pristine + "xxxx"},
+    };
+    for (const auto& [what, bytes] : variants) {
+      WriteFileBytes(path, bytes);
+      Checkpoint ckpt;
+      utils::Status status = LoadCheckpoint(&ckpt, path);
+      EXPECT_EQ(status.code(), utils::StatusCode::kInvalidArgument)
+          << what << " of " << source << ": " << status.ToString();
+      Mlp target({3, 5, 2}, Activation::kRelu, rng);
+      const std::vector<Tensor> before = SnapshotParams(target);
+      EXPECT_FALSE(LoadModule(&target, path).ok()) << what;
+      EXPECT_TRUE(ParamsMemEqual(target, before)) << what;
+    }
+    // The pristine bytes still load after all that.
+    WriteFileBytes(path, pristine);
+    Checkpoint ckpt;
+    EXPECT_TRUE(LoadCheckpoint(&ckpt, path).ok()) << source;
+  }
+  std::remove(path.c_str());
+  std::remove(module_path.c_str());
+  std::remove(meta_path.c_str());
+}
+
+TEST(SerializationTest, ShiftedPayloadOffsetRejected) {
+  // An offset moved by one alignment step still points at aligned,
+  // in-bounds bytes (another entry's payload, or the index). The reader
+  // must reject it instead of aliasing one tensor onto another region.
+  utils::Rng rng(13);
+  Mlp mlp({3, 5, 2}, Activation::kRelu, rng);
+  const std::string path = TempPath("shifted_offset.ckpt");
+  ASSERT_TRUE(SaveModule(mlp, path).ok());
+  const std::string pristine = ReadFileBytes(path);
+
+  // Walk the index: per tensor {u64 name length, name, u64 rank, rank u64
+  // dims, u64 payload offset}, starting after the 64-byte header.
+  uint64_t tensor_count = 0;
+  std::memcpy(&tensor_count, pristine.data() + 8, sizeof(tensor_count));
+  ASSERT_GT(tensor_count, 1u);
+  std::vector<size_t> offset_fields;
+  size_t pos = 64;
+  for (uint64_t i = 0; i < tensor_count; ++i) {
+    uint64_t name_len = 0;
+    std::memcpy(&name_len, pristine.data() + pos, sizeof(name_len));
+    pos += 8 + name_len;
+    uint64_t rank = 0;
+    std::memcpy(&rank, pristine.data() + pos, sizeof(rank));
+    pos += 8 + 8 * rank;
+    offset_fields.push_back(pos);
+    pos += 8;
+  }
+
+  for (size_t field : offset_fields) {
+    for (int64_t shift : {64, -64}) {
+      std::string bytes = pristine;
+      uint64_t offset = 0;
+      std::memcpy(&offset, bytes.data() + field, sizeof(offset));
+      offset += static_cast<uint64_t>(shift);
+      std::memcpy(&bytes[field], &offset, sizeof(offset));
+      WriteFileBytes(path, bytes);
+
+      Mlp target({3, 5, 2}, Activation::kRelu, rng);
+      const std::vector<Tensor> before = SnapshotParams(target);
+      utils::Status status = LoadModule(&target, path);
+      EXPECT_EQ(status.code(), utils::StatusCode::kInvalidArgument)
+          << "offset field at " << field << " shifted by " << shift;
+      EXPECT_TRUE(ParamsMemEqual(target, before));
+    }
+  }
   std::remove(path.c_str());
 }
 
@@ -139,60 +264,6 @@ TEST(SerializationTest, CheckpointMetaRoundTrip) {
   EXPECT_EQ(*rng_words, original.meta[1].second);
   EXPECT_EQ(loaded.FindTensor("missing"), nullptr);
   EXPECT_EQ(loaded.FindMeta("missing"), nullptr);
-  std::remove(path.c_str());
-}
-
-TEST(SerializationTest, TruncatedFileRejected) {
-  utils::Rng rng(7);
-  Mlp mlp({3, 5, 2}, Activation::kRelu, rng);
-  const std::string path = TempPath("truncated.ckpt");
-  ASSERT_TRUE(SaveModule(mlp, path).ok());
-
-  // Chop off the tail; every truncation point must be detected.
-  std::ifstream in(path, std::ios::binary);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  in.close();
-  ASSERT_GT(bytes.size(), 16u);
-  for (size_t keep : {bytes.size() - 1, bytes.size() / 2, size_t{10}}) {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(keep));
-    out.close();
-    Mlp target({3, 5, 2}, Activation::kRelu, rng);
-    utils::Status status = LoadModule(&target, path);
-    EXPECT_FALSE(status.ok()) << "keep=" << keep;
-    EXPECT_EQ(status.code(), utils::StatusCode::kInvalidArgument);
-  }
-  std::remove(path.c_str());
-}
-
-TEST(SerializationTest, TrailingBytesRejected) {
-  utils::Rng rng(8);
-  Mlp mlp({2, 2}, Activation::kRelu, rng);
-  const std::string path = TempPath("padded.ckpt");
-  ASSERT_TRUE(SaveModule(mlp, path).ok());
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::app);
-    out.put('\0');
-  }
-  utils::Status status = LoadModule(&mlp, path);
-  EXPECT_FALSE(status.ok());
-  EXPECT_EQ(status.code(), utils::StatusCode::kInvalidArgument);
-  std::remove(path.c_str());
-}
-
-TEST(SerializationTest, BadMagicRejected) {
-  utils::Rng rng(9);
-  Mlp mlp({2, 2}, Activation::kRelu, rng);
-  const std::string path = TempPath("badmagic.ckpt");
-  ASSERT_TRUE(SaveModule(mlp, path).ok());
-  {
-    std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
-    file.put('X');  // corrupt the first magic byte
-  }
-  utils::Status status = LoadModule(&mlp, path);
-  EXPECT_FALSE(status.ok());
-  EXPECT_EQ(status.code(), utils::StatusCode::kInvalidArgument);
   std::remove(path.c_str());
 }
 
@@ -252,39 +323,6 @@ TEST(SerializationTest, InjectedIoFailureReported) {
 // target module partially populated (the loader validates the whole plan
 // before copying a single tensor).
 // ---------------------------------------------------------------------------
-
-std::string ReadFileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return std::string((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-}
-
-void WriteFileBytes(const std::string& path, const std::string& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-}
-
-std::vector<Tensor> SnapshotParams(Module& module) {
-  std::vector<Tensor> snapshot;
-  for (auto& [name, param] : module.NamedParameters()) {
-    snapshot.push_back(param.value().Clone());
-  }
-  return snapshot;
-}
-
-bool ParamsMemEqual(Module& module, const std::vector<Tensor>& snapshot) {
-  auto params = module.NamedParameters();
-  if (params.size() != snapshot.size()) return false;
-  for (size_t i = 0; i < params.size(); ++i) {
-    const Tensor& value = params[i].second.value();
-    if (value.size() != snapshot[i].size() ||
-        std::memcmp(value.data(), snapshot[i].data(),
-                    value.size() * sizeof(float)) != 0) {
-      return false;
-    }
-  }
-  return true;
-}
 
 TEST(SerializationFuzzTest, BitFlipsNeverCrashOrPartiallyPopulate) {
   utils::Rng rng(41);
@@ -447,28 +485,39 @@ TEST(SerializationFuzzTest, RegistryGateRejectsCorruptCandidates) {
   serve::InferenceEngine engine(live, serve::EngineOptions{});
   serve::ModelRegistry registry(&engine, serve::RegistryOptions{});
 
+  // Bit flips across the structural prefix: the 64-byte header and the
+  // index of names, shapes and payload offsets behind it (a flip deep in
+  // a payload would load fine and legitimately publish). Only a flip in
+  // the header's zero padding [40, 64) leaves the file meaning the same
+  // thing; every other flip must be rejected without moving the live
+  // pointer.
+  uint64_t index_bytes = 0;
+  std::memcpy(&index_bytes, pristine.data() + 24, sizeof(index_bytes));
+  const int64_t structural = 64 + static_cast<int64_t>(index_bytes);
+  ASSERT_LE(structural, static_cast<int64_t>(pristine.size()));
+  const serve::FrozenModel* pinned = engine.model_snapshot().get();
   utils::Rng fuzz(5678);
   int64_t rejected = 0;
-  // Bit flips in the structural prefix (header, meta, tensor records all
-  // live early in the file; a flip deep in a payload would load fine and
-  // legitimately publish).
-  for (int trial = 0; trial < 40; ++trial) {
+  for (int trial = 0; trial < 80; ++trial) {
     std::string bytes = pristine;
-    const auto pos = static_cast<size_t>(fuzz.UniformInt(64));
+    const auto pos = static_cast<size_t>(fuzz.UniformInt(structural));
     const int bit = static_cast<int>(fuzz.UniformInt(8));
     bytes[pos] = static_cast<char>(bytes[pos] ^ (1 << bit));
-    if (bytes == pristine) continue;
     WriteFileBytes(path, bytes);
     utils::Status status = registry.Publish(path);
     if (!status.ok()) ++rejected;
-    // A flip the loader cannot distinguish from a valid file may publish;
-    // either way the engine must keep serving a valid snapshot.
-    ASSERT_NE(engine.model_snapshot(), nullptr);
+    if (pos >= 40 && pos < 64) {
+      // Padding only: the candidate is the pristine model and may
+      // publish; re-pin whatever is live now.
+      pinned = engine.model_snapshot().get();
+      continue;
+    }
+    EXPECT_FALSE(status.ok()) << "flip at byte " << pos << ", bit " << bit;
+    EXPECT_EQ(engine.model_snapshot().get(), pinned)
+        << "flip at byte " << pos << " moved the live model";
   }
   // Truncation sweep: every strict prefix must be rejected, and the live
-  // pointer (re-pinned, since a payload-only flip above may have
-  // legitimately published) must never move again.
-  const serve::FrozenModel* pinned = engine.model_snapshot().get();
+  // pointer must never move.
   for (size_t keep = 0; keep < pristine.size(); keep += 17) {
     WriteFileBytes(path, pristine.substr(0, keep));
     utils::Status status = registry.Publish(path);

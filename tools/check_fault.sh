@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Builds the fault-tolerance suites under AddressSanitizer and runs every
-# ctest target labeled `fault`, plus the checkpoint serialization and
-# trainer resume suites. Exercises the whole injected-fault matrix —
+# ctest target labeled `fault`, plus the trainer resume suites and both
+# suites of the one checkpoint reader: serialization (corrupt-file
+# matrix, fuzz corpora) and mmap_model (mapped views, zero-copy frozen
+# loads). Exercises the whole injected-fault matrix —
 # trainer sites (nan_loss / nan_grad / crash / io_fail / truncate_ckpt)
 # and serve sites (bad_candidate / nan_forecast / slow_batch / swap_race)
 # — with ASan watching the recovery paths: any leak, use-after-free, or
@@ -27,17 +29,18 @@ cmake -B "${BUILD_DIR}" -S "${REPO_ROOT}" \
   -DSAGDFN_SANITIZE=address \
   ${LAUNCHER_ARGS[@]+"${LAUNCHER_ARGS[@]}"}
 cmake --build "${BUILD_DIR}" -j "$(nproc)" \
-  --target fault_injection_test serialization_test trainer_test \
-  serve_engine_test rollout_plan_test registry_test tick_stream_test \
-  tenant_router_test
+  --target fault_injection_test serialization_test mmap_model_test \
+  trainer_test serve_engine_test rollout_plan_test registry_test \
+  tick_stream_test tenant_router_test
 
 export ASAN_OPTIONS="halt_on_error=1 detect_leaks=1 ${ASAN_OPTIONS:-}"
 
 echo "== fault-labeled ctest targets (injected fault matrix, ASan) =="
 ctest --test-dir "${BUILD_DIR}" -L fault --output-on-failure
 
-echo "== checkpoint serialization robustness (ASan) =="
+echo "== checkpoint reader: corrupt files, fuzz corpora, mapped views (ASan) =="
 "${BUILD_DIR}/tests/serialization_test"
+"${BUILD_DIR}/tests/mmap_model_test"
 
 echo "== inference engine lifecycle (ASan: shutdown, destroy-under-load) =="
 "${BUILD_DIR}/tests/serve_engine_test"

@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # Builds the core numeric, serialization, and scale suites under
 # UndefinedBehaviorSanitizer and runs them. The suites were chosen for
-# where UB hides in this codebase: the mmap'd weight-file reader
-# (misaligned loads through raw byte offsets), the CSR index arithmetic
-# (int32 columns x int64 row pointers), the autograd kernels (signed
-# index math in gather/scatter) and the register-resident row kernels
-# (block and lane-mask index math). -fno-sanitize-recover means the first
+# where UB hides in this codebase: the one checkpoint reader, which maps
+# every weight file (misaligned loads through raw byte offsets), the CSR
+# index arithmetic (int32 columns x int64 row pointers), the autograd
+# kernels (signed index math in gather/scatter) and the register-resident
+# row kernels (block and lane-mask index math). -fno-sanitize-recover means the first
 # report aborts the run.
 #
 # Usage: tools/check_ubsan.sh [build-dir]   (default: build-ubsan)
@@ -35,7 +35,7 @@ echo "== tensor op + autograd kernels (UBSan) =="
 "${BUILD_DIR}/tests/autograd_test"
 "${BUILD_DIR}/tests/row_kernel_test"
 
-echo "== checkpoint + mapped weight-file serialization (UBSan) =="
+echo "== the one checkpoint reader and writer (UBSan) =="
 "${BUILD_DIR}/tests/serialization_test"
 "${BUILD_DIR}/tests/mmap_model_test"
 
