@@ -2,8 +2,9 @@
 // its mapping, and for the FrozenModel mmap load path. The contract under
 // test: loaded tensors alias the mapping bit for bit, and a model
 // restored via LoadMapped produces forecasts memcmp-identical to the same
-// model restored via the heap checkpoint path. Corrupt and truncated
-// files are covered by serialization_test's corrupt-file matrix.
+// model restored via the heap checkpoint path; corrupt or truncated files
+// are rejected cleanly before anything is aliased. The full corrupt-file
+// matrix, over module files too, is in serialization_test.
 #include "nn/serialization.h"
 
 #include <cstdint>
@@ -103,6 +104,50 @@ TEST(CheckpointMappingTest, ViewsOutliveTheCheckpointStruct) {
   }
   // The mapping is kept alive by the view's owner; reading must be safe.
   EXPECT_TRUE(SameBytes(view, SampleCheckpoint().tensors[0].second));
+}
+
+TEST(MappedCheckpointTest, RejectsCorruptFiles) {
+  const std::string path = TempPath("mapped_corrupt.sagm");
+  ASSERT_TRUE(SaveCheckpoint(SampleCheckpoint(), path).ok());
+  std::ifstream in(path, std::ios::binary);
+  std::string bytes((std::istreambuf_iterator<char>(in)),
+                    std::istreambuf_iterator<char>());
+  in.close();
+  ASSERT_GT(bytes.size(), 80u);
+
+  auto write_variant = [&](const std::string& name, std::string mutated) {
+    const std::string p = TempPath(name);
+    std::ofstream out(p, std::ios::binary | std::ios::trunc);
+    out.write(mutated.data(), static_cast<std::streamsize>(mutated.size()));
+    out.close();
+    return p;
+  };
+
+  Checkpoint mapped;
+  // Bad magic.
+  std::string bad_magic = bytes;
+  bad_magic[0] ^= 0xFF;
+  EXPECT_FALSE(
+      LoadCheckpoint(&mapped, write_variant("bad_magic", bad_magic)).ok());
+  // Future version.
+  std::string bad_version = bytes;
+  bad_version[4] = 99;
+  EXPECT_FALSE(
+      LoadCheckpoint(&mapped, write_variant("bad_version", bad_version))
+          .ok());
+  // Truncated payload.
+  EXPECT_FALSE(LoadCheckpoint(
+                   &mapped, write_variant("truncated",
+                                          bytes.substr(0, bytes.size() - 8)))
+                   .ok());
+  // Trailing garbage (declared size disagrees with actual size).
+  EXPECT_FALSE(
+      LoadCheckpoint(&mapped, write_variant("padded", bytes + "xxxx")).ok());
+  // Empty file.
+  EXPECT_FALSE(LoadCheckpoint(&mapped, write_variant("empty", "")).ok());
+  // The pristine file still maps after all that.
+  EXPECT_TRUE(LoadCheckpoint(&mapped, path).ok());
+  EXPECT_NE(mapped.file, nullptr);
 }
 
 TEST(FrozenModelMappedTest, LoadMappedMatchesHeapLoadExactly) {

@@ -579,20 +579,31 @@ TEST(RegistryTest, RelativeP99ProbeIgnoresLoneOutlierBatch) {
   engine_options.max_wait_us = 0;
   InferenceEngine engine(model_a, engine_options);
   ModelRegistry registry(&engine, options);
+  // Every batch, baseline and probation alike, is paced by a steady 5 ms
+  // stall. A bare tiny-model batch takes tens of microseconds, so one
+  // scheduler preemption of a few hundred microseconds already exceeds
+  // 3x its baseline p99; that second slow batch would make the probe
+  // fire rightly and the lone-outlier case would be lost. Paced, a
+  // batch must be held up for more than 10 ms to count as slow.
+  const std::string pace = "slow_batch@us=5000";
+  struct ResetFaults {
+    ~ResetFaults() { utils::FaultInjector::Global().Reset(); }
+  } reset_faults;
+  ASSERT_TRUE(utils::FaultInjector::Global().Configure(pace).ok());
   WarmBaseline(engine, config, 32);
 
   ASSERT_TRUE(registry.Publish(path_b).ok());
   ASSERT_TRUE(registry.on_probation());
 
   // The first probation batch stalls far past 3x any baseline batch —
-  // one preempted batch. Every later batch runs at full speed, so the
-  // probe must see a healthy candidate once the window fills.
+  // one preempted batch. Every later batch runs at the baseline pace, so
+  // the probe must see a healthy candidate once the window fills.
   const std::vector<RequestData> requests =
       MakeRequests(config, options.health_window, 43);
   ASSERT_TRUE(
-      utils::FaultInjector::Global().Configure("slow_batch@us=50000").ok());
+      utils::FaultInjector::Global().Configure("slow_batch@us=100000").ok());
   Forecast slow = engine.Submit(requests[0].x, requests[0].future_tod).get();
-  utils::FaultInjector::Global().Reset();
+  ASSERT_TRUE(utils::FaultInjector::Global().Configure(pace).ok());
   ASSERT_TRUE(slow.status.ok()) << slow.status.ToString();
   for (size_t i = 1; i < requests.size(); ++i) {
     Forecast forecast =

@@ -4,7 +4,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -123,43 +125,32 @@ TEST(SerializationTest, MissingFileRejected) {
   EXPECT_EQ(status.code(), utils::StatusCode::kNotFound);
 }
 
-TEST(SerializationTest, CorruptFileRejected) {
-  // The corrupt-file matrix of the one reader, run over a module file and
-  // over a checkpoint whose file ends in meta payloads: every variant is
-  // rejected with InvalidArgument, and a failed LoadModule leaves its
-  // target untouched.
-  utils::Rng rng(4);
+using CorruptVariants = std::vector<std::pair<std::string, std::string>>;
+
+/// The corrupt-file matrix of the one reader. `make_variants` turns the
+/// pristine bytes of a file into named corrupt variants; it runs over a
+/// module file and over a checkpoint whose file ends in meta payloads.
+/// Every variant is rejected with InvalidArgument, a failed LoadModule
+/// leaves its target untouched, and the pristine bytes still load.
+void ExpectCorruptVariantsRejected(
+    const std::string& tag, uint64_t seed,
+    const std::function<CorruptVariants(const std::string&)>& make_variants) {
+  utils::Rng rng(seed);
   Mlp mlp({3, 5, 2}, Activation::kRelu, rng);
-  const std::string module_path = TempPath("corrupt_module.ckpt");
+  const std::string module_path = TempPath(tag + "_module.ckpt");
   ASSERT_TRUE(SaveModule(mlp, module_path).ok());
   Checkpoint with_meta;
   with_meta.tensors.emplace_back("w", Tensor::Normal(Shape({7, 3}), rng));
   with_meta.meta.emplace_back("steps", std::vector<uint64_t>{1, 2, 3});
   with_meta.meta.emplace_back("empty", std::vector<uint64_t>{});
-  const std::string meta_path = TempPath("corrupt_meta.ckpt");
+  const std::string meta_path = TempPath(tag + "_meta.ckpt");
   ASSERT_TRUE(SaveCheckpoint(with_meta, meta_path).ok());
 
-  const std::string path = TempPath("corrupt.ckpt");
+  const std::string path = TempPath(tag + ".ckpt");
   for (const std::string& source : {module_path, meta_path}) {
     const std::string pristine = ReadFileBytes(source);
     ASSERT_GT(pristine.size(), 80u);
-    std::string bad_magic = pristine;
-    bad_magic[0] = static_cast<char>(bad_magic[0] ^ 0xFF);
-    std::string future_version = pristine;
-    future_version[4] = 99;
-    const std::vector<std::pair<std::string, std::string>> variants = {
-        {"empty file", ""},
-        {"not a checkpoint", "not a checkpoint"},
-        {"bad magic", bad_magic},
-        {"future version", future_version},
-        {"truncated by 1 byte", pristine.substr(0, pristine.size() - 1)},
-        {"truncated by 8 bytes", pristine.substr(0, pristine.size() - 8)},
-        {"truncated to half", pristine.substr(0, pristine.size() / 2)},
-        {"truncated to 10 bytes", pristine.substr(0, 10)},
-        {"one trailing byte", pristine + std::string(1, '\0')},
-        {"trailing garbage", pristine + "xxxx"},
-    };
-    for (const auto& [what, bytes] : variants) {
+    for (const auto& [what, bytes] : make_variants(pristine)) {
       WriteFileBytes(path, bytes);
       Checkpoint ckpt;
       utils::Status status = LoadCheckpoint(&ckpt, path);
@@ -170,7 +161,6 @@ TEST(SerializationTest, CorruptFileRejected) {
       EXPECT_FALSE(LoadModule(&target, path).ok()) << what;
       EXPECT_TRUE(ParamsMemEqual(target, before)) << what;
     }
-    // The pristine bytes still load after all that.
     WriteFileBytes(path, pristine);
     Checkpoint ckpt;
     EXPECT_TRUE(LoadCheckpoint(&ckpt, path).ok()) << source;
@@ -178,6 +168,51 @@ TEST(SerializationTest, CorruptFileRejected) {
   std::remove(path.c_str());
   std::remove(module_path.c_str());
   std::remove(meta_path.c_str());
+}
+
+TEST(SerializationTest, CorruptFileRejected) {
+  ExpectCorruptVariantsRejected(
+      "corrupt", 4, [](const std::string& pristine) {
+        std::string future_version = pristine;
+        future_version[4] = 99;
+        return CorruptVariants{
+            {"empty file", ""},
+            {"not a checkpoint", "not a checkpoint"},
+            {"future version", future_version},
+        };
+      });
+}
+
+TEST(SerializationTest, TruncatedFileRejected) {
+  // Every truncation point must be detected.
+  ExpectCorruptVariantsRejected(
+      "truncated", 7, [](const std::string& pristine) {
+        return CorruptVariants{
+            {"truncated by 1 byte", pristine.substr(0, pristine.size() - 1)},
+            {"truncated by 8 bytes", pristine.substr(0, pristine.size() - 8)},
+            {"truncated to half", pristine.substr(0, pristine.size() / 2)},
+            {"truncated to 10 bytes", pristine.substr(0, 10)},
+        };
+      });
+}
+
+TEST(SerializationTest, TrailingBytesRejected) {
+  ExpectCorruptVariantsRejected(
+      "padded", 8, [](const std::string& pristine) {
+        return CorruptVariants{
+            {"one trailing byte", pristine + std::string(1, '\0')},
+            {"trailing garbage", pristine + "xxxx"},
+        };
+      });
+}
+
+TEST(SerializationTest, BadMagicRejected) {
+  ExpectCorruptVariantsRejected(
+      "badmagic", 9, [](const std::string& pristine) {
+        std::string bad_magic = pristine;
+        bad_magic[0] = static_cast<char>(bad_magic[0] ^ 0xFF);
+        return CorruptVariants{{"bad magic", bad_magic}};
+      });
 }
 
 TEST(SerializationTest, ShiftedPayloadOffsetRejected) {
