@@ -437,17 +437,17 @@ void BM_SimdDiffuseRow(benchmark::State& state) {
     }
     return idx;
   }();
+  static const std::vector<float> inv_deg(kRowBenchRows, 0.5f);
   static tensor::Tensor out =
       tensor::Tensor::Zeros(tensor::Shape({kRowBenchRows, kRowBenchC}));
+  // One multi-row call over every row, as one diffusion task range makes.
+  // The timer keeps its `diffuse_row` name so the committed cost rows gate.
   RunSimdKernelBench(
       state, "diffuse_row",
       [&](const tensor::simd::Kernels& k) {
-        for (int64_t i = 0; i < kRowBenchRows; ++i) {
-          k.diffuse_row(term.data() + i * kRowBenchC,
-                        a_s.data() + i * kRowBenchM, index_set.data(),
-                        kRowBenchM, term.data(), 0.5f,
-                        out.data() + i * kRowBenchC, kRowBenchC);
-        }
+        k.diffuse_rows(term.data(), a_s.data(), index_set.data(), kRowBenchM,
+                       term.data(), inv_deg.data(), out.data(), kRowBenchRows,
+                       kRowBenchC);
         benchmark::DoNotOptimize(out.data());
         benchmark::ClobberMemory();
       },

@@ -43,15 +43,19 @@ void OneStepFastGConvInto(const float* a_s, const float* term,
   const int64_t* idx = index_set.data();
   // Each (b, i) output row is owned by exactly one task; the j scan runs
   // in ascending order inside a row, so accumulation order (and the
-  // result) is independent of the partition.
+  // result) is independent of the partition. A task's range is split at
+  // batch boundaries, so one diffuse_rows call never straddles two
+  // batches' term slabs.
   ParallelFor(0, batch * n, RowGrain(c), [&](int64_t r0, int64_t r1) {
     const simd::Kernels& kern = simd::K();
-    for (int64_t r = r0; r < r1; ++r) {
+    for (int64_t r = r0; r < r1;) {
       const int64_t b = r / n;
       const int64_t i = r - b * n;
+      const int64_t rows = std::min(r1 - r, n - i);
       const float* t_base = term + b * n * c;
-      kern.diffuse_row(t_base + i * c, a_s + i * k, idx, k, t_base,
-                       inv_deg[i], out + r * c, c);
+      kern.diffuse_rows(t_base + i * c, a_s + i * k, idx, k, t_base,
+                        inv_deg + i, out + r * c, rows, c);
+      r += rows;
     }
   });
 }

@@ -26,6 +26,30 @@ constexpr uint64_t kAlign = 64;
 
 uint64_t Align64(uint64_t v) { return (v + kAlign - 1) & ~(kAlign - 1); }
 
+// A tensor or meta name as quoted in a Status message. Names read from a
+// corrupt file can hold any bytes, and the messages reach operator logs:
+// keep the first kMaxQuotedName bytes, escape every byte outside
+// printable ASCII (and the backslash) as \xNN, and mark a cut with "...".
+constexpr size_t kMaxQuotedName = 64;
+
+std::string QuoteName(const std::string& name) {
+  static const char kHex[] = "0123456789abcdef";
+  std::string out;
+  const size_t shown = std::min(name.size(), kMaxQuotedName);
+  for (size_t i = 0; i < shown; ++i) {
+    const auto byte = static_cast<unsigned char>(name[i]);
+    if (byte >= 0x20 && byte < 0x7f && byte != '\\') {
+      out += static_cast<char>(byte);
+    } else {
+      out += "\\x";
+      out += kHex[byte >> 4];
+      out += kHex[byte & 0xf];
+    }
+  }
+  if (shown < name.size()) out += "...";
+  return out;
+}
+
 // ---------------------------------------------------------------------------
 // Writing. Every write goes through ByteSink so the file offset is tracked
 // exactly (payload placement) and a stream failure (full disk, I/O error)
@@ -252,12 +276,13 @@ utils::Status ReadFile(Checkpoint* out, const std::string& path) {
                            const std::string& name) -> utils::Status {
     if (offset != expected) {
       return utils::Status::InvalidArgument(
-          "payload for " + name + " at offset " + std::to_string(offset) +
-          ", expected " + std::to_string(expected) + ": " + path);
+          "payload for " + QuoteName(name) + " at offset " +
+          std::to_string(offset) + ", expected " + std::to_string(expected) +
+          ": " + path);
     }
     if (offset > size || bytes > size - offset) {
-      return utils::Status::InvalidArgument("payload for " + name +
-                                            " exceeds file: " + path);
+      return utils::Status::InvalidArgument(
+          "payload for " + QuoteName(name) + " exceeds file: " + path);
     }
     expected = Align64(offset + bytes);
     return utils::Status::Ok();
@@ -272,28 +297,28 @@ utils::Status ReadFile(Checkpoint* out, const std::string& path) {
     }
     uint64_t rank = 0;
     if (!index.ReadU64(&rank) || rank > kMaxRank) {
-      return utils::Status::InvalidArgument("corrupt rank for " + name +
-                                            ": " + path);
+      return utils::Status::InvalidArgument(
+          "corrupt rank for " + QuoteName(name) + ": " + path);
     }
     std::vector<int64_t> dims(rank);
     uint64_t elements = 1;
     for (auto& d : dims) {
       uint64_t v = 0;
       if (!index.ReadU64(&v) || v > kMaxElements) {
-        return utils::Status::InvalidArgument("corrupt dims for " + name +
-                                              ": " + path);
+        return utils::Status::InvalidArgument(
+            "corrupt dims for " + QuoteName(name) + ": " + path);
       }
       d = static_cast<int64_t>(v);
       elements *= v == 0 ? 1 : v;
       if (elements > kMaxElements) {
         return utils::Status::InvalidArgument(
-            "implausible element count for " + name + ": " + path);
+            "implausible element count for " + QuoteName(name) + ": " + path);
       }
     }
     uint64_t offset = 0;
     if (!index.ReadU64(&offset)) {
-      return utils::Status::InvalidArgument("truncated offset for " + name +
-                                            ": " + path);
+      return utils::Status::InvalidArgument(
+          "truncated offset for " + QuoteName(name) + ": " + path);
     }
     tensor::Shape shape(dims);
     const uint64_t bytes =
@@ -320,7 +345,7 @@ utils::Status ReadFile(Checkpoint* out, const std::string& path) {
     if (!index.ReadU64(&words) || words > kMaxElements ||
         !index.ReadU64(&offset)) {
       return utils::Status::InvalidArgument("corrupt meta entry for " +
-                                            name + ": " + path);
+                                            QuoteName(name) + ": " + path);
     }
     SAGDFN_RETURN_IF_ERROR(
         claim_payload(offset, words * sizeof(uint64_t), name));
@@ -391,13 +416,14 @@ utils::Status SaveCheckpoint(const Checkpoint& checkpoint,
     if (name.size() > kMaxNameLen ||
         value.shape().dims().size() > kMaxRank) {
       return utils::Status::InvalidArgument(
-          "tensor not representable in a checkpoint: " + name);
+          "tensor not representable in a checkpoint: " + QuoteName(name));
     }
   }
   for (const auto& entry : checkpoint.meta) {
     if (entry.first.size() > kMaxNameLen) {
       return utils::Status::InvalidArgument(
-          "meta name too long for a checkpoint: " + entry.first);
+          "meta name too long for a checkpoint: " +
+          QuoteName(entry.first));
     }
   }
 
@@ -486,16 +512,17 @@ utils::Status MatchModuleState(const Module& module,
     if (name.compare(0, prefix.size(), prefix) != 0) continue;
     auto it = slot_by_name.find(name.substr(prefix.size()));
     if (it == slot_by_name.end()) {
-      return utils::Status::NotFound("unknown entry in checkpoint: " + name);
+      return utils::Status::NotFound("unknown entry in checkpoint: " +
+                                      QuoteName(name));
     }
     const tensor::Tensor*& slot = matched[it->second];
     if (slot != nullptr) {
       return utils::Status::InvalidArgument(
-          "duplicate entry in checkpoint: " + name);
+          "duplicate entry in checkpoint: " + QuoteName(name));
     }
     if (!(value.shape() == shapes[it->second])) {
       return utils::Status::InvalidArgument(
-          "shape mismatch for " + name + ": file " +
+          "shape mismatch for " + QuoteName(name) + ": file " +
           value.shape().ToString() + " vs module " +
           shapes[it->second].ToString());
     }

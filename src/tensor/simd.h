@@ -118,15 +118,21 @@ struct Kernels {
   // composition it replaces: zero weights are skipped (so a signed zero
   // or 0 * inf never reaches the sum), one fma per remaining term in
   // ascending order, then the final multiply. Only the loads and stores
-  // change — the row stays in registers in blocks of at most 32 floats —
-  // so results are bit-identical to the composition at the same level.
-  /// One slim-diffusion output row of width c:
-  ///   out = (self + sum_{j < m} a[j] * src[idx[j] * c .. +c]) * inv_deg,
-  /// i.e. memcpy(out, self), axpy(a[j], src row idx[j], out) for each
-  /// a[j] != 0, then scale(out, inv_deg). `out` must not alias a src row.
-  void (*diffuse_row)(const float* self, const float* a, const int64_t* idx,
-                      int64_t m, const float* src, float inv_deg, float* out,
-                      int64_t c);
+  // change — a tile of output rows stays in registers in blocks of at
+  // most 32 floats, and each term's B row is loaded once per tile — so
+  // results are bit-identical to the composition at the same level,
+  // whatever the row count or row offset of a call.
+  /// `rows` consecutive slim-diffusion output rows of width c: for r <
+  /// rows,
+  ///   out[r] = (self[r] + sum_{j < m} a[r, j] * src[idx[j] * c .. +c])
+  ///            * inv_deg[r],
+  /// with self, out [rows, c] and a [rows, m] row-major, i.e. per row
+  /// memcpy(out row, self row), axpy(a[r, j], src row idx[j], out row)
+  /// for each a[r, j] != 0, then scale(out row, inv_deg[r]). `out` must
+  /// not alias a src row.
+  void (*diffuse_rows)(const float* self, const float* a, const int64_t* idx,
+                       int64_t m, const float* src, const float* inv_deg,
+                       float* out, int64_t rows, int64_t c);
   /// o[r, :] += sum_{kk < k} a[r, kk] * b[kk, :] for r < rows, with a
   /// [rows, k], b [k, n] and o [rows, n] row-major: per row, one
   /// axpy(a[r, kk], b row kk, o row r) per nonzero a[r, kk].

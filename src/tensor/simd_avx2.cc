@@ -431,15 +431,31 @@ double Sum(const float* a, int64_t n) {
 }
 
 // ---------------------------------------------------------------------------
-// Register-resident row kernels. A row is processed in blocks of up to
-// kRowVecs vectors (32 floats) that stay in ymm accumulators across the
-// whole term loop. A partial last vector is loaded and stored under a
-// lane mask (masked-off lanes are neither read nor written, so a row may
-// end at a page boundary); its fmadd/mul lanes round exactly like the
-// std::fma / `*=` scalar tails of Axpy and Scale.
+// Register-resident row kernels. Output rows run in tiles of R consecutive
+// rows by one column block of up to kRowVecs vectors (32 floats). The
+// R x NV accumulators stay in ymm registers across the whole term loop,
+// and each term's B row (for diffusion, the gathered src row) is loaded
+// once per tile and feeds every row of it. The zero-skip stays per
+// (row, term), so each output element goes through exactly the fma
+// sequence of the axpy composition whatever tile it lands in. A partial
+// last vector is loaded and stored under a lane mask (masked-off lanes
+// are neither read nor written, so a row may end at a page boundary); its
+// fmadd/mul lanes round exactly like the std::fma / `*=` scalar tails of
+// Axpy and Scale.
 // ---------------------------------------------------------------------------
 
 constexpr int kRowVecs = 4;
+
+/// Rows per tile for an NV-vector column block: the largest of 8, 4, 2
+/// whose R * NV accumulators, NV B vectors and one broadcast fit the 16
+/// ymm registers.
+constexpr int TileRows(int nv) { return nv == 1 ? 8 : nv == 2 ? 4 : 2; }
+static_assert([] {
+  for (int nv = 1; nv <= kRowVecs; ++nv) {
+    if (TileRows(nv) * nv + nv + 1 > 16) return false;
+  }
+  return true;
+}());
 
 /// Mask enabling the first `live` (1..8) lanes.
 inline __m256i LaneMask(int64_t live) {
@@ -465,84 +481,98 @@ inline void StoreVec(float* p, int v, __m256 x, __m256i mask) {
   }
 }
 
-template <int NV, bool kTail>
-void DiffuseBlock(const float* self, const float* a, const int64_t* idx,
-                  int64_t m, const float* src, int64_t stride, float inv_deg,
-                  float* out, __m256i mask) {
-  __m256 acc[NV];
-  for (int v = 0; v < NV; ++v) acc[v] = LoadVec<NV, kTail>(self, v, mask);
-  for (int64_t j = 0; j < m; ++j) {
-    const float av = a[j];
-    if (av == 0.0f) continue;
-    const __m256 va = _mm256_set1_ps(av);
-    const float* row = src + idx[j] * stride;
+/// One R-row x NV-vector tile: out[r] = (init[r] + sum over t of
+/// a[r * m + t] * b_row(t)) * scale[r] for r < R, skipping zero weights
+/// per row and the multiply when `scale` is null. `init` and `out` rows
+/// are `ld` floats apart and may be the same rows. The row loops carry
+/// unroll pragmas: without them GCC 12 keeps some R = 8 accumulators on
+/// the stack.
+template <int R, int NV, bool kTail, typename BRow>
+inline void RowTile(const float* init, const float* a, int64_t m, BRow b_row,
+                    const float* scale, float* out, int64_t ld,
+                    __m256i mask) {
+  __m256 acc[R][NV];
+#pragma GCC unroll 8
+  for (int r = 0; r < R; ++r) {
     for (int v = 0; v < NV; ++v) {
-      acc[v] = _mm256_fmadd_ps(va, LoadVec<NV, kTail>(row, v, mask), acc[v]);
+      acc[r][v] = LoadVec<NV, kTail>(init + r * ld, v, mask);
     }
   }
-  const __m256 vs = _mm256_set1_ps(inv_deg);
-  for (int v = 0; v < NV; ++v) {
-    StoreVec<NV, kTail>(out, v, _mm256_mul_ps(acc[v], vs), mask);
+  for (int64_t t = 0; t < m; ++t) {
+    const float* row = b_row(t);
+    __m256 bv[NV];
+    for (int v = 0; v < NV; ++v) bv[v] = LoadVec<NV, kTail>(row, v, mask);
+#pragma GCC unroll 8
+    for (int r = 0; r < R; ++r) {
+      const float av = a[r * m + t];
+      if (av == 0.0f) continue;
+      const __m256 va = _mm256_set1_ps(av);
+      for (int v = 0; v < NV; ++v) {
+        acc[r][v] = _mm256_fmadd_ps(va, bv[v], acc[r][v]);
+      }
+    }
+  }
+#pragma GCC unroll 8
+  for (int r = 0; r < R; ++r) {
+    if (scale != nullptr) {
+      const __m256 vs = _mm256_set1_ps(scale[r]);
+      for (int v = 0; v < NV; ++v) acc[r][v] = _mm256_mul_ps(acc[r][v], vs);
+    }
+    for (int v = 0; v < NV; ++v) {
+      StoreVec<NV, kTail>(out + r * ld, v, acc[r][v], mask);
+    }
   }
 }
 
-template <int NV, bool kTail>
-void MatMulBlock(const float* a_row, const float* b, int64_t stride, int64_t k,
-                 float* o, __m256i mask) {
-  __m256 acc[NV];
-  for (int v = 0; v < NV; ++v) acc[v] = LoadVec<NV, kTail>(o, v, mask);
-  for (int64_t kk = 0; kk < k; ++kk) {
-    const float av = a_row[kk];
-    if (av == 0.0f) continue;
-    const __m256 va = _mm256_set1_ps(av);
-    const float* b_row = b + kk * stride;
-    for (int v = 0; v < NV; ++v) {
-      acc[v] =
-          _mm256_fmadd_ps(va, LoadVec<NV, kTail>(b_row, v, mask), acc[v]);
-    }
-  }
-  for (int v = 0; v < NV; ++v) StoreVec<NV, kTail>(o, v, acc[v], mask);
-}
-
-/// Runs `block.template operator()<NV, kTail>(b0, mask)` over the
-/// <= 32-float blocks of a width-`w` row.
-template <typename Block>
-inline void ForEachRowBlock(int64_t w, Block&& block) {
+/// Runs RowTile over `rows` rows of width w (init, out and a rows are w,
+/// w and m floats apart): for each <= 32-float column block, full tiles
+/// of TileRows(NV) rows, then the leftover rows one at a time.
+template <typename BRow>
+void RowTiles(const float* init, const float* a, int64_t m, BRow b_row,
+              const float* scale, float* out, int64_t rows, int64_t w) {
   for (int64_t b0 = 0; b0 < w; b0 += 8 * kRowVecs) {
     const int64_t width = std::min<int64_t>(8 * kRowVecs, w - b0);
     const int64_t rem = width % 8;
     const __m256i mask = LaneMask(rem == 0 ? 8 : rem);
+    const auto block_row = [&](int64_t t) { return b_row(t) + b0; };
+    const auto run = [&]<int NV, bool kTail>() {
+      constexpr int R = TileRows(NV);
+      int64_t r = 0;
+      for (; r + R <= rows; r += R) {
+        RowTile<R, NV, kTail>(init + r * w + b0, a + r * m, m, block_row,
+                              scale == nullptr ? nullptr : scale + r,
+                              out + r * w + b0, w, mask);
+      }
+      for (; r < rows; ++r) {
+        RowTile<1, NV, kTail>(init + r * w + b0, a + r * m, m, block_row,
+                              scale == nullptr ? nullptr : scale + r,
+                              out + r * w + b0, w, mask);
+      }
+    };
     switch ((width + 7) / 8 * 2 + (rem != 0 ? 1 : 0)) {
-      case 2: block.template operator()<1, false>(b0, mask); break;
-      case 3: block.template operator()<1, true>(b0, mask); break;
-      case 4: block.template operator()<2, false>(b0, mask); break;
-      case 5: block.template operator()<2, true>(b0, mask); break;
-      case 6: block.template operator()<3, false>(b0, mask); break;
-      case 7: block.template operator()<3, true>(b0, mask); break;
-      case 8: block.template operator()<4, false>(b0, mask); break;
-      default: block.template operator()<4, true>(b0, mask); break;
+      case 2: run.template operator()<1, false>(); break;
+      case 3: run.template operator()<1, true>(); break;
+      case 4: run.template operator()<2, false>(); break;
+      case 5: run.template operator()<2, true>(); break;
+      case 6: run.template operator()<3, false>(); break;
+      case 7: run.template operator()<3, true>(); break;
+      case 8: run.template operator()<4, false>(); break;
+      default: run.template operator()<4, true>(); break;
     }
   }
 }
 
-void DiffuseRow(const float* self, const float* a, const int64_t* idx,
-                int64_t m, const float* src, float inv_deg, float* out,
-                int64_t c) {
-  ForEachRowBlock(c, [&]<int NV, bool kTail>(int64_t b0, __m256i mask) {
-    DiffuseBlock<NV, kTail>(self + b0, a, idx, m, src + b0, c, inv_deg,
-                            out + b0, mask);
-  });
+void DiffuseRows(const float* self, const float* a, const int64_t* idx,
+                 int64_t m, const float* src, const float* inv_deg,
+                 float* out, int64_t rows, int64_t c) {
+  RowTiles(self, a, m, [&](int64_t j) { return src + idx[j] * c; }, inv_deg,
+           out, rows, c);
 }
 
 void MatMulRows(const float* a, const float* b, float* o, int64_t rows,
                 int64_t k, int64_t n) {
-  for (int64_t r = 0; r < rows; ++r) {
-    const float* a_row = a + r * k;
-    float* o_row = o + r * n;
-    ForEachRowBlock(n, [&]<int NV, bool kTail>(int64_t b0, __m256i mask) {
-      MatMulBlock<NV, kTail>(a_row, b + b0, n, k, o_row + b0, mask);
-    });
-  }
+  RowTiles(o, a, k, [&](int64_t kk) { return b + kk * n; }, nullptr, o,
+           rows, n);
 }
 
 void GruBlend(const float* z, const float* h, const float* c, float* o,
@@ -844,7 +874,7 @@ const Kernels& Avx2Kernels() {
       .scale = Scale,
       .dot = Dot,
       .sum = Sum,
-      .diffuse_row = DiffuseRow,
+      .diffuse_rows = DiffuseRows,
       .matmul_rows = MatMulRows,
       .gru_blend = GruBlend,
       .sigmoid_mul = SigmoidMul,

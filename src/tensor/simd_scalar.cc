@@ -125,20 +125,25 @@ void Scale(float* dst, float s, int64_t n) {
 // sequence is Axpy's `+= a * x` followed by Scale's `*= s`.
 constexpr int64_t kRowBlock = 32;
 
-void DiffuseRow(const float* self, const float* a, const int64_t* idx,
-                int64_t m, const float* src, float inv_deg, float* out,
-                int64_t c) {
-  for (int64_t b0 = 0; b0 < c; b0 += kRowBlock) {
-    const int64_t w = std::min(kRowBlock, c - b0);
-    float acc[kRowBlock];
-    for (int64_t i = 0; i < w; ++i) acc[i] = self[b0 + i];
-    for (int64_t j = 0; j < m; ++j) {
-      const float av = a[j];
-      if (av == 0.0f) continue;
-      const float* row = src + idx[j] * c + b0;
-      for (int64_t i = 0; i < w; ++i) acc[i] += av * row[i];
+void DiffuseRows(const float* self, const float* a, const int64_t* idx,
+                 int64_t m, const float* src, const float* inv_deg,
+                 float* out, int64_t rows, int64_t c) {
+  for (int64_t r = 0; r < rows; ++r) {
+    const float* self_row = self + r * c;
+    const float* a_row = a + r * m;
+    float* out_row = out + r * c;
+    for (int64_t b0 = 0; b0 < c; b0 += kRowBlock) {
+      const int64_t w = std::min(kRowBlock, c - b0);
+      float acc[kRowBlock];
+      for (int64_t i = 0; i < w; ++i) acc[i] = self_row[b0 + i];
+      for (int64_t j = 0; j < m; ++j) {
+        const float av = a_row[j];
+        if (av == 0.0f) continue;
+        const float* row = src + idx[j] * c + b0;
+        for (int64_t i = 0; i < w; ++i) acc[i] += av * row[i];
+      }
+      for (int64_t i = 0; i < w; ++i) out_row[b0 + i] = acc[i] * inv_deg[r];
     }
-    for (int64_t i = 0; i < w; ++i) out[b0 + i] = acc[i] * inv_deg;
   }
 }
 void MatMulRows(const float* a, const float* b, float* o, int64_t rows,
@@ -316,7 +321,7 @@ const Kernels& ScalarKernels() {
       .scale = Scale,
       .dot = Dot,
       .sum = Sum,
-      .diffuse_row = DiffuseRow,
+      .diffuse_rows = DiffuseRows,
       .matmul_rows = MatMulRows,
       .gru_blend = GruBlend,
       .sigmoid_mul = SigmoidMul,

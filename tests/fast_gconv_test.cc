@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "autograd/grad_check.h"
 #include "autograd/ops.h"
+#include "core/fused_ops.h"
+#include "tensor/simd.h"
 #include "tensor/tensor_ops.h"
+#include "utils/parallel.h"
 #include "utils/rng.h"
 
 namespace sagdfn::core {
@@ -158,6 +163,49 @@ TEST(FastGraphConvTest, NegativeAdjacencyEntriesStayFinite) {
   ag::Variable x(Tensor::Normal(Shape({1, 5, 2}), rng), false);
   Tensor y = conv.Forward(a_s, Iota(3), x).value();
   EXPECT_FALSE(tensor::HasNonFinite(y));
+}
+
+TEST(FastGraphConvTest, DiffusionStepIsThreadCountInvariantAcrossBatches) {
+  // Batch 3 with N odd: row tiles (8, 4 or 2 rows) never divide N, and
+  // the pool's task ranges split rows inside a batch and across batch
+  // boundaries. Every thread count must give the per-row axpy/scale
+  // composition byte for byte.
+  const int64_t batch = 3, n = 4405, m = 9;
+  utils::Rng rng(11);
+  std::vector<int64_t> index_set(m);
+  for (int64_t j = 0; j < m; ++j) index_set[j] = (j * 487 + 3) % n;
+  Tensor a = Tensor::Normal(Shape({n, m}), rng);
+  for (int64_t i = 0; i < n; i += 5) a.data()[i * m + i % m] = 0.0f;
+  Tensor inv = Tensor::Uniform(Shape({n, 1}), rng, 0.1f, 1.0f);
+  const int64_t previous = utils::GetNumThreads();
+  for (int64_t c : {5, 12, 20, 40}) {
+    Tensor term = Tensor::Normal(Shape({batch, n, c}), rng);
+    const tensor::simd::Kernels& k = tensor::simd::K();
+    Tensor want = Tensor::Zeros(Shape({batch, n, c}));
+    for (int64_t b = 0; b < batch; ++b) {
+      const float* t_base = term.data() + b * n * c;
+      for (int64_t i = 0; i < n; ++i) {
+        float* row = want.data() + (b * n + i) * c;
+        std::memcpy(row, t_base + i * c, sizeof(float) * c);
+        for (int64_t j = 0; j < m; ++j) {
+          const float av = a.data()[i * m + j];
+          if (av != 0.0f) k.axpy(av, t_base + index_set[j] * c, row, c);
+        }
+        k.scale(row, inv.data()[i], c);
+      }
+    }
+    for (int64_t threads : {1, 2, 8}) {
+      utils::SetNumThreads(threads);
+      Tensor got = Tensor::Zeros(Shape({batch, n, c}));
+      OneStepFastGConvInto(a.data(), term.data(), inv.data(), index_set,
+                           batch, n, c, got.data());
+      EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                            sizeof(float) * batch * n * c),
+                0)
+          << "c=" << c << " threads=" << threads;
+    }
+  }
+  utils::SetNumThreads(previous);
 }
 
 }  // namespace

@@ -1,12 +1,13 @@
 // Byte contract of the register-resident row kernels (tensor/simd.h):
-// at every SIMD level the host supports, `diffuse_row` must be
-// memcmp-equal to memcpy -> axpy per nonzero weight -> scale, and
-// `matmul_rows` to one axpy per nonzero a[r, k]. The cases cover widths
-// around every 8-lane and 32-float block boundary, +0.0 / -0.0 weights
-// with inf / NaN source rows behind them (a skipped term must never
-// reach the sum), unaligned row offsets, and rows that end right before
-// a PROT_NONE page (the masked tail lanes must not touch memory past the
-// row).
+// at every SIMD level the host supports, `diffuse_rows` must be
+// memcmp-equal to memcpy -> axpy per nonzero weight -> scale on each row,
+// and `matmul_rows` to one axpy per nonzero a[r, k]. The cases cover
+// widths around every 8-lane and 32-float block boundary, row counts
+// around every multi-row tile size, +0.0 / -0.0 weights with inf / NaN
+// source rows behind them (a skipped term must never reach the sum, even
+// when another row of the same tile uses it), unaligned row offsets, and
+// rows that end right before a PROT_NONE page (the masked tail lanes must
+// not touch memory past the row).
 #include "tensor/simd.h"
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "utils/rng.h"
@@ -46,6 +48,15 @@ std::vector<float> WeightsWithZeros(int64_t m, uint64_t seed) {
   return a;
 }
 
+/// Fills a row with a NaN / +inf / -inf pattern.
+void Poison(float* row, int64_t c) {
+  for (int64_t i = 0; i < c; ++i) {
+    row[i] = (i % 3 == 0) ? std::numeric_limits<float>::quiet_NaN()
+             : (i % 3 == 1) ? std::numeric_limits<float>::infinity()
+                            : -std::numeric_limits<float>::infinity();
+  }
+}
+
 /// Fills every src row that only zero weights reference with inf / NaN.
 void PoisonZeroWeightRows(const std::vector<float>& a,
                           const std::vector<int64_t>& idx, float* src,
@@ -57,25 +68,24 @@ void PoisonZeroWeightRows(const std::vector<float>& a,
       live |= idx[jj] == idx[j] && a[jj] != 0.0f;
     }
     if (live) continue;
-    float* row = src + idx[j] * c;
-    for (int64_t i = 0; i < c; ++i) {
-      row[i] = (i % 3 == 0) ? std::numeric_limits<float>::quiet_NaN()
-               : (i % 3 == 1) ? std::numeric_limits<float>::infinity()
-                              : -std::numeric_limits<float>::infinity();
-    }
+    Poison(src + idx[j] * c, c);
   }
 }
 
-void ReferenceDiffuseRow(const simd::Kernels& k, const float* self,
-                         const float* a, const int64_t* idx, int64_t m,
-                         const float* src, float inv_deg, float* out,
-                         int64_t c) {
-  std::memcpy(out, self, sizeof(float) * c);
-  for (int64_t j = 0; j < m; ++j) {
-    if (a[j] == 0.0f) continue;
-    k.axpy(a[j], src + idx[j] * c, out, c);
+void ReferenceDiffuseRows(const simd::Kernels& k, const float* self,
+                          const float* a, const int64_t* idx, int64_t m,
+                          const float* src, const float* inv_deg, float* out,
+                          int64_t rows, int64_t c) {
+  for (int64_t r = 0; r < rows; ++r) {
+    float* out_row = out + r * c;
+    std::memcpy(out_row, self + r * c, sizeof(float) * c);
+    for (int64_t j = 0; j < m; ++j) {
+      const float av = a[r * m + j];
+      if (av == 0.0f) continue;
+      k.axpy(av, src + idx[j] * c, out_row, c);
+    }
+    k.scale(out_row, inv_deg[r], c);
   }
-  k.scale(out, inv_deg, c);
 }
 
 void ReferenceMatMulRows(const simd::Kernels& k, const float* a,
@@ -111,11 +121,12 @@ TEST(RowKernelTest, DiffuseRowMatchesAxpyScaleComposition) {
         self[offset] = -0.0f;
         PoisonZeroWeightRows(a, idx, src.data() + offset, c);
         const float inv_deg = 0.37f;
-        k.diffuse_row(self.data() + offset, a.data(), idx.data(), m,
-                      src.data() + offset, inv_deg, got.data() + offset, c);
-        ReferenceDiffuseRow(k, self.data() + offset, a.data(), idx.data(), m,
-                            src.data() + offset, inv_deg,
-                            want.data() + offset, c);
+        k.diffuse_rows(self.data() + offset, a.data(), idx.data(), m,
+                       src.data() + offset, &inv_deg, got.data() + offset, 1,
+                       c);
+        ReferenceDiffuseRows(k, self.data() + offset, a.data(), idx.data(),
+                             m, src.data() + offset, &inv_deg,
+                             want.data() + offset, 1, c);
         EXPECT_TRUE(BytesEqual(got.data() + offset, want.data() + offset, c))
             << simd::LevelName(level) << " c=" << c << " offset=" << offset;
         for (int64_t i = 0; i < c; ++i) {
@@ -136,10 +147,11 @@ TEST(RowKernelTest, DiffuseRowAllZeroWeightsKeepsSignedZeroSelf) {
     for (int64_t c : kWidths) {
       std::vector<float> src(2 * c, inf), self(c, -0.0f), got(c, 1.0f),
           want(c, 2.0f);
-      k.diffuse_row(self.data(), a.data(), idx.data(), 2, src.data(), 0.5f,
-                    got.data(), c);
-      ReferenceDiffuseRow(k, self.data(), a.data(), idx.data(), 2,
-                          src.data(), 0.5f, want.data(), c);
+      const float inv_deg = 0.5f;
+      k.diffuse_rows(self.data(), a.data(), idx.data(), 2, src.data(),
+                     &inv_deg, got.data(), 1, c);
+      ReferenceDiffuseRows(k, self.data(), a.data(), idx.data(), 2,
+                           src.data(), &inv_deg, want.data(), 1, c);
       EXPECT_TRUE(BytesEqual(got.data(), want.data(), c))
           << simd::LevelName(level) << " c=" << c;
       EXPECT_TRUE(std::signbit(got[c - 1]) && got[c - 1] == 0.0f);
@@ -222,42 +234,167 @@ class GuardedFloats {
 };
 
 TEST(RowKernelTest, TailLanesStopAtTheRowEnd) {
+  // Every operand of a call ends at a guard page, so the last row of the
+  // last tile (or the leftover single row) must stop at its masked tail.
   const int64_t m = 4;
   const std::vector<int64_t> idx = {2, 0, 3, 1};
-  const std::vector<float> a = {0.5f, -1.25f, 0.0f, 2.0f};
+  const int64_t kk = 3;
   for (simd::Level level : SupportedLevels()) {
     const simd::Kernels& k = simd::KernelsFor(level);
     for (int64_t c : kWidths) {
-      // Diffusion: the self row, the last src row and the out row each
-      // end at a guard page.
-      GuardedFloats src(m * c), self(c), out(c);
-      ASSERT_NE(src.data(), nullptr);
-      ASSERT_NE(self.data(), nullptr);
-      ASSERT_NE(out.data(), nullptr);
-      FillNormal(src.data(), m * c, 600 + c);
-      FillNormal(self.data(), c, 700 + c);
-      std::vector<float> want(c);
-      k.diffuse_row(self.data(), a.data(), idx.data(), m, src.data(), 0.25f,
-                    out.data(), c);
-      ReferenceDiffuseRow(k, self.data(), a.data(), idx.data(), m, src.data(),
-                          0.25f, want.data(), c);
-      EXPECT_TRUE(BytesEqual(out.data(), want.data(), c))
-          << simd::LevelName(level) << " c=" << c;
+      for (int64_t rows : {1, 2, 3, 4, 5, 8, 9, 16, 17}) {
+        const std::string what = std::string(simd::LevelName(level)) +
+                                 " c=" + std::to_string(c) +
+                                 " rows=" + std::to_string(rows);
+        GuardedFloats src(m * c), self(rows * c), a(rows * m),
+            inv_deg(rows), out(rows * c);
+        ASSERT_NE(src.data(), nullptr);
+        ASSERT_NE(self.data(), nullptr);
+        ASSERT_NE(a.data(), nullptr);
+        ASSERT_NE(inv_deg.data(), nullptr);
+        ASSERT_NE(out.data(), nullptr);
+        FillNormal(src.data(), m * c, 600 + c);
+        FillNormal(self.data(), rows * c, 700 + c);
+        FillNormal(a.data(), rows * m, 800 + rows);
+        FillNormal(inv_deg.data(), rows, 900 + rows);
+        std::vector<float> want(rows * c);
+        k.diffuse_rows(self.data(), a.data(), idx.data(), m, src.data(),
+                       inv_deg.data(), out.data(), rows, c);
+        ReferenceDiffuseRows(k, self.data(), a.data(), idx.data(), m,
+                             src.data(), inv_deg.data(), want.data(), rows,
+                             c);
+        EXPECT_TRUE(BytesEqual(out.data(), want.data(), rows * c)) << what;
 
-      // Matmul: a's row, b's last row and o's row end at a guard page.
-      const int64_t kk = 3;
-      GuardedFloats ga(kk), gb(kk * c), go(c);
-      ASSERT_NE(ga.data(), nullptr);
-      ASSERT_NE(gb.data(), nullptr);
-      ASSERT_NE(go.data(), nullptr);
-      FillNormal(ga.data(), kk, 800 + c);
-      FillNormal(gb.data(), kk * c, 900 + c);
-      FillNormal(go.data(), c, 1000 + c);
-      std::vector<float> mm_want(go.data(), go.data() + c);
-      k.matmul_rows(ga.data(), gb.data(), go.data(), 1, kk, c);
-      ReferenceMatMulRows(k, ga.data(), gb.data(), mm_want.data(), 1, kk, c);
-      EXPECT_TRUE(BytesEqual(go.data(), mm_want.data(), c))
-          << simd::LevelName(level) << " n=" << c;
+        GuardedFloats ga(rows * kk), gb(kk * c), go(rows * c);
+        ASSERT_NE(ga.data(), nullptr);
+        ASSERT_NE(gb.data(), nullptr);
+        ASSERT_NE(go.data(), nullptr);
+        FillNormal(ga.data(), rows * kk, 1000 + rows);
+        FillNormal(gb.data(), kk * c, 1100 + c);
+        FillNormal(go.data(), rows * c, 1200 + c);
+        std::vector<float> mm_want(go.data(), go.data() + rows * c);
+        k.matmul_rows(ga.data(), gb.data(), go.data(), rows, kk, c);
+        ReferenceMatMulRows(k, ga.data(), gb.data(), mm_want.data(), rows, kk,
+                            c);
+        EXPECT_TRUE(BytesEqual(go.data(), mm_want.data(), rows * c)) << what;
+      }
+    }
+  }
+}
+
+// -- Multi-row tiles ---------------------------------------------------------
+// The AVX2 level runs 8, 4 or 2 rows per tile (by the number of vectors in
+// a column block) and single rows after the last full tile. Row counts
+// 1 .. 17 cover one and two full tiles plus a leftover row for every tile
+// size; the widths put blocks of 1, 2, 3 and 4 vectors, full and partial,
+// into play.
+
+const std::vector<int64_t> kTileWidths = {1,  5,  8,  9,  16, 17,
+                                          24, 29, 32, 33, 40, 64};
+constexpr int64_t kMaxTileRows = 17;
+
+/// [rows, m] weights where rows of one tile skip different terms: row r
+/// has a signed zero at term (3r + 1) % m, and at `poison_term` the even
+/// rows hold +0.0 / -0.0 while the odd rows hold a live weight.
+std::vector<float> TileWeights(int64_t rows, int64_t m, int64_t poison_term,
+                               uint64_t seed) {
+  std::vector<float> a(rows * m);
+  FillNormal(a.data(), rows * m, seed);
+  for (int64_t r = 0; r < rows; ++r) {
+    a[r * m + (3 * r + 1) % m] = (r % 2 == 0) ? -0.0f : 0.0f;
+    if (r % 2 == 0) a[r * m + poison_term] = (r % 4 == 0) ? 0.0f : -0.0f;
+  }
+  return a;
+}
+
+/// Checks that rows whose weight on `poison_term` is zero came out finite:
+/// the poisoned B row another row of their tile uses must not leak in.
+void ExpectCleanRowsFinite(const std::vector<float>& a, int64_t m,
+                           int64_t poison_term, const float* out,
+                           int64_t rows, int64_t c, const std::string& what) {
+  for (int64_t r = 0; r < rows; ++r) {
+    if (a[r * m + poison_term] != 0.0f) continue;
+    for (int64_t i = 0; i < c; ++i) {
+      ASSERT_TRUE(std::isfinite(out[r * c + i]))
+          << what << ": a poisoned row leaked into row " << r << " at " << i;
+    }
+  }
+}
+
+TEST(RowKernelTest, DiffuseRowsTilesMatchPerRowComposition) {
+  const int64_t m = 7;
+  const int64_t src_rows = 9;
+  const int64_t poison_term = 2;  // the only term drawing src row 8
+  const std::vector<int64_t> idx = {3, 0, 8, 2, 3, 1, 6};
+  for (simd::Level level : SupportedLevels()) {
+    const simd::Kernels& k = simd::KernelsFor(level);
+    for (int64_t c : kTileWidths) {
+      for (int64_t rows = 1; rows <= kMaxTileRows; ++rows) {
+        for (int64_t offset : {0, 1}) {
+          const std::vector<float> a =
+              TileWeights(rows, m, poison_term, 20 + rows);
+          std::vector<float> src(offset + src_rows * c);
+          std::vector<float> self(offset + rows * c), inv_deg(rows);
+          std::vector<float> got(offset + rows * c, 1.0f);
+          std::vector<float> want(offset + rows * c, 2.0f);
+          FillNormal(src.data() + offset, src_rows * c, 30 + c);
+          FillNormal(self.data() + offset, rows * c, 40 + c);
+          FillNormal(inv_deg.data(), rows, 50 + rows);
+          for (int64_t r = 0; r < rows; ++r) self[offset + r * c] = -0.0f;
+          Poison(src.data() + offset + idx[poison_term] * c, c);
+          k.diffuse_rows(self.data() + offset, a.data(), idx.data(), m,
+                         src.data() + offset, inv_deg.data(),
+                         got.data() + offset, rows, c);
+          ReferenceDiffuseRows(k, self.data() + offset, a.data(), idx.data(),
+                               m, src.data() + offset, inv_deg.data(),
+                               want.data() + offset, rows, c);
+          const std::string what = std::string(simd::LevelName(level)) +
+                                   " c=" + std::to_string(c) +
+                                   " rows=" + std::to_string(rows) +
+                                   " offset=" + std::to_string(offset);
+          EXPECT_TRUE(BytesEqual(got.data() + offset, want.data() + offset,
+                                 rows * c))
+              << what;
+          ExpectCleanRowsFinite(a, m, poison_term, got.data() + offset, rows,
+                                c, what);
+        }
+      }
+    }
+  }
+}
+
+TEST(RowKernelTest, MatMulRowsTilesMatchPerRowComposition) {
+  const int64_t kk = 6;
+  const int64_t poison_term = 3;
+  for (simd::Level level : SupportedLevels()) {
+    const simd::Kernels& k = simd::KernelsFor(level);
+    for (int64_t n : kTileWidths) {
+      for (int64_t rows = 1; rows <= kMaxTileRows; ++rows) {
+        for (int64_t offset : {0, 1}) {
+          const std::vector<float> a =
+              TileWeights(rows, kk, poison_term, 60 + rows);
+          std::vector<float> b(offset + kk * n);
+          std::vector<float> got(offset + rows * n);
+          FillNormal(b.data() + offset, kk * n, 70 + n);
+          Poison(b.data() + offset + poison_term * n, n);
+          FillNormal(got.data() + offset, rows * n, 80 + n);
+          for (int64_t r = 0; r < rows; ++r) got[offset + r * n] = -0.0f;
+          std::vector<float> want = got;
+          k.matmul_rows(a.data(), b.data() + offset, got.data() + offset,
+                        rows, kk, n);
+          ReferenceMatMulRows(k, a.data(), b.data() + offset,
+                              want.data() + offset, rows, kk, n);
+          const std::string what = std::string(simd::LevelName(level)) +
+                                   " n=" + std::to_string(n) +
+                                   " rows=" + std::to_string(rows) +
+                                   " offset=" + std::to_string(offset);
+          EXPECT_TRUE(BytesEqual(got.data() + offset, want.data() + offset,
+                                 rows * n))
+              << what;
+          ExpectCleanRowsFinite(a, kk, poison_term, got.data() + offset, rows,
+                                n, what);
+        }
+      }
     }
   }
 }

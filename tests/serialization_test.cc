@@ -426,6 +426,47 @@ TEST(SerializationFuzzTest, LengthFieldCorruptionRejectedCleanly) {
   std::remove(path.c_str());
 }
 
+TEST(SerializationFuzzTest, CorruptNameLengthGivesPrintableMessages) {
+  utils::Rng rng(45);
+  Mlp source({3, 5, 2}, Activation::kRelu, rng);
+  const std::string path = TempPath("fuzz_name_len.ckpt");
+  ASSERT_TRUE(SaveModule(source, path).ok());
+  const std::string pristine = ReadFileBytes(path);
+  // The first index entry starts right after the 64-byte header with its
+  // u64 name length. A wrong length makes the name swallow the binary
+  // rank/dim fields that follow it (or lose its tail), and the error
+  // message quotes that name.
+  constexpr size_t kNameLenAt = 64;
+  uint64_t name_len = 0;
+  std::memcpy(&name_len, &pristine[kNameLenAt], sizeof(name_len));
+  std::vector<uint64_t> lengths;
+  for (int bit = 0; bit < 12; ++bit) lengths.push_back(name_len ^ (1u << bit));
+  for (uint64_t d = 1; d <= 40; ++d) lengths.push_back(name_len + d);
+  int rejected = 0;
+  int escaped = 0;
+  for (uint64_t len : lengths) {
+    std::string bytes = pristine;
+    std::memcpy(&bytes[kNameLenAt], &len, sizeof(len));
+    WriteFileBytes(path, bytes);
+    Mlp target({3, 5, 2}, Activation::kRelu, rng);
+    const utils::Status status = LoadModule(&target, path);
+    if (status.ok()) continue;
+    ++rejected;
+    const std::string& message = status.message();
+    for (char ch : message) {
+      const auto byte = static_cast<unsigned char>(ch);
+      ASSERT_TRUE(byte >= 0x20 && byte < 0x7f)
+          << "non-printable byte 0x" << std::hex << int{byte}
+          << " in the message for name length " << std::dec << len;
+    }
+    if (message.find("\\x") != std::string::npos) ++escaped;
+  }
+  EXPECT_GT(rejected, 0);
+  // Some rejections quote a name that holds binary index bytes.
+  EXPECT_GT(escaped, 0);
+  std::remove(path.c_str());
+}
+
 TEST(SerializationFuzzTest, DuplicatedTensorRecordRejected) {
   utils::Rng rng(43);
   Mlp source({3, 4, 2}, Activation::kRelu, rng);

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "utils/cli.h"
@@ -298,6 +299,39 @@ TEST(ParallelTest, PoolIsReusableAcrossManyRegions) {
     });
     ASSERT_EQ(sum.load(), 1024 * 1023 / 2);
   }
+}
+
+TEST(ParallelTest, ConcurrentCallersCoverTheirRangesOnce) {
+  // Several threads outside the pool (like engine workers) open regions
+  // at the same time; each region must still run every index of its own
+  // range exactly once, whichever callers the pool threads help.
+  ThreadCountRestorer restore;
+  SetNumThreads(4);
+  constexpr int kCallers = 4;
+  constexpr int kRounds = 300;
+  constexpr int64_t kN = 2048;
+  std::atomic<int64_t> bad_regions{0};
+  std::vector<std::thread> callers;
+  for (int t = 0; t < kCallers; ++t) {
+    callers.emplace_back([&bad_regions, t] {
+      std::vector<std::atomic<int>> hits(kN);
+      for (int round = 0; round < kRounds; ++round) {
+        for (auto& h : hits) h.store(0, std::memory_order_relaxed);
+        const int64_t end = kN - (round + t) % 64;
+        ParallelFor(0, end, /*grain=*/16, [&](int64_t b, int64_t e) {
+          for (int64_t i = b; i < e; ++i) hits[i].fetch_add(1);
+        });
+        for (int64_t i = 0; i < kN; ++i) {
+          if (hits[i].load() != (i < end ? 1 : 0)) {
+            bad_regions.fetch_add(1);
+            break;
+          }
+        }
+      }
+    });
+  }
+  for (auto& c : callers) c.join();
+  EXPECT_EQ(bad_regions.load(), 0);
 }
 
 }  // namespace

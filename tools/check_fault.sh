@@ -3,7 +3,9 @@
 # ctest target labeled `fault`, plus the trainer resume suites and both
 # suites of the one checkpoint reader: serialization (corrupt-file
 # matrix, fuzz corpora) and mmap_model (mapped views, zero-copy frozen
-# loads). Exercises the whole injected-fault matrix —
+# loads), plus the row-kernel and diffusion suites, so a masked tail or
+# tile over-read on a heap buffer fails here and not only on the
+# guard-page tests. Exercises the whole injected-fault matrix —
 # trainer sites (nan_loss / nan_grad / crash / io_fail / truncate_ckpt)
 # and serve sites (bad_candidate / nan_forecast / slow_batch / swap_race)
 # — with ASan watching the recovery paths: any leak, use-after-free, or
@@ -31,7 +33,8 @@ cmake -B "${BUILD_DIR}" -S "${REPO_ROOT}" \
 cmake --build "${BUILD_DIR}" -j "$(nproc)" \
   --target fault_injection_test serialization_test mmap_model_test \
   trainer_test serve_engine_test rollout_plan_test registry_test \
-  tick_stream_test tenant_router_test
+  tick_stream_test tenant_router_test row_kernel_test fast_gconv_test \
+  csr_test
 
 export ASAN_OPTIONS="halt_on_error=1 detect_leaks=1 ${ASAN_OPTIONS:-}"
 
@@ -60,6 +63,11 @@ ctest --test-dir "${BUILD_DIR}" -L plan --output-on-failure
 
 echo "== streaming tick loop (ASan: cache slot churn, carried-state slabs, swap-observer lifetime) =="
 ctest --test-dir "${BUILD_DIR}" -L stream --output-on-failure
+
+echo "== row kernels and diffusion steps (ASan: multi-row tiles, masked tails on heap buffers) =="
+"${BUILD_DIR}/tests/row_kernel_test"
+"${BUILD_DIR}/tests/fast_gconv_test"
+"${BUILD_DIR}/tests/csr_test"
 
 echo "== trainer checkpoint/resume suites (ASan) =="
 "${BUILD_DIR}/tests/trainer_test" \
