@@ -10,6 +10,7 @@
 
 #include <chrono>
 #include <cstring>
+#include <functional>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -297,10 +298,13 @@ class SimdLevelScope {
 constexpr int64_t kSimdBenchLen = 65536;
 
 /// Runs `body(kernels)` per iteration, timing each call and recording the
-/// per-iteration seconds under "simd.<name>.<level>".
+/// per-iteration seconds under "simd.<name>.<level>". A non-null `reset`
+/// runs untimed before each call, for kernels that update their output in
+/// place.
 template <typename Body>
 void RunSimdKernelBench(benchmark::State& state, const char* name,
-                        Body&& body, int64_t items = kSimdBenchLen) {
+                        Body&& body, int64_t items = kSimdBenchLen,
+                        const std::function<void()>& reset = nullptr) {
   const auto level = static_cast<tensor::simd::Level>(state.range(0));
   SimdLevelScope scope(state, level);
   if (!scope.ok()) return;
@@ -308,6 +312,11 @@ void RunSimdKernelBench(benchmark::State& state, const char* name,
   const std::string timer_name =
       std::string("simd.") + name + "." + tensor::simd::LevelName(level);
   for (auto _ : state) {
+    if (reset) {
+      state.PauseTiming();
+      reset();
+      state.ResumeTiming();
+    }
     const auto t0 = std::chrono::steady_clock::now();
     body(kern);
     const auto t1 = std::chrono::steady_clock::now();
@@ -352,6 +361,36 @@ void BM_SimdMul(benchmark::State& state) {
   });
 }
 BENCHMARK(BM_SimdMul)->ArgNames({"level"})->Arg(0)->Arg(1);
+
+// acc_add and max_into are the exact kernels whose speed depends most on
+// the ISA they are compiled for (DESIGN.md §5f).
+void BM_SimdAccAdd(benchmark::State& state) {
+  SimdBenchData& d = SimdBenchData::Get();
+  RunSimdKernelBench(state, "acc_add", [&](const tensor::simd::Kernels& k) {
+    k.acc_add(d.out.data(), d.a.data(), kSimdBenchLen);
+    benchmark::DoNotOptimize(d.out.data());
+    benchmark::ClobberMemory();
+  });
+}
+BENCHMARK(BM_SimdAccAdd)->ArgNames({"level"})->Arg(0)->Arg(1);
+
+void BM_SimdMaxInto(benchmark::State& state) {
+  SimdBenchData& d = SimdBenchData::Get();
+  // dst restarts from b before each call, so about half of its elements
+  // take a's value, as in a fresh max reduction.
+  RunSimdKernelBench(
+      state, "max_into",
+      [&](const tensor::simd::Kernels& k) {
+        k.max_into(d.out.data(), d.a.data(), kSimdBenchLen);
+        benchmark::DoNotOptimize(d.out.data());
+        benchmark::ClobberMemory();
+      },
+      kSimdBenchLen,
+      [&] {
+        std::memcpy(d.out.data(), d.b.data(), sizeof(float) * kSimdBenchLen);
+      });
+}
+BENCHMARK(BM_SimdMaxInto)->ArgNames({"level"})->Arg(0)->Arg(1);
 
 void BM_SimdExp(benchmark::State& state) {
   SimdBenchData& d = SimdBenchData::Get();

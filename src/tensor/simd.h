@@ -16,10 +16,14 @@ namespace sagdfn::tensor::simd {
 ///   SAGDFN_SIMD=auto   CPUID detection (the default)
 ///
 /// Determinism contract (DESIGN.md §5f): for a FIXED level, every kernel
-/// is bit-identical across thread counts and runs. Levels agree with each
-/// other to tight tolerance (FMA contraction and vectorized exp/tanh/
-/// sigmoid round differently than libm), which the `simd`-labeled test
-/// suite pins.
+/// is bit-identical across thread counts and runs. The exact elementwise
+/// kernels (add/sub/mul/div/max/min and their scalar-operand forms,
+/// acc_add, max_into, neg, vabs, relu, relu_grad, mul_sub, mul_one_minus,
+/// scale, sigmoid_mul_grad) are one source compiled at both levels and
+/// bit-identical across levels too, NaN and signed zeros included. The
+/// other kernels agree across levels to tight tolerance (FMA contraction
+/// and vectorized exp/tanh/sigmoid round differently than libm), which the
+/// `simd`-labeled test suite pins.
 enum class Level {
   kScalar = 0,
   kAvx2 = 1,

@@ -2,77 +2,17 @@
 // must match (to the tolerance pinned by the simd test suite). These loops
 // are deliberately simple — the compiler may auto-vectorize them, but the
 // accumulation orders are fixed, so results are bit-identical run to run
-// and thread count to thread count.
+// and thread count to thread count. The exact elementwise kernels come
+// from simd_elementwise.h, the one source both levels compile.
 #include <algorithm>
 #include <cmath>
 
+#include "tensor/simd_elementwise.h"
 #include "tensor/simd_internal.h"
 
 namespace sagdfn::tensor::simd::internal {
 namespace {
 
-void Add(const float* a, const float* b, float* o, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) o[i] = a[i] + b[i];
-}
-void Sub(const float* a, const float* b, float* o, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) o[i] = a[i] - b[i];
-}
-void Mul(const float* a, const float* b, float* o, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) o[i] = a[i] * b[i];
-}
-void Div(const float* a, const float* b, float* o, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) o[i] = a[i] / b[i];
-}
-void VMax(const float* a, const float* b, float* o, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) o[i] = a[i] > b[i] ? a[i] : b[i];
-}
-void VMin(const float* a, const float* b, float* o, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) o[i] = a[i] < b[i] ? a[i] : b[i];
-}
-
-void AddS(const float* a, float s, float* o, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) o[i] = a[i] + s;
-}
-void SubS(const float* a, float s, float* o, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) o[i] = a[i] - s;
-}
-void RSubS(const float* a, float s, float* o, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) o[i] = s - a[i];
-}
-void MulS(const float* a, float s, float* o, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) o[i] = a[i] * s;
-}
-void DivS(const float* a, float s, float* o, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) o[i] = a[i] / s;
-}
-void RDivS(const float* a, float s, float* o, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) o[i] = s / a[i];
-}
-void MaxS(const float* a, float s, float* o, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) o[i] = a[i] > s ? a[i] : s;
-}
-void MinS(const float* a, float s, float* o, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) o[i] = a[i] < s ? a[i] : s;
-}
-
-void AccAdd(float* dst, const float* src, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) dst[i] += src[i];
-}
-void MaxInto(float* dst, const float* src, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) {
-    if (src[i] > dst[i]) dst[i] = src[i];
-  }
-}
-
-void Neg(const float* a, float* o, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) o[i] = -a[i];
-}
-void VAbs(const float* a, float* o, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) o[i] = std::fabs(a[i]);
-}
-void Relu(const float* a, float* o, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) o[i] = a[i] > 0.0f ? a[i] : 0.0f;
-}
 void VSqrt(const float* a, float* o, int64_t n) {
   for (int64_t i = 0; i < n; ++i) o[i] = std::sqrt(a[i]);
 }
@@ -102,22 +42,9 @@ void SigmoidGrad(const float* g, const float* out, float* o, int64_t n) {
 void TanhGrad(const float* g, const float* out, float* o, int64_t n) {
   for (int64_t i = 0; i < n; ++i) o[i] = g[i] * (1.0f - out[i] * out[i]);
 }
-void ReluGrad(const float* g, const float* x, float* o, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) o[i] = x[i] > 0.0f ? g[i] : 0.0f;
-}
-void MulSub(const float* g, const float* a, const float* b, float* o,
-            int64_t n) {
-  for (int64_t i = 0; i < n; ++i) o[i] = g[i] * (a[i] - b[i]);
-}
-void MulOneMinus(const float* g, const float* z, float* o, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) o[i] = g[i] * (1.0f - z[i]);
-}
 
 void Axpy(float a, const float* x, float* dst, int64_t n) {
   for (int64_t i = 0; i < n; ++i) dst[i] += a * x[i];
-}
-void Scale(float* dst, float s, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) dst[i] *= s;
 }
 
 // The row kernels accumulate one <= 32-float block of the output row in
@@ -212,14 +139,6 @@ void GruTail(const float* gz, const float* h, const float* c, float* o,
     if (z_out != nullptr) z_out[i] = z;
     if (t_out != nullptr) t_out[i] = t;
     o[i] = z * h[i] + (1.0f - z) * t;  // same association as GruBlend
-  }
-}
-
-void SigmoidMulGrad(const float* gh, const float* r, const float* h,
-                    float* dg, float* dh, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) {
-    dg[i] = (gh[i] * h[i]) * (r[i] * (1.0f - r[i]));
-    dh[i] = gh[i] * r[i];
   }
 }
 

@@ -39,6 +39,21 @@ constexpr int64_t kKTile = 256;
 // faster.
 constexpr int64_t kRegisterRowMaxCols = 256;
 
+// The Maximum/Minimum element op on every BroadcastBinary path, the same
+// as the vmax/vmin and max_s/min_s kernels compute: `x` wins only when it
+// compares strictly greater (less), so a NaN in either operand or a +-0
+// tie gives `y`. std::max/std::min pick `x` in those cases.
+float MaxOf(float x, float y) { return x > y ? x : y; }
+float MinOf(float x, float y) { return x < y ? x : y; }
+
+// o[i] = Op(s, b[i]): the scalar-lhs fast path for an op whose table has
+// no reversed kernel. Passing `b` first to max_s/min_s would swap the
+// operands and change which side a NaN or +-0 tie yields.
+template <float (*Op)(float, float)>
+void LhsScalar(const float* b, float s, float* o, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) o[i] = Op(s, b[i]);
+}
+
 // Applies one operation elementwise over broadcast inputs. The three
 // contiguous fast paths run the dispatched SIMD kernels: `vv` for
 // identical shapes, `vs` (o = a[i] OP s) when the rhs is a scalar, `sv`
@@ -269,14 +284,12 @@ Tensor Div(const Tensor& a, const Tensor& b) {
 
 Tensor Maximum(const Tensor& a, const Tensor& b) {
   const simd::Kernels& k = simd::K();
-  return BroadcastBinary(a, b, k.vmax, k.max_s, k.max_s,
-                         [](float x, float y) { return std::max(x, y); });
+  return BroadcastBinary(a, b, k.vmax, k.max_s, LhsScalar<MaxOf>, MaxOf);
 }
 
 Tensor Minimum(const Tensor& a, const Tensor& b) {
   const simd::Kernels& k = simd::K();
-  return BroadcastBinary(a, b, k.vmin, k.min_s, k.min_s,
-                         [](float x, float y) { return std::min(x, y); });
+  return BroadcastBinary(a, b, k.vmin, k.min_s, LhsScalar<MinOf>, MinOf);
 }
 
 Tensor AddScalar(const Tensor& a, float s) {

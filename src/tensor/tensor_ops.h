@@ -15,6 +15,8 @@ Tensor Add(const Tensor& a, const Tensor& b);
 Tensor Sub(const Tensor& a, const Tensor& b);
 Tensor Mul(const Tensor& a, const Tensor& b);
 Tensor Div(const Tensor& a, const Tensor& b);
+/// a > b ? a : b (a < b ? a : b for Minimum) per element on every
+/// broadcast path: a NaN in either operand or a +-0 tie gives b.
 Tensor Maximum(const Tensor& a, const Tensor& b);
 Tensor Minimum(const Tensor& a, const Tensor& b);
 

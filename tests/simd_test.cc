@@ -1,6 +1,8 @@
 // The SIMD determinism contract (DESIGN.md §5f), pinned:
 //   1. kernel-level scalar-vs-avx2 equivalence at awkward lengths
-//      (length 1, vector-width +/- 1, odd strides through tensor views);
+//      (length 1, vector-width +/- 1, odd strides through tensor views),
+//      bit for bit with NaN/+-0/inf operands for the one-source exact
+//      kernels of simd_elementwise.h;
 //   2. per-level thread-count determinism — memcmp-identical outputs for
 //      1, 2, 4 threads at a FIXED dispatch level;
 //   3. full-model forward+backward agreement across levels to tolerance;
@@ -12,9 +14,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -131,25 +135,86 @@ TEST(SimdKernelTest, SetActiveLevelRoundTrips) {
   simd::SetActiveLevel(original);
 }
 
+// NaN, signed zeros and infinities: the operands on which a max/min lane
+// and a scalar expression can pick different sides.
+const std::vector<float> kSpecials = {
+    std::numeric_limits<float>::quiet_NaN(),
+    0.0f,
+    -0.0f,
+    std::numeric_limits<float>::infinity(),
+    -std::numeric_limits<float>::infinity(),
+    1.5f,
+    -2.0f};
+
+/// Fills a and b (length n) with the ordered pairs of kSpecials starting
+/// at pair `shift`. Over shifts 0..48 every pair lands at every position,
+/// so in every vector lane and in the scalar tail.
+void SpecialPairs(int64_t n, int64_t shift, std::vector<float>* a,
+                  std::vector<float>* b) {
+  const int64_t k = static_cast<int64_t>(kSpecials.size());
+  a->resize(n);
+  b->resize(n);
+  for (int64_t i = 0; i < n; ++i) {
+    const int64_t pair = (i + shift) % (k * k);
+    (*a)[i] = kSpecials[pair / k];
+    (*b)[i] = kSpecials[pair % k];
+  }
+}
+
+void ExpectSameBits(const std::vector<float>& x, const std::vector<float>& y,
+                    const std::string& what) {
+  ASSERT_EQ(x.size(), y.size());
+  EXPECT_EQ(0, std::memcmp(x.data(), y.data(), sizeof(float) * x.size()))
+      << what << " differs at n=" << x.size();
+}
+
+// The exact kernels are one source compiled at both levels, but each level
+// must bind its own TU's copy: one shared external-linkage body would be
+// the AVX2 one, which faults on a CPU without AVX2.
 TEST(SimdKernelTest, BinaryKernelsMatchScalarExactly) {
   if (SkipWithoutAvx2()) return;
   const auto& sc = simd::KernelsFor(simd::Level::kScalar);
   const auto& vx = simd::KernelsFor(simd::Level::kAvx2);
   using BinVV = void (*)(const float*, const float*, float*, int64_t);
+  using InPlace = void (*)(float*, const float*, int64_t);
   const std::vector<std::pair<BinVV, BinVV>> pairs = {
       {sc.add, vx.add}, {sc.sub, vx.sub}, {sc.mul, vx.mul},
       {sc.div, vx.div}, {sc.vmax, vx.vmax}, {sc.vmin, vx.vmin},
   };
-  for (int64_t n : kAwkwardLengths) {
-    const auto a = RandomVec(n, 100 + n);
-    const auto b = RandomVec(n, 200 + n, 0.5f, 4.0f);  // nonzero divisor
+  const std::vector<std::pair<InPlace, InPlace>> in_place = {
+      {sc.acc_add, vx.acc_add}, {sc.max_into, vx.max_into}};
+  for (const auto& [ks, kv] : pairs) EXPECT_NE(ks, kv);
+  for (const auto& [ks, kv] : in_place) EXPECT_NE(ks, kv);
+
+  // +,-,*,/,min,max are single IEEE operations: bit-identical, NaN and
+  // signed-zero ties included.
+  const auto check = [&](const std::vector<float>& a,
+                         const std::vector<float>& b) {
+    const int64_t n = static_cast<int64_t>(a.size());
     std::vector<float> o1(n), o2(n);
-    for (const auto& [ks, kv] : pairs) {
-      ks(a.data(), b.data(), o1.data(), n);
-      kv(a.data(), b.data(), o2.data(), n);
-      // +,-,*,/,min,max are single IEEE operations: bit-identical.
-      EXPECT_EQ(0, std::memcmp(o1.data(), o2.data(), sizeof(float) * n))
-          << "binary kernel mismatch at n=" << n;
+    for (size_t k = 0; k < pairs.size() && !testing::Test::HasFailure();
+         ++k) {
+      pairs[k].first(a.data(), b.data(), o1.data(), n);
+      pairs[k].second(a.data(), b.data(), o2.data(), n);
+      ExpectSameBits(o1, o2, "binary kernel " + std::to_string(k));
+    }
+    for (size_t k = 0; k < in_place.size() && !testing::Test::HasFailure();
+         ++k) {
+      o1 = a;
+      o2 = a;
+      in_place[k].first(o1.data(), b.data(), n);
+      in_place[k].second(o2.data(), b.data(), n);
+      ExpectSameBits(o1, o2, "in-place kernel " + std::to_string(k));
+    }
+  };
+  for (int64_t n : kAwkwardLengths) {
+    check(RandomVec(n, 100 + n), RandomVec(n, 200 + n, 0.5f, 4.0f));
+  }
+  std::vector<float> a, b;
+  for (int64_t n = 1; n <= 17; ++n) {
+    for (int64_t shift = 0; shift < 49; ++shift) {
+      SpecialPairs(n, shift, &a, &b);
+      check(a, b);
     }
   }
 }
@@ -165,14 +230,29 @@ TEST(SimdKernelTest, ScalarOperandKernelsMatchExactly) {
       {sc.div_s, vx.div_s},   {sc.rdiv_s, vx.rdiv_s},
       {sc.max_s, vx.max_s},   {sc.min_s, vx.min_s},
   };
-  for (int64_t n : kAwkwardLengths) {
-    const auto a = RandomVec(n, 300 + n, 0.5f, 4.0f);
+  for (const auto& [ks, kv] : pairs) EXPECT_NE(ks, kv);
+  const auto check = [&](const std::vector<float>& a, float s) {
+    const int64_t n = static_cast<int64_t>(a.size());
     std::vector<float> o1(n), o2(n);
-    for (const auto& [ks, kv] : pairs) {
-      ks(a.data(), 1.75f, o1.data(), n);
-      kv(a.data(), 1.75f, o2.data(), n);
-      EXPECT_EQ(0, std::memcmp(o1.data(), o2.data(), sizeof(float) * n))
-          << "scalar-operand kernel mismatch at n=" << n;
+    for (size_t k = 0; k < pairs.size() && !testing::Test::HasFailure();
+         ++k) {
+      pairs[k].first(a.data(), s, o1.data(), n);
+      pairs[k].second(a.data(), s, o2.data(), n);
+      ExpectSameBits(o1, o2,
+                     "scalar-operand kernel " + std::to_string(k) +
+                         " with s=" + std::to_string(s));
+    }
+  };
+  for (int64_t n : kAwkwardLengths) {
+    check(RandomVec(n, 300 + n, 0.5f, 4.0f), 1.75f);
+  }
+  // Every special operand at every position against every special scalar.
+  const size_t k = kSpecials.size();
+  for (int64_t n = 1; n <= 17; ++n) {
+    for (size_t shift = 0; shift < k; ++shift) {
+      std::vector<float> a(n);
+      for (int64_t i = 0; i < n; ++i) a[i] = kSpecials[(i + shift) % k];
+      for (float s : kSpecials) check(a, s);
     }
   }
 }
@@ -259,30 +339,33 @@ TEST(SimdKernelTest, GradAndFusedKernelsMatchWithinTolerance) {
     vx.tanh_grad(g.data(), z.data(), o2.data(), n);
     ExpectClose(o2.data(), o1.data(), n, 1e-6, 1e-6, "tanh_grad");
 
+    // relu_grad, mul_sub and mul_one_minus are one source at both
+    // levels (simd_elementwise.h): exact.
     sc.relu_grad(g.data(), a.data(), o1.data(), n);
     vx.relu_grad(g.data(), a.data(), o2.data(), n);
-    EXPECT_EQ(0, std::memcmp(o1.data(), o2.data(), sizeof(float) * n));
+    ExpectSameBits(o1, o2, "relu_grad");
 
     sc.mul_sub(g.data(), a.data(), b.data(), o1.data(), n);
     vx.mul_sub(g.data(), a.data(), b.data(), o2.data(), n);
-    ExpectClose(o2.data(), o1.data(), n, 1e-6, 1e-6, "mul_sub");
+    ExpectSameBits(o1, o2, "mul_sub");
 
     sc.mul_one_minus(g.data(), z.data(), o1.data(), n);
     vx.mul_one_minus(g.data(), z.data(), o2.data(), n);
-    ExpectClose(o2.data(), o1.data(), n, 1e-6, 1e-6, "mul_one_minus");
+    ExpectSameBits(o1, o2, "mul_one_minus");
 
     sc.gru_blend(z.data(), a.data(), b.data(), o1.data(), n);
     vx.gru_blend(z.data(), a.data(), b.data(), o2.data(), n);
     ExpectClose(o2.data(), o1.data(), n, 1e-6, 1e-6, "gru_blend");
 
-    // axpy / scale: FMA contraction only.
+    // axpy: FMA contraction only. scale is one source: exact.
     std::vector<float> d1 = b, d2 = b;
     sc.axpy(0.37f, a.data(), d1.data(), n);
     vx.axpy(0.37f, a.data(), d2.data(), n);
     ExpectClose(d2.data(), d1.data(), n, 1e-6, 1e-6, "axpy");
+    d2 = d1;
     sc.scale(d1.data(), 1.21f, n);
     vx.scale(d2.data(), 1.21f, n);
-    ExpectClose(d2.data(), d1.data(), n, 1e-6, 1e-6, "scale");
+    ExpectSameBits(d1, d2, "scale");
   }
 }
 
@@ -695,17 +778,17 @@ TEST(SimdKernelTest, GruStepFusedKernelsMatchAcrossLevels) {
     ExpectClose(z2.data(), z1.data(), n, 1e-6, 1e-6, "gru_step z_out");
     ExpectClose(t2.data(), t1.data(), n, 1e-6, 1e-6, "gru_step n_out");
 
-    // Backward kernels are arithmetic-only; levels agree to tight
-    // tolerance (the compiler may contract scalar `1 - t*t` into an fma,
-    // so bitwise equality is only guaranteed WITHIN a level — see the
-    // offset-independence test below).
+    // sigmoid_mul_grad is one source at both levels: exact. The other
+    // backward kernels agree to tight tolerance (the AVX2 TU contracts
+    // `1 - t*t` into an fma, so bitwise equality is only guaranteed
+    // WITHIN a level — see the offset-independence test below).
     std::vector<float> dg1(n), dg2(n), dh1(n), dh2(n), dc1(n), dc2(n);
     sc.sigmoid_mul_grad(g.data(), z.data(), h.data(), dg1.data(),
                         dh1.data(), n);
     vx.sigmoid_mul_grad(g.data(), z.data(), h.data(), dg2.data(),
                         dh2.data(), n);
-    ExpectClose(dg2.data(), dg1.data(), n, 1e-6, 1e-6, "sigmoid_mul_grad dg");
-    ExpectClose(dh2.data(), dh1.data(), n, 1e-6, 1e-6, "sigmoid_mul_grad dh");
+    ExpectSameBits(dg1, dg2, "sigmoid_mul_grad dg");
+    ExpectSameBits(dh1, dh2, "sigmoid_mul_grad dh");
 
     sc.gru_tail_grad(g.data(), z.data(), t.data(), h.data(), dg1.data(),
                      dh1.data(), dc1.data(), n);
@@ -791,6 +874,133 @@ TEST(SimdKernelTest, GruFusedKernelsOffsetIndependent) {
       EXPECT_EQ(
           0, std::memcmp(whole3.data(), parts3.data(), sizeof(float) * n));
     }
+  }
+}
+
+/// Operands of one exact-kernel call; each ExactKernels() entry reads
+/// what its kernel takes.
+struct ExactIo {
+  const float* a;
+  const float* b;
+  const float* c;
+  float s;
+  float* o;
+  float* o2;
+  int64_t n;
+};
+using ExactCall = void (*)(const simd::Kernels&, const ExactIo&);
+
+/// The 24 kernels compiled from the one source in simd_elementwise.h.
+/// The in-place ones (acc_add, max_into, scale) first copy `a` into `o`.
+const std::vector<std::pair<const char*, ExactCall>>& ExactKernels() {
+  using K = simd::Kernels;
+  using Io = ExactIo;
+  static const std::vector<std::pair<const char*, ExactCall>> kernels = {
+      {"add", [](const K& k, const Io& io) { k.add(io.a, io.b, io.o, io.n); }},
+      {"sub", [](const K& k, const Io& io) { k.sub(io.a, io.b, io.o, io.n); }},
+      {"mul", [](const K& k, const Io& io) { k.mul(io.a, io.b, io.o, io.n); }},
+      {"div", [](const K& k, const Io& io) { k.div(io.a, io.b, io.o, io.n); }},
+      {"vmax",
+       [](const K& k, const Io& io) { k.vmax(io.a, io.b, io.o, io.n); }},
+      {"vmin",
+       [](const K& k, const Io& io) { k.vmin(io.a, io.b, io.o, io.n); }},
+      {"add_s",
+       [](const K& k, const Io& io) { k.add_s(io.a, io.s, io.o, io.n); }},
+      {"sub_s",
+       [](const K& k, const Io& io) { k.sub_s(io.a, io.s, io.o, io.n); }},
+      {"rsub_s",
+       [](const K& k, const Io& io) { k.rsub_s(io.a, io.s, io.o, io.n); }},
+      {"mul_s",
+       [](const K& k, const Io& io) { k.mul_s(io.a, io.s, io.o, io.n); }},
+      {"div_s",
+       [](const K& k, const Io& io) { k.div_s(io.a, io.s, io.o, io.n); }},
+      {"rdiv_s",
+       [](const K& k, const Io& io) { k.rdiv_s(io.a, io.s, io.o, io.n); }},
+      {"max_s",
+       [](const K& k, const Io& io) { k.max_s(io.a, io.s, io.o, io.n); }},
+      {"min_s",
+       [](const K& k, const Io& io) { k.min_s(io.a, io.s, io.o, io.n); }},
+      {"acc_add",
+       [](const K& k, const Io& io) {
+         std::copy_n(io.a, io.n, io.o);
+         k.acc_add(io.o, io.b, io.n);
+       }},
+      {"max_into",
+       [](const K& k, const Io& io) {
+         std::copy_n(io.a, io.n, io.o);
+         k.max_into(io.o, io.b, io.n);
+       }},
+      {"neg", [](const K& k, const Io& io) { k.neg(io.a, io.o, io.n); }},
+      {"vabs", [](const K& k, const Io& io) { k.vabs(io.a, io.o, io.n); }},
+      {"relu", [](const K& k, const Io& io) { k.relu(io.a, io.o, io.n); }},
+      {"relu_grad",
+       [](const K& k, const Io& io) { k.relu_grad(io.a, io.b, io.o, io.n); }},
+      {"mul_sub",
+       [](const K& k, const Io& io) {
+         k.mul_sub(io.a, io.b, io.c, io.o, io.n);
+       }},
+      {"mul_one_minus",
+       [](const K& k, const Io& io) {
+         k.mul_one_minus(io.a, io.b, io.o, io.n);
+       }},
+      {"scale",
+       [](const K& k, const Io& io) {
+         std::copy_n(io.a, io.n, io.o);
+         k.scale(io.o, io.s, io.n);
+       }},
+      {"sigmoid_mul_grad",
+       [](const K& k, const Io& io) {
+         k.sigmoid_mul_grad(io.a, io.b, io.c, io.o, io.o2, io.n);
+       }},
+  };
+  return kernels;
+}
+
+// The offset-independence contract for the exact kernels: two chunks at
+// any split give the bits of one whole call at each level, and the two
+// levels give the same bits, with NaN, signed zeros and infinities mixed
+// into the operands.
+TEST(SimdKernelTest, ExactKernelsBitIdenticalAcrossOffsetsAndLevels) {
+  const int64_t n = 100;
+  auto a = RandomVec(n, 3700);
+  auto b = RandomVec(n, 3800);
+  const auto c = RandomVec(n, 3900);
+  const size_t k = kSpecials.size();
+  for (int64_t i = 0; i < n; i += 3) {
+    const size_t j = i / 3;
+    a[i] = kSpecials[j % k];
+    b[i] = kSpecials[(j / k) % k];
+  }
+  const float s = -0.0f;
+  for (const auto& [name, call] : ExactKernels()) {
+    // The whole-call outputs at `level`, after checking every split
+    // against them.
+    const auto run = [&](simd::Level level) {
+      const auto& kern = simd::KernelsFor(level);
+      std::vector<float> whole(n), whole2(n);
+      call(kern, {a.data(), b.data(), c.data(), s, whole.data(),
+                  whole2.data(), n});
+      for (int64_t split : {1, 7, 8, 9, 37, 64, 99}) {
+        std::vector<float> parts(n), parts2(n);
+        call(kern, {a.data(), b.data(), c.data(), s, parts.data(),
+                    parts2.data(), split});
+        call(kern, {a.data() + split, b.data() + split, c.data() + split, s,
+                    parts.data() + split, parts2.data() + split, n - split});
+        const std::string what = std::string(name) + " split " +
+                                 std::to_string(split) + " at " +
+                                 simd::LevelName(level);
+        ExpectSameBits(whole, parts, what);
+        ExpectSameBits(whole2, parts2, what + ", second output");
+      }
+      return std::pair{whole, whole2};
+    };
+    const auto scalar = run(simd::Level::kScalar);
+    if (!simd::Avx2Available()) continue;
+    const auto avx2 = run(simd::Level::kAvx2);
+    ExpectSameBits(scalar.first, avx2.first,
+                   std::string(name) + " across levels");
+    ExpectSameBits(scalar.second, avx2.second,
+                   std::string(name) + " across levels, second output");
   }
 }
 

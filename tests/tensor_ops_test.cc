@@ -1,9 +1,15 @@
 #include "tensor/tensor_ops.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "tensor/simd.h"
 #include "utils/rng.h"
 
 namespace sagdfn::tensor {
@@ -48,6 +54,70 @@ TEST(TensorOpsTest, SubDivMaxMin) {
   EXPECT_TRUE(AllClose(Div(a, b), T({2, 3, 4}, {3})));
   EXPECT_TRUE(AllClose(Maximum(a, T({5, 5, 5}, {3})), T({5, 9, 16}, {3})));
   EXPECT_TRUE(AllClose(Minimum(a, T({5, 5, 5}, {3})), T({4, 5, 5}, {3})));
+}
+
+// Maximum is a > b ? a : b (Minimum a < b ? a : b) on every broadcast
+// path and at every SIMD level: a NaN in either operand or a +-0 tie
+// gives b, bit for bit.
+TEST(TensorOpsTest, MaximumMinimumPickBOnNanAndSignedZeroTies) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const std::vector<float> v = {nan, 0.0f, -0.0f, 1.0f, -1.0f, inf, -inf};
+  const int64_t k = static_cast<int64_t>(v.size());
+  // Every value three times over: 21 elements reach vector lanes and a
+  // scalar tail.
+  std::vector<float> run;
+  for (int rep = 0; rep < 3; ++rep) run.insert(run.end(), v.begin(), v.end());
+  const int64_t m = static_cast<int64_t>(run.size());
+  // Every ordered pair (v[i / k], v[i % k]) as two same-shape operands.
+  std::vector<float> lhs, rhs;
+  for (int64_t i = 0; i < k * k; ++i) {
+    lhs.push_back(v[i / k]);
+    rhs.push_back(v[i % k]);
+  }
+
+  for (simd::Level level : {simd::Level::kScalar, simd::Level::kAvx2}) {
+    if (level == simd::Level::kAvx2 && !simd::Avx2Available()) continue;
+    const simd::Level previous = simd::ActiveLevel();
+    ASSERT_TRUE(simd::SetActiveLevel(level));
+    for (const bool is_max : {true, false}) {
+      const auto op = is_max ? Maximum : Minimum;
+      const auto expected = [&](float x, float y) {
+        return std::bit_cast<uint32_t>(is_max ? (x > y ? x : y)
+                                              : (x < y ? x : y));
+      };
+      const std::string what = std::string(is_max ? "Maximum" : "Minimum") +
+                               " at " + simd::LevelName(level);
+      // Same shape.
+      Tensor same = op(T(lhs, {k * k}), T(rhs, {k * k}));
+      for (int64_t i = 0; i < k * k; ++i) {
+        EXPECT_EQ(std::bit_cast<uint32_t>(same.data()[i]),
+                  expected(lhs[i], rhs[i]))
+            << what << ", same shape, pair " << i;
+      }
+      for (int64_t j = 0; j < k; ++j) {
+        // b is the scalar, then a is.
+        Tensor b_scalar = op(T(run, {m}), Tensor::Scalar(v[j]));
+        Tensor a_scalar = op(Tensor::Scalar(v[j]), T(run, {m}));
+        for (int64_t i = 0; i < m; ++i) {
+          EXPECT_EQ(std::bit_cast<uint32_t>(b_scalar.data()[i]),
+                    expected(run[i], v[j]))
+              << what << ", b scalar, i=" << i << " j=" << j;
+          EXPECT_EQ(std::bit_cast<uint32_t>(a_scalar.data()[i]),
+                    expected(v[j], run[i]))
+              << what << ", a scalar, i=" << i << " j=" << j;
+        }
+      }
+      // General broadcast: [k, 1] op [1, k] -> [k, k].
+      Tensor general = op(T(v, {k, 1}), T(v, {1, k}));
+      for (int64_t i = 0; i < k * k; ++i) {
+        EXPECT_EQ(std::bit_cast<uint32_t>(general.data()[i]),
+                  expected(v[i / k], v[i % k]))
+            << what << ", general broadcast, pair " << i;
+      }
+    }
+    simd::SetActiveLevel(previous);
+  }
 }
 
 TEST(TensorOpsTest, UnaryOps) {

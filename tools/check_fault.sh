@@ -5,7 +5,9 @@
 # matrix, fuzz corpora) and mmap_model (mapped views, zero-copy frozen
 # loads), plus the row-kernel and diffusion suites, so a masked tail or
 # tile over-read on a heap buffer fails here and not only on the
-# guard-page tests. Exercises the whole injected-fault matrix —
+# guard-page tests, and the SIMD kernel and tensor-op suites, whose
+# auto-vectorised exact kernels run their lanes and tails on heap
+# buffers of every length 1-17. Exercises the whole injected-fault matrix —
 # trainer sites (nan_loss / nan_grad / crash / io_fail / truncate_ckpt)
 # and serve sites (bad_candidate / nan_forecast / slow_batch / swap_race)
 # — with ASan watching the recovery paths: any leak, use-after-free, or
@@ -34,7 +36,7 @@ cmake --build "${BUILD_DIR}" -j "$(nproc)" \
   --target fault_injection_test serialization_test mmap_model_test \
   trainer_test serve_engine_test rollout_plan_test registry_test \
   tick_stream_test tenant_router_test row_kernel_test fast_gconv_test \
-  csr_test
+  csr_test simd_test tensor_ops_test
 
 export ASAN_OPTIONS="halt_on_error=1 detect_leaks=1 ${ASAN_OPTIONS:-}"
 
@@ -68,6 +70,10 @@ echo "== row kernels and diffusion steps (ASan: multi-row tiles, masked tails on
 "${BUILD_DIR}/tests/row_kernel_test"
 "${BUILD_DIR}/tests/fast_gconv_test"
 "${BUILD_DIR}/tests/csr_test"
+
+echo "== SIMD kernel tables and tensor ops (ASan: both levels, lanes and tails) =="
+"${BUILD_DIR}/tests/simd_test"
+"${BUILD_DIR}/tests/tensor_ops_test"
 
 echo "== trainer checkpoint/resume suites (ASan) =="
 "${BUILD_DIR}/tests/trainer_test" \

@@ -4,9 +4,10 @@
 # where UB hides in this codebase: the one checkpoint reader, which maps
 # every weight file (misaligned loads through raw byte offsets), the CSR
 # index arithmetic (int32 columns x int64 row pointers), the autograd
-# kernels (signed index math in gather/scatter) and the register-resident
-# row kernels (block and lane-mask index math). -fno-sanitize-recover means the first
-# report aborts the run.
+# kernels (signed index math in gather/scatter), the register-resident
+# row kernels (block and lane-mask index math) and the SIMD kernel tables
+# at both levels. -fno-sanitize-recover means the first report aborts the
+# run.
 #
 # Usage: tools/check_ubsan.sh [build-dir]   (default: build-ubsan)
 set -euo pipefail
@@ -25,8 +26,9 @@ cmake -B "${BUILD_DIR}" -S "${REPO_ROOT}" \
   -DSAGDFN_SANITIZE=undefined \
   ${LAUNCHER_ARGS[@]+"${LAUNCHER_ARGS[@]}"}
 cmake --build "${BUILD_DIR}" -j "$(nproc)" \
-  --target tensor_ops_test autograd_test row_kernel_test serialization_test \
-  fast_gconv_test csr_test mmap_model_test scale_smoke_test
+  --target tensor_ops_test autograd_test row_kernel_test simd_test \
+  serialization_test fast_gconv_test csr_test mmap_model_test \
+  scale_smoke_test
 
 export UBSAN_OPTIONS="print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 
@@ -34,6 +36,7 @@ echo "== tensor op + autograd kernels (UBSan) =="
 "${BUILD_DIR}/tests/tensor_ops_test"
 "${BUILD_DIR}/tests/autograd_test"
 "${BUILD_DIR}/tests/row_kernel_test"
+"${BUILD_DIR}/tests/simd_test"
 
 echo "== the one checkpoint reader and writer (UBSan) =="
 "${BUILD_DIR}/tests/serialization_test"
