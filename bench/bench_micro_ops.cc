@@ -450,6 +450,96 @@ void BM_SimdGruStep(benchmark::State& state) {
 }
 BENCHMARK(BM_SimdGruStep)->ArgNames({"level"})->Arg(0)->Arg(1);
 
+// The same kernels called once per 16-float row over all 4,096 rows of
+// the bench buffers: the width the GRU rows and the fused-diffusion
+// backward's dot run at with hidden 16. Call overhead and the loop
+// prologue weigh more here than at 65,536 floats; these rows decide
+// whether a kernel keeps a hand-written AVX2 body (DESIGN.md §5f).
+constexpr int64_t kRowWidth = 16;
+constexpr int64_t kRowCount = kSimdBenchLen / kRowWidth;
+
+/// Three more bench-length buffers for the multi-output kernels.
+struct SimdRowOutputs {
+  std::vector<float> o1, o2, o3;
+  SimdRowOutputs()
+      : o1(3 * kSimdBenchLen), o2(3 * kSimdBenchLen), o3(kSimdBenchLen) {}
+  static SimdRowOutputs& Get() {
+    static SimdRowOutputs outputs;
+    return outputs;
+  }
+};
+
+void BM_SimdGruBlendRow16(benchmark::State& state) {
+  SimdBenchData& d = SimdBenchData::Get();
+  RunSimdKernelBench(
+      state, "gru_blend_row16", [&](const tensor::simd::Kernels& k) {
+        for (int64_t r = 0; r < kSimdBenchLen; r += kRowWidth) {
+          k.gru_blend(d.c.data() + r, d.a.data() + r, d.b.data() + r,
+                      d.out.data() + r, kRowWidth);
+        }
+        benchmark::DoNotOptimize(d.out.data());
+      });
+}
+BENCHMARK(BM_SimdGruBlendRow16)->ArgNames({"level"})->Arg(0)->Arg(1);
+
+void BM_SimdAxpyRow16(benchmark::State& state) {
+  SimdBenchData& d = SimdBenchData::Get();
+  RunSimdKernelBench(state, "axpy_row16", [&](const tensor::simd::Kernels& k) {
+    for (int64_t r = 0; r < kSimdBenchLen; r += kRowWidth) {
+      k.axpy(1e-3f, d.a.data() + r, d.out.data() + r, kRowWidth);
+    }
+    benchmark::DoNotOptimize(d.out.data());
+    benchmark::ClobberMemory();
+  });
+}
+BENCHMARK(BM_SimdAxpyRow16)->ArgNames({"level"})->Arg(0)->Arg(1);
+
+void BM_SimdGruTailGradRow16(benchmark::State& state) {
+  SimdBenchData& d = SimdBenchData::Get();
+  SimdRowOutputs& o = SimdRowOutputs::Get();
+  RunSimdKernelBench(
+      state, "gru_tail_grad_row16", [&](const tensor::simd::Kernels& k) {
+        for (int64_t r = 0; r < kSimdBenchLen; r += kRowWidth) {
+          k.gru_tail_grad(d.a.data() + r, d.c.data() + r, d.c.data() + r,
+                          d.b.data() + r, d.out.data() + r, o.o1.data() + r,
+                          o.o3.data() + r, kRowWidth);
+        }
+        benchmark::DoNotOptimize(d.out.data());
+        benchmark::ClobberMemory();
+      });
+}
+BENCHMARK(BM_SimdGruTailGradRow16)->ArgNames({"level"})->Arg(0)->Arg(1);
+
+void BM_SimdGruStepGradRow16(benchmark::State& state) {
+  SimdBenchData& d = SimdBenchData::Get();
+  SimdRowOutputs& o = SimdRowOutputs::Get();
+  RunSimdKernelBench(
+      state, "gru_step_grad_row16", [&](const tensor::simd::Kernels& k) {
+        for (int64_t row = 0; row < kRowCount; ++row) {
+          const int64_t r = row * kRowWidth;
+          k.gru_step_grad(d.a.data() + r, d.c.data() + r, d.c.data() + r,
+                          d.c.data() + r, d.b.data() + r, d.a.data() + r,
+                          o.o1.data() + 3 * r, o.o2.data() + 3 * r,
+                          o.o3.data() + r, kRowWidth);
+        }
+        benchmark::DoNotOptimize(o.o1.data());
+        benchmark::ClobberMemory();
+      });
+}
+BENCHMARK(BM_SimdGruStepGradRow16)->ArgNames({"level"})->Arg(0)->Arg(1);
+
+void BM_SimdDotRow16(benchmark::State& state) {
+  SimdBenchData& d = SimdBenchData::Get();
+  RunSimdKernelBench(state, "dot_row16", [&](const tensor::simd::Kernels& k) {
+    double acc = 0.0;
+    for (int64_t r = 0; r < kSimdBenchLen; r += kRowWidth) {
+      acc += k.dot(d.a.data() + r, d.b.data() + r, kRowWidth);
+    }
+    benchmark::DoNotOptimize(acc);
+  });
+}
+BENCHMARK(BM_SimdDotRow16)->ArgNames({"level"})->Arg(0)->Arg(1);
+
 // The register-resident row kernels at the stream-10k shapes: rows of
 // traffic10k-sim width (c = 10 input channels, M = 16 significant nodes)
 // for one slim-diffusion step, and the small per-row matmuls of the

@@ -15,15 +15,13 @@ namespace sagdfn::tensor::simd {
 ///                      when the CPU or build lacks it)
 ///   SAGDFN_SIMD=auto   CPUID detection (the default)
 ///
-/// Determinism contract (DESIGN.md §5f): for a FIXED level, every kernel
-/// is bit-identical across thread counts and runs. The exact elementwise
-/// kernels (add/sub/mul/div/max/min and their scalar-operand forms,
-/// acc_add, max_into, neg, vabs, relu, relu_grad, mul_sub, mul_one_minus,
-/// scale, sigmoid_mul_grad) are one source compiled at both levels and
-/// bit-identical across levels too, NaN and signed zeros included. The
-/// other kernels agree across levels to tight tolerance (FMA contraction
-/// and vectorized exp/tanh/sigmoid round differently than libm), which the
-/// `simd`-labeled test suite pins.
+/// Determinism contract (DESIGN.md §5f): every kernel has one definition
+/// (src/tensor/simd_elementwise.h) that both levels compute, so results
+/// are bit-identical across levels, thread counts, runs and element
+/// offsets, signed zeros, infinities and denormals included. The one
+/// freedom: when two NaNs with different bits meet in one operation,
+/// which one a multi-input kernel propagates. The `simd`-labeled test
+/// suite memcmps the levels.
 enum class Level {
   kScalar = 0,
   kAvx2 = 1,
@@ -95,9 +93,9 @@ struct Kernels {
   void (*vtanh)(const float* a, float* o, int64_t n);
 
   // -- Fused autograd backward kernels --------------------------------------
-  /// o = g * out * (1 - out)   (sigmoid backward; `out` is the fwd value)
+  /// o = g * (out * (1 - out)) (sigmoid backward; `out` is the fwd value)
   void (*sigmoid_grad)(const float* g, const float* out, float* o, int64_t n);
-  /// o = g * (1 - out^2)       (tanh backward)
+  /// o = g * fma(-out, out, 1) (tanh backward)
   void (*tanh_grad)(const float* g, const float* out, float* o, int64_t n);
   /// o = x > 0 ? g : 0         (relu backward; `x` is the fwd input)
   void (*relu_grad)(const float* g, const float* x, float* o, int64_t n);
@@ -108,13 +106,14 @@ struct Kernels {
   void (*mul_one_minus)(const float* g, const float* z, float* o, int64_t n);
 
   // -- Linear-algebra inner loops -------------------------------------------
-  /// dst[i] += a * x[i]  (matmul / diffusion macro-kernel row update)
+  /// dst[i] = fma(a, x[i], dst[i])  (matmul / diffusion row update)
   void (*axpy)(float a, const float* x, float* dst, int64_t n);
   /// dst[i] *= s         (gradient rescale)
   void (*scale)(float* dst, float s, int64_t n);
-  /// sum_i (double)a[i] * (double)b[i]; fixed intra-call order per level.
+  /// sum_i (double)a[i] * (double)b[i] in a fixed lane order (eight double
+  /// accumulators, then the tail).
   double (*dot)(const float* a, const float* b, int64_t n);
-  /// sum_i (double)a[i]; fixed intra-call order per level.
+  /// sum_i (double)a[i], in dot's order.
   double (*sum)(const float* a, int64_t n);
 
   // -- Register-resident row kernels ----------------------------------------
@@ -144,7 +143,7 @@ struct Kernels {
                       int64_t k, int64_t n);
 
   // -- Model-specific fusions -----------------------------------------------
-  /// o = z*h + (1-z)*c   (GRU state blend, one pass)
+  /// o = fma(z, h, (1-z)*c)   (GRU state blend, one pass)
   void (*gru_blend)(const float* z, const float* h, const float* c, float* o,
                     int64_t n);
   /// o = sigmoid(a) * b; when r_out is non-null it also receives

@@ -1,26 +1,19 @@
 // AVX2+FMA kernel table. This translation unit is compiled with
-// -mavx2 -mfma (see src/tensor/CMakeLists.txt) and must only be CALLED
-// after runtime CPUID detection confirms support — simd.cc guarantees
-// that. The exact elementwise kernels (add, max_s, relu_grad, scale, ...)
-// are not written here: simd_elementwise.h holds their one source, which
-// this TU auto-vectorises to 32-byte vectors, so they give the scalar
-// level's bits. The kernels below keep hand-written lanes for a stated
-// reason each (DESIGN.md §5f).
+// -mavx2 -mfma -ffp-contract=off (see src/tensor/CMakeLists.txt) and
+// must only be CALLED after runtime CPUID detection confirms support —
+// simd.cc guarantees that. Every kernel has one definition, in
+// simd_elementwise.h; the table binds this TU's auto-vectorised compile
+// of it, except for the kernels below, which keep hand-written lanes
+// because they measure faster (DESIGN.md §5f lists the reasons).
 //
-// Every elementwise kernel here computes each output element with the
-// same instruction sequence regardless of its offset within the call's
-// range: partial tails either run the lane kernel on a zero-padded
-// block (exp/sigmoid/tanh, see Tail8) or a scalar expression with the
-// same rounding behaviour (std::fma where the lanes fuse). That makes
-// results bit-identical regardless of how callers partition the range
-// across threads OR where an element lands inside a batch — batched and
-// unbatched inference must agree byte-for-byte (tests/serve_engine_test
-// pins this). The dot/sum reductions fix their lane accumulator layout
-// per call instead, so equal (lo, hi) blocks always reduce identically.
-//
-// exp/sigmoid/tanh use a Cephes-style polynomial exp (~2 ulp over the
-// clamped range) rather than libm, so they differ from the scalar level
-// within the tolerance pinned by tests/simd_test.cc.
+// A hand body gives the bits of its definition for every element,
+// whatever the element's offset in the call's range: the lanes issue
+// the definition's operations in its order, an fma exactly where it
+// writes std::fma, and the partial tail runs the definition itself. So
+// results do not depend on how callers partition a range across threads
+// or where an element lands inside a batch, and the scalar level gives
+// the same bytes. The dot/sum/masked_err reductions fix their lane
+// accumulator layout per call, which the definitions replay.
 #include "tensor/simd_internal.h"
 
 #if defined(SAGDFN_SIMD_AVX2_TU)
@@ -37,9 +30,9 @@ namespace sagdfn::tensor::simd::internal {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Vectorized exp (Cephes expf constants, as used by avx_mathfun and the
-// usual SIMD math libraries). Preserves the IEEE edge cases the model
-// relies on: overflow to +inf, underflow to 0, NaN propagation.
+// The polynomial exp family, eight lanes at a time: ExpOne, SigmoidOne and
+// TanhOne of simd_elementwise.h, instruction for instruction. GCC does
+// not vectorise those definitions as fast as these bodies run.
 // ---------------------------------------------------------------------------
 
 inline __m256 ExpPs(__m256 x) {
@@ -95,8 +88,6 @@ inline __m256 AbsPs(__m256 x) {
   return _mm256_andnot_ps(_mm256_set1_ps(-0.0f), x);
 }
 
-// Stable two-branch sigmoid, vectorized: z = e^{-|x|} <= 1, then
-// x >= 0 -> 1/(1+z), x < 0 -> z/(1+z). NaN propagates the input.
 inline __m256 SigmoidPs(__m256 x) {
   const __m256 one = _mm256_set1_ps(1.0f);
   const __m256 z = ExpPs(_mm256_xor_ps(AbsPs(x), _mm256_set1_ps(-0.0f)));
@@ -108,8 +99,6 @@ inline __m256 SigmoidPs(__m256 x) {
   return _mm256_blendv_ps(y, x, nan_mask);
 }
 
-// tanh(|x|) = (1 - e^{-2|x|}) / (1 + e^{-2|x|}), sign restored at the
-// end; e^{-2|x|} <= 1 so there is no overflow anywhere.
 inline __m256 TanhPs(__m256 x) {
   const __m256 one = _mm256_set1_ps(1.0f);
   const __m256 ax = AbsPs(x);
@@ -120,74 +109,36 @@ inline __m256 TanhPs(__m256 x) {
   return _mm256_blendv_ps(y, x, nan_mask);
 }
 
-// Runs a lane kernel over a partial block (rem < 8) by padding the
-// input with zeros, so tail elements execute the exact instruction
-// sequence a full lane would. A libm tail here would make an element's
-// bits depend on its offset within the call range, which breaks the
-// partition-independence contract in the header comment.
-template <typename Fn>
-inline void Tail8(Fn fn, const float* a, float* o, int64_t rem) {
-  alignas(32) float in[8] = {0.0f, 0.0f, 0.0f, 0.0f, 0.0f, 0.0f, 0.0f, 0.0f};
-  alignas(32) float out[8];
-  for (int64_t k = 0; k < rem; ++k) in[k] = a[k];
-  _mm256_store_ps(out, fn(_mm256_load_ps(in)));
-  for (int64_t k = 0; k < rem; ++k) o[k] = out[k];
-}
-
-void VSqrt(const float* a, float* o, int64_t n) {
+void VSqrtAvx2(const float* a, float* o, int64_t n) {
   int64_t i = 0;
   for (; i + 8 <= n; i += 8) {
     _mm256_storeu_ps(o + i, _mm256_sqrt_ps(_mm256_loadu_ps(a + i)));
   }
-  for (; i < n; ++i) o[i] = std::sqrt(a[i]);
+  VSqrt(a + i, o + i, n - i);
 }
-void VExp(const float* a, float* o, int64_t n) {
+void VExpAvx2(const float* a, float* o, int64_t n) {
   int64_t i = 0;
   for (; i + 8 <= n; i += 8) {
     _mm256_storeu_ps(o + i, ExpPs(_mm256_loadu_ps(a + i)));
   }
-  if (i < n) Tail8([](__m256 x) { return ExpPs(x); }, a + i, o + i, n - i);
+  VExp(a + i, o + i, n - i);
 }
-void Sigmoid(const float* a, float* o, int64_t n) {
+void SigmoidAvx2(const float* a, float* o, int64_t n) {
   int64_t i = 0;
   for (; i + 8 <= n; i += 8) {
     _mm256_storeu_ps(o + i, SigmoidPs(_mm256_loadu_ps(a + i)));
   }
-  if (i < n) {
-    Tail8([](__m256 x) { return SigmoidPs(x); }, a + i, o + i, n - i);
-  }
+  Sigmoid(a + i, o + i, n - i);
 }
-void VTanh(const float* a, float* o, int64_t n) {
+void VTanhAvx2(const float* a, float* o, int64_t n) {
   int64_t i = 0;
   for (; i + 8 <= n; i += 8) {
     _mm256_storeu_ps(o + i, TanhPs(_mm256_loadu_ps(a + i)));
   }
-  if (i < n) Tail8([](__m256 x) { return TanhPs(x); }, a + i, o + i, n - i);
+  VTanh(a + i, o + i, n - i);
 }
 
-void SigmoidGrad(const float* g, const float* out, float* o, int64_t n) {
-  const __m256 one = _mm256_set1_ps(1.0f);
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 s = _mm256_loadu_ps(out + i);
-    const __m256 d = _mm256_mul_ps(s, _mm256_sub_ps(one, s));
-    _mm256_storeu_ps(o + i, _mm256_mul_ps(_mm256_loadu_ps(g + i), d));
-  }
-  // Same association as the lanes: g * (s * (1 - s)).
-  for (; i < n; ++i) o[i] = g[i] * (out[i] * (1.0f - out[i]));
-}
-void TanhGrad(const float* g, const float* out, float* o, int64_t n) {
-  const __m256 one = _mm256_set1_ps(1.0f);
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 t = _mm256_loadu_ps(out + i);
-    const __m256 d = _mm256_fnmadd_ps(t, t, one);  // 1 - t*t
-    _mm256_storeu_ps(o + i, _mm256_mul_ps(_mm256_loadu_ps(g + i), d));
-  }
-  // std::fma mirrors the lanes' fnmadd rounding (one rounding, not two).
-  for (; i < n; ++i) o[i] = g[i] * std::fma(-out[i], out[i], 1.0f);
-}
-void Axpy(float a, const float* x, float* dst, int64_t n) {
+void AxpyAvx2(float a, const float* x, float* dst, int64_t n) {
   const __m256 va = _mm256_set1_ps(a);
   int64_t i = 0;
   for (; i + 8 <= n; i += 8) {
@@ -195,20 +146,17 @@ void Axpy(float a, const float* x, float* dst, int64_t n) {
                      _mm256_fmadd_ps(va, _mm256_loadu_ps(x + i),
                                      _mm256_loadu_ps(dst + i)));
   }
-  for (; i < n; ++i) dst[i] = std::fma(a, x[i], dst[i]);
+  Axpy(a, x + i, dst + i, n - i);
 }
 
-/// Sums the four doubles of `v` in fixed lane order.
+/// Sums the four doubles of `v` in fixed lane order (FoldLanes).
 inline double HSum4(__m256d v) {
   alignas(32) double lanes[4];
   _mm256_store_pd(lanes, v);
-  return ((lanes[0] + lanes[1]) + lanes[2]) + lanes[3];
+  return FoldLanes(lanes);
 }
 
-double Dot(const float* a, const float* b, int64_t n) {
-  // Products are widened to double BEFORE accumulating, matching the
-  // scalar level's (double)a * (double)b precision; only the lane
-  // interleaving differs, which stays within the cross-level tolerance.
+double DotAvx2(const float* a, const float* b, int64_t n) {
   __m256d acc_lo = _mm256_setzero_pd();
   __m256d acc_hi = _mm256_setzero_pd();
   int64_t i = 0;
@@ -224,11 +172,11 @@ double Dot(const float* a, const float* b, int64_t n) {
   }
   double acc = HSum4(_mm256_add_pd(acc_lo, acc_hi));
   for (; i < n; ++i) {
-    acc += static_cast<double>(a[i]) * static_cast<double>(b[i]);
+    acc = std::fma(static_cast<double>(a[i]), static_cast<double>(b[i]), acc);
   }
   return acc;
 }
-double Sum(const float* a, int64_t n) {
+double SumAvx2(const float* a, int64_t n) {
   __m256d acc_lo = _mm256_setzero_pd();
   __m256d acc_hi = _mm256_setzero_pd();
   int64_t i = 0;
@@ -376,21 +324,21 @@ void RowTiles(const float* init, const float* a, int64_t m, BRow b_row,
   }
 }
 
-void DiffuseRows(const float* self, const float* a, const int64_t* idx,
-                 int64_t m, const float* src, const float* inv_deg,
-                 float* out, int64_t rows, int64_t c) {
+void DiffuseRowsAvx2(const float* self, const float* a, const int64_t* idx,
+                     int64_t m, const float* src, const float* inv_deg,
+                     float* out, int64_t rows, int64_t c) {
   RowTiles(self, a, m, [&](int64_t j) { return src + idx[j] * c; }, inv_deg,
            out, rows, c);
 }
 
-void MatMulRows(const float* a, const float* b, float* o, int64_t rows,
-                int64_t k, int64_t n) {
+void MatMulRowsAvx2(const float* a, const float* b, float* o, int64_t rows,
+                    int64_t k, int64_t n) {
   RowTiles(o, a, k, [&](int64_t kk) { return b + kk * n; }, nullptr, o,
            rows, n);
 }
 
-void GruBlend(const float* z, const float* h, const float* c, float* o,
-              int64_t n) {
+void GruBlendAvx2(const float* z, const float* h, const float* c, float* o,
+                  int64_t n) {
   const __m256 one = _mm256_set1_ps(1.0f);
   int64_t i = 0;
   for (; i + 8 <= n; i += 8) {
@@ -401,44 +349,23 @@ void GruBlend(const float* z, const float* h, const float* c, float* o,
         vz, vh, _mm256_mul_ps(_mm256_sub_ps(one, vz), vc));
     _mm256_storeu_ps(o + i, blended);
   }
-  for (; i < n; ++i) o[i] = std::fma(z[i], h[i], (1.0f - z[i]) * c[i]);
+  GruBlend(z + i, h + i, c + i, o + i, n - i);
 }
 
-/// Copies `rem` (< 8) floats into a zero-padded aligned lane block. The
-/// fused sigmoid/tanh kernels run their full lane body over these pads so
-/// tail elements get the exact bits a full lane would (same contract as
-/// Tail8, extended to multi-input kernels).
-inline __m256 PadLoad(const float* a, int64_t rem) {
-  alignas(32) float in[8] = {0.0f, 0.0f, 0.0f, 0.0f, 0.0f, 0.0f, 0.0f, 0.0f};
-  for (int64_t k = 0; k < rem; ++k) in[k] = a[k];
-  return _mm256_load_ps(in);
-}
-
-inline void PadStore(float* o, __m256 v, int64_t rem) {
-  if (o == nullptr) return;
-  alignas(32) float out[8];
-  _mm256_store_ps(out, v);
-  for (int64_t k = 0; k < rem; ++k) o[k] = out[k];
-}
-
-void SigmoidMul(const float* a, const float* b, float* o, float* r_out,
-                int64_t n) {
+void SigmoidMulAvx2(const float* a, const float* b, float* o, float* r_out,
+                    int64_t n) {
   int64_t i = 0;
   for (; i + 8 <= n; i += 8) {
     const __m256 r = SigmoidPs(_mm256_loadu_ps(a + i));
     if (r_out != nullptr) _mm256_storeu_ps(r_out + i, r);
     _mm256_storeu_ps(o + i, _mm256_mul_ps(r, _mm256_loadu_ps(b + i)));
   }
-  if (i < n) {
-    const int64_t rem = n - i;
-    const __m256 r = SigmoidPs(PadLoad(a + i, rem));
-    PadStore(r_out == nullptr ? nullptr : r_out + i, r, rem);
-    PadStore(o + i, _mm256_mul_ps(r, PadLoad(b + i, rem)), rem);
-  }
+  SigmoidMul(a + i, b + i, o + i, r_out == nullptr ? nullptr : r_out + i,
+             n - i);
 }
 
-void GruTail(const float* gz, const float* h, const float* c, float* o,
-             float* z_out, float* t_out, int64_t n) {
+void GruTailAvx2(const float* gz, const float* h, const float* c, float* o,
+                 float* z_out, float* t_out, int64_t n) {
   const __m256 one = _mm256_set1_ps(1.0f);
   int64_t i = 0;
   for (; i + 8 <= n; i += 8) {
@@ -451,21 +378,14 @@ void GruTail(const float* gz, const float* h, const float* c, float* o,
         z, _mm256_loadu_ps(h + i), _mm256_mul_ps(_mm256_sub_ps(one, z), t));
     _mm256_storeu_ps(o + i, blended);
   }
-  if (i < n) {
-    const int64_t rem = n - i;
-    const __m256 z = SigmoidPs(PadLoad(gz + i, rem));
-    const __m256 t = TanhPs(PadLoad(c + i, rem));
-    PadStore(z_out == nullptr ? nullptr : z_out + i, z, rem);
-    PadStore(t_out == nullptr ? nullptr : t_out + i, t, rem);
-    const __m256 blended = _mm256_fmadd_ps(
-        z, PadLoad(h + i, rem), _mm256_mul_ps(_mm256_sub_ps(one, z), t));
-    PadStore(o + i, blended, rem);
-  }
+  GruTail(gz + i, h + i, c + i, o + i,
+          z_out == nullptr ? nullptr : z_out + i,
+          t_out == nullptr ? nullptr : t_out + i, n - i);
 }
 
-void GruTailGrad(const float* g, const float* z, const float* t,
-                 const float* h, float* dgz, float* dh, float* dc,
-                 int64_t n) {
+void GruTailGradAvx2(const float* g, const float* z, const float* t,
+                     const float* h, float* dgz, float* dh, float* dc,
+                     int64_t n) {
   const __m256 one = _mm256_set1_ps(1.0f);
   int64_t i = 0;
   for (; i + 8 <= n; i += 8) {
@@ -479,20 +399,15 @@ void GruTailGrad(const float* g, const float* z, const float* t,
             _mm256_mul_ps(vg, _mm256_sub_ps(_mm256_loadu_ps(h + i), vt)),
             dzs));
     _mm256_storeu_ps(dh + i, _mm256_mul_ps(vg, vz));
-    _mm256_storeu_ps(
-        dc + i,
-        _mm256_mul_ps(_mm256_mul_ps(vg, _mm256_sub_ps(one, vz)),
-                      _mm256_sub_ps(one, _mm256_mul_ps(vt, vt))));
+    _mm256_storeu_ps(dc + i,
+                     _mm256_mul_ps(_mm256_mul_ps(vg, _mm256_sub_ps(one, vz)),
+                                   _mm256_fnmadd_ps(vt, vt, one)));
   }
-  for (; i < n; ++i) {
-    dgz[i] = (g[i] * (h[i] - t[i])) * (z[i] * (1.0f - z[i]));
-    dh[i] = g[i] * z[i];
-    dc[i] = (g[i] * (1.0f - z[i])) * (1.0f - t[i] * t[i]);
-  }
+  for (; i < n; ++i) GruTailGradAt(g, z, t, h, dgz, dh, dc, i);
 }
 
-void GruStep(const float* xi, const float* hh, const float* h, float* o,
-             float* r_out, float* z_out, float* n_out, int64_t h_len) {
+void GruStepAvx2(const float* xi, const float* hh, const float* h, float* o,
+                 float* r_out, float* z_out, float* n_out, int64_t h_len) {
   const __m256 one = _mm256_set1_ps(1.0f);
   const float* xi_z = xi + h_len;
   const float* xi_n = xi + 2 * h_len;
@@ -513,72 +428,11 @@ void GruStep(const float* xi, const float* hh, const float* h, float* o,
         z, _mm256_loadu_ps(h + i), _mm256_mul_ps(_mm256_sub_ps(one, z), nc));
     _mm256_storeu_ps(o + i, blended);
   }
-  if (i < h_len) {
-    const int64_t rem = h_len - i;
-    const __m256 r = SigmoidPs(
-        _mm256_add_ps(PadLoad(xi + i, rem), PadLoad(hh + i, rem)));
-    const __m256 z = SigmoidPs(
-        _mm256_add_ps(PadLoad(xi_z + i, rem), PadLoad(hh_z + i, rem)));
-    const __m256 nc =
-        TanhPs(_mm256_fmadd_ps(r, PadLoad(hh_n + i, rem),
-                               PadLoad(xi_n + i, rem)));
-    PadStore(r_out == nullptr ? nullptr : r_out + i, r, rem);
-    PadStore(z_out == nullptr ? nullptr : z_out + i, z, rem);
-    PadStore(n_out == nullptr ? nullptr : n_out + i, nc, rem);
-    const __m256 blended = _mm256_fmadd_ps(
-        z, PadLoad(h + i, rem), _mm256_mul_ps(_mm256_sub_ps(one, z), nc));
-    PadStore(o + i, blended, rem);
-  }
+  GruStepFrom(xi, hh, h, o, r_out, z_out, n_out, h_len, i);
 }
 
-void GruStepGrad(const float* g, const float* r, const float* z,
-                 const float* nc, const float* h, const float* hh_n,
-                 float* dxi, float* dhh, float* dh, int64_t h_len) {
-  const __m256 one = _mm256_set1_ps(1.0f);
-  int64_t i = 0;
-  for (; i + 8 <= h_len; i += 8) {
-    const __m256 vg = _mm256_loadu_ps(g + i);
-    const __m256 vz = _mm256_loadu_ps(z + i);
-    const __m256 vr = _mm256_loadu_ps(r + i);
-    const __m256 vn = _mm256_loadu_ps(nc + i);
-    const __m256 one_minus_z = _mm256_sub_ps(one, vz);
-    const __m256 dz_pre = _mm256_mul_ps(
-        _mm256_mul_ps(vg, _mm256_sub_ps(_mm256_loadu_ps(h + i), vn)),
-        _mm256_mul_ps(vz, one_minus_z));
-    const __m256 dn_pre =
-        _mm256_mul_ps(_mm256_mul_ps(vg, one_minus_z),
-                      _mm256_sub_ps(one, _mm256_mul_ps(vn, vn)));
-    const __m256 dr_pre = _mm256_mul_ps(
-        _mm256_mul_ps(dn_pre, _mm256_loadu_ps(hh_n + i)),
-        _mm256_mul_ps(vr, _mm256_sub_ps(one, vr)));
-    _mm256_storeu_ps(dxi + i, dr_pre);
-    _mm256_storeu_ps(dxi + h_len + i, dz_pre);
-    _mm256_storeu_ps(dxi + 2 * h_len + i, dn_pre);
-    _mm256_storeu_ps(dhh + i, dr_pre);
-    _mm256_storeu_ps(dhh + h_len + i, dz_pre);
-    _mm256_storeu_ps(dhh + 2 * h_len + i, _mm256_mul_ps(dn_pre, vr));
-    _mm256_storeu_ps(dh + i, _mm256_mul_ps(vg, vz));
-  }
-  for (; i < h_len; ++i) {
-    const float gi = g[i];
-    const float zi = z[i];
-    const float ri = r[i];
-    const float ni = nc[i];
-    const float dz_pre = (gi * (h[i] - ni)) * (zi * (1.0f - zi));
-    const float dn_pre = (gi * (1.0f - zi)) * (1.0f - ni * ni);
-    const float dr_pre = (dn_pre * hh_n[i]) * (ri * (1.0f - ri));
-    dxi[i] = dr_pre;
-    dxi[h_len + i] = dz_pre;
-    dxi[2 * h_len + i] = dn_pre;
-    dhh[i] = dr_pre;
-    dhh[h_len + i] = dz_pre;
-    dhh[2 * h_len + i] = dn_pre * ri;
-    dh[i] = gi * zi;
-  }
-}
-
-MaskedErrAcc MaskedErr(const float* pred, const float* truth, int64_t n,
-                       double mape_floor) {
+MaskedErrAcc MaskedErrAvx2(const float* pred, const float* truth, int64_t n,
+                           double mape_floor) {
   MaskedErrAcc acc;
   const __m256d zero_d = _mm256_setzero_pd();
   const __m256d one_d = _mm256_set1_pd(1.0);
@@ -615,18 +469,7 @@ MaskedErrAcc MaskedErr(const float* pred, const float* truth, int64_t n,
   acc.ape = HSum4(ape_acc);
   acc.count = count;
   acc.ape_count = ape_count;
-  for (; i < n; ++i) {
-    if (truth[i] == 0.0f) continue;
-    const double truth_i = truth[i];
-    const double err = static_cast<double>(pred[i]) - truth_i;
-    acc.abs += std::fabs(err);
-    acc.sq += err * err;
-    if (std::fabs(truth_i) >= mape_floor) {
-      acc.ape += std::fabs(err) / std::fabs(truth_i);
-      ++acc.ape_count;
-    }
-    ++acc.count;
-  }
+  for (; i < n; ++i) MaskedErrOne(pred[i], truth[i], mape_floor, acc);
   return acc;
 }
 
@@ -655,29 +498,29 @@ const Kernels& Avx2Kernels() {
       .neg = Neg,
       .vabs = VAbs,
       .relu = Relu,
-      .vsqrt = VSqrt,
-      .vexp = VExp,
-      .sigmoid = Sigmoid,
-      .vtanh = VTanh,
+      .vsqrt = VSqrtAvx2,
+      .vexp = VExpAvx2,
+      .sigmoid = SigmoidAvx2,
+      .vtanh = VTanhAvx2,
       .sigmoid_grad = SigmoidGrad,
       .tanh_grad = TanhGrad,
       .relu_grad = ReluGrad,
       .mul_sub = MulSub,
       .mul_one_minus = MulOneMinus,
-      .axpy = Axpy,
+      .axpy = AxpyAvx2,
       .scale = Scale,
-      .dot = Dot,
-      .sum = Sum,
-      .diffuse_rows = DiffuseRows,
-      .matmul_rows = MatMulRows,
-      .gru_blend = GruBlend,
-      .sigmoid_mul = SigmoidMul,
-      .gru_tail = GruTail,
+      .dot = DotAvx2,
+      .sum = SumAvx2,
+      .diffuse_rows = DiffuseRowsAvx2,
+      .matmul_rows = MatMulRowsAvx2,
+      .gru_blend = GruBlendAvx2,
+      .sigmoid_mul = SigmoidMulAvx2,
+      .gru_tail = GruTailAvx2,
       .sigmoid_mul_grad = SigmoidMulGrad,
-      .gru_tail_grad = GruTailGrad,
-      .gru_step = GruStep,
+      .gru_tail_grad = GruTailGradAvx2,
+      .gru_step = GruStepAvx2,
       .gru_step_grad = GruStepGrad,
-      .masked_err = MaskedErr,
+      .masked_err = MaskedErrAvx2,
   };
   return table;
 }

@@ -512,17 +512,26 @@ Tensor MeanAll(const Tensor& a) {
   return Tensor::Scalar(SumAll(a).Item() / a.size());
 }
 
+// Both fold with Maximum's / Minimum's rule, which takes b when a or b
+// is NaN, and stop at the first NaN they hold: a NaN at any position is
+// the result.
 float MaxAll(const Tensor& a) {
   SAGDFN_CHECK_GT(a.size(), 0);
-  float best = a.data()[0];
-  for (int64_t i = 1; i < a.size(); ++i) best = std::max(best, a.data()[i]);
+  const float* pa = a.data();
+  float best = pa[0];
+  for (int64_t i = 1; i < a.size() && best == best; ++i) {
+    best = best > pa[i] ? best : pa[i];
+  }
   return best;
 }
 
 float MinAll(const Tensor& a) {
   SAGDFN_CHECK_GT(a.size(), 0);
-  float best = a.data()[0];
-  for (int64_t i = 1; i < a.size(); ++i) best = std::min(best, a.data()[i]);
+  const float* pa = a.data();
+  float best = pa[0];
+  for (int64_t i = 1; i < a.size() && best == best; ++i) {
+    best = best < pa[i] ? best : pa[i];
+  }
   return best;
 }
 

@@ -1,11 +1,14 @@
 // The SIMD determinism contract (DESIGN.md §5f), pinned:
-//   1. kernel-level scalar-vs-avx2 equivalence at awkward lengths
-//      (length 1, vector-width +/- 1, odd strides through tensor views),
-//      bit for bit with NaN/+-0/inf operands for the one-source exact
-//      kernels of simd_elementwise.h;
+//   1. kernel-level scalar-vs-avx2 equivalence, bit for bit: every
+//      kernel at awkward lengths (length 1, vector-width +/- 1, odd
+//      strides through tensor views) with NaN/+-0/inf/denormal operands
+//      and the exp clamp edges at every lane and tail position, and the
+//      exp family over a strided sweep of float bit patterns (all 2^32
+//      in a DISABLED_ test);
 //   2. per-level thread-count determinism — memcmp-identical outputs for
 //      1, 2, 4 threads at a FIXED dispatch level;
-//   3. full-model forward+backward agreement across levels to tolerance;
+//   3. full-model forward+backward and Adam steps memcmp-identical
+//      across levels;
 //   4. fused ops (OneStepFastGConv, GruBlend) against their composed
 //      reference chains, plus finite-difference gradients;
 //   5. ScratchArena reuse/reset/high-water semantics;
@@ -15,6 +18,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -27,6 +32,7 @@
 #include "autograd/ops.h"
 #include "core/fused_ops.h"
 #include "core/sagdfn.h"
+#include "optim/optimizer.h"
 #include "tensor/tensor_ops.h"
 #include "utils/arena.h"
 #include "utils/block_reduce.h"
@@ -85,17 +91,6 @@ std::vector<float> RandomVec(int64_t n, uint64_t seed, float lo = -4.0f,
   std::vector<float> v(n);
   for (auto& x : v) x = lo + (hi - lo) * rng.Uniform();
   return v;
-}
-
-void ExpectClose(const float* a, const float* b, int64_t n, double atol,
-                 double rtol, const char* what) {
-  for (int64_t i = 0; i < n; ++i) {
-    const double diff = std::fabs(double(a[i]) - double(b[i]));
-    EXPECT_LE(diff, atol + rtol * std::fabs(double(b[i])))
-        << what << " at i=" << i << " n=" << n << ": " << a[i] << " vs "
-        << b[i];
-    if (testing::Test::HasFailure()) return;
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -161,11 +156,30 @@ void SpecialPairs(int64_t n, int64_t shift, std::vector<float>* a,
   }
 }
 
+/// Reports the first element whose bytes differ.
+void ExpectSameBytes(const float* x, const float* y, int64_t n,
+                     const std::string& what) {
+  for (int64_t i = 0; i < n; ++i) {
+    const uint32_t bx = std::bit_cast<uint32_t>(x[i]);
+    const uint32_t by = std::bit_cast<uint32_t>(y[i]);
+    if (bx != by) {
+      ADD_FAILURE() << what << " differs at i=" << i << " n=" << n << ": "
+                    << x[i] << " (0x" << std::hex << bx << ") vs " << y[i]
+                    << " (0x" << by << ")" << std::dec;
+      return;
+    }
+  }
+}
+
 void ExpectSameBits(const std::vector<float>& x, const std::vector<float>& y,
                     const std::string& what) {
   ASSERT_EQ(x.size(), y.size());
-  EXPECT_EQ(0, std::memcmp(x.data(), y.data(), sizeof(float) * x.size()))
-      << what << " differs at n=" << x.size();
+  ExpectSameBytes(x.data(), y.data(), static_cast<int64_t>(x.size()), what);
+}
+
+void ExpectSameDouble(double x, double y, const std::string& what) {
+  EXPECT_EQ(std::bit_cast<uint64_t>(x), std::bit_cast<uint64_t>(y))
+      << what << ": " << x << " vs " << y;
 }
 
 // The exact kernels are one source compiled at both levels, but each level
@@ -257,7 +271,10 @@ TEST(SimdKernelTest, ScalarOperandKernelsMatchExactly) {
   }
 }
 
-TEST(SimdKernelTest, UnaryKernelsMatchWithinTolerance) {
+// Every kernel has one definition (simd_elementwise.h), so the levels
+// agree bit for bit; the exp family's hand-written AVX2 lanes compute
+// the definition's polynomial instruction for instruction.
+TEST(SimdKernelTest, UnaryKernelsMatchScalarExactly) {
   if (SkipWithoutAvx2()) return;
   const auto& sc = simd::KernelsFor(simd::Level::kScalar);
   const auto& vx = simd::KernelsFor(simd::Level::kAvx2);
@@ -265,7 +282,6 @@ TEST(SimdKernelTest, UnaryKernelsMatchWithinTolerance) {
     const auto a = RandomVec(n, 400 + n, -6.0f, 6.0f);
     std::vector<float> o1(n), o2(n);
 
-    // neg/abs/relu are sign-bit games: exact.
     using UnK = void (*)(const float*, float*, int64_t);
     for (auto [ks, kv] : std::vector<std::pair<UnK, UnK>>{
              {sc.neg, vx.neg}, {sc.vabs, vx.vabs}, {sc.relu, vx.relu}}) {
@@ -273,23 +289,20 @@ TEST(SimdKernelTest, UnaryKernelsMatchWithinTolerance) {
       kv(a.data(), o2.data(), n);
       EXPECT_EQ(0, std::memcmp(o1.data(), o2.data(), sizeof(float) * n));
     }
-    // sqrt is IEEE-correctly-rounded in both: exact.
     const auto pos = RandomVec(n, 500 + n, 0.0f, 10.0f);
     sc.vsqrt(pos.data(), o1.data(), n);
     vx.vsqrt(pos.data(), o2.data(), n);
     EXPECT_EQ(0, std::memcmp(o1.data(), o2.data(), sizeof(float) * n));
 
-    // Polynomial exp vs libm: relative tolerance; sigmoid/tanh are
-    // bounded, so absolute tolerance dominates.
     sc.vexp(a.data(), o1.data(), n);
     vx.vexp(a.data(), o2.data(), n);
-    ExpectClose(o2.data(), o1.data(), n, 1e-6, 3e-7, "exp");
+    ExpectSameBytes(o2.data(), o1.data(), n, "exp");
     sc.sigmoid(a.data(), o1.data(), n);
     vx.sigmoid(a.data(), o2.data(), n);
-    ExpectClose(o2.data(), o1.data(), n, 1e-6, 1e-6, "sigmoid");
+    ExpectSameBytes(o2.data(), o1.data(), n, "sigmoid");
     sc.vtanh(a.data(), o1.data(), n);
     vx.vtanh(a.data(), o2.data(), n);
-    ExpectClose(o2.data(), o1.data(), n, 3e-7, 1e-6, "tanh");
+    ExpectSameBytes(o2.data(), o1.data(), n, "tanh");
   }
 }
 
@@ -320,7 +333,7 @@ TEST(SimdKernelTest, ExpEdgeCases) {
   EXPECT_EQ(t[1], -1.0f);
 }
 
-TEST(SimdKernelTest, GradAndFusedKernelsMatchWithinTolerance) {
+TEST(SimdKernelTest, GradAndFusedKernelsMatchScalarExactly) {
   if (SkipWithoutAvx2()) return;
   const auto& sc = simd::KernelsFor(simd::Level::kScalar);
   const auto& vx = simd::KernelsFor(simd::Level::kAvx2);
@@ -333,14 +346,12 @@ TEST(SimdKernelTest, GradAndFusedKernelsMatchWithinTolerance) {
 
     sc.sigmoid_grad(g.data(), z.data(), o1.data(), n);
     vx.sigmoid_grad(g.data(), z.data(), o2.data(), n);
-    ExpectClose(o2.data(), o1.data(), n, 1e-6, 1e-6, "sigmoid_grad");
+    ExpectSameBytes(o2.data(), o1.data(), n, "sigmoid_grad");
 
     sc.tanh_grad(g.data(), z.data(), o1.data(), n);
     vx.tanh_grad(g.data(), z.data(), o2.data(), n);
-    ExpectClose(o2.data(), o1.data(), n, 1e-6, 1e-6, "tanh_grad");
+    ExpectSameBytes(o2.data(), o1.data(), n, "tanh_grad");
 
-    // relu_grad, mul_sub and mul_one_minus are one source at both
-    // levels (simd_elementwise.h): exact.
     sc.relu_grad(g.data(), a.data(), o1.data(), n);
     vx.relu_grad(g.data(), a.data(), o2.data(), n);
     ExpectSameBits(o1, o2, "relu_grad");
@@ -355,13 +366,12 @@ TEST(SimdKernelTest, GradAndFusedKernelsMatchWithinTolerance) {
 
     sc.gru_blend(z.data(), a.data(), b.data(), o1.data(), n);
     vx.gru_blend(z.data(), a.data(), b.data(), o2.data(), n);
-    ExpectClose(o2.data(), o1.data(), n, 1e-6, 1e-6, "gru_blend");
+    ExpectSameBytes(o2.data(), o1.data(), n, "gru_blend");
 
-    // axpy: FMA contraction only. scale is one source: exact.
     std::vector<float> d1 = b, d2 = b;
     sc.axpy(0.37f, a.data(), d1.data(), n);
     vx.axpy(0.37f, a.data(), d2.data(), n);
-    ExpectClose(d2.data(), d1.data(), n, 1e-6, 1e-6, "axpy");
+    ExpectSameBytes(d2.data(), d1.data(), n, "axpy");
     d2 = d1;
     sc.scale(d1.data(), 1.21f, n);
     vx.scale(d2.data(), 1.21f, n);
@@ -369,18 +379,19 @@ TEST(SimdKernelTest, GradAndFusedKernelsMatchWithinTolerance) {
   }
 }
 
-TEST(SimdKernelTest, ReductionsMatchWithinTolerance) {
+// The scalar dot and sum replay the AVX2 lane layout, so the double
+// results agree bit for bit.
+TEST(SimdKernelTest, ReductionsMatchScalarExactly) {
   if (SkipWithoutAvx2()) return;
   const auto& sc = simd::KernelsFor(simd::Level::kScalar);
   const auto& vx = simd::KernelsFor(simd::Level::kAvx2);
   for (int64_t n : kAwkwardLengths) {
     const auto a = RandomVec(n, 1000 + n);
     const auto b = RandomVec(n, 1100 + n);
-    const double rel = 1e-12 * n + 1e-10;
-    EXPECT_NEAR(sc.sum(a.data(), n), vx.sum(a.data(), n),
-                rel * (1.0 + std::fabs(sc.sum(a.data(), n))));
-    EXPECT_NEAR(sc.dot(a.data(), b.data(), n), vx.dot(a.data(), b.data(), n),
-                rel * (1.0 + std::fabs(sc.dot(a.data(), b.data(), n))));
+    const std::string at = " at n=" + std::to_string(n);
+    ExpectSameDouble(sc.sum(a.data(), n), vx.sum(a.data(), n), "sum" + at);
+    ExpectSameDouble(sc.dot(a.data(), b.data(), n),
+                     vx.dot(a.data(), b.data(), n), "dot" + at);
   }
 }
 
@@ -398,9 +409,10 @@ TEST(SimdKernelTest, MaskedErrMatchesScalarSemantics) {
     const auto v = vx.masked_err(pred.data(), truth.data(), n, 1e-3);
     EXPECT_EQ(s.count, v.count) << "n=" << n;
     EXPECT_EQ(s.ape_count, v.ape_count) << "n=" << n;
-    EXPECT_NEAR(s.abs, v.abs, 1e-9 * (1.0 + s.abs));
-    EXPECT_NEAR(s.sq, v.sq, 1e-9 * (1.0 + s.sq));
-    EXPECT_NEAR(s.ape, v.ape, 1e-9 * (1.0 + s.ape));
+    const std::string at = " at n=" + std::to_string(n);
+    ExpectSameDouble(s.abs, v.abs, "abs" + at);
+    ExpectSameDouble(s.sq, v.sq, "sq" + at);
+    ExpectSameDouble(s.ape, v.ape, "ape" + at);
   }
 }
 
@@ -421,7 +433,9 @@ TEST(SimdKernelTest, MaskedErrNanTruthFollowsScalarConvention) {
   EXPECT_EQ(v.ape_count, s.ape_count);
   EXPECT_TRUE(std::isnan(v.abs));
   EXPECT_TRUE(std::isnan(s.abs));
-  EXPECT_NEAR(v.ape, s.ape, 1e-12);
+  ExpectSameDouble(v.abs, s.abs, "abs");
+  ExpectSameDouble(v.sq, s.sq, "sq");
+  ExpectSameDouble(v.ape, s.ape, "ape");
 }
 
 // ---------------------------------------------------------------------------
@@ -481,7 +495,7 @@ TEST(SimdTensorOpTest, SlicedViewsFeedKernelsCorrectly) {
     q2 = tensor::Sigmoid(transposed);
   }
   EXPECT_EQ(0, std::memcmp(r1.data(), q1.data(), sizeof(float) * r1.size()));
-  EXPECT_TRUE(tensor::AllClose(q2, r2, 1e-6f, 1e-6f));
+  EXPECT_EQ(0, std::memcmp(r2.data(), q2.data(), sizeof(float) * r2.size()));
 }
 
 TEST(SimdTensorOpTest, MatMulAgreesAcrossLevels) {
@@ -498,15 +512,14 @@ TEST(SimdTensorOpTest, MatMulAgreesAcrossLevels) {
     LevelScope scope(simd::Level::kAvx2);
     r2 = tensor::MatMul(a, b);
   }
-  EXPECT_TRUE(tensor::AllClose(r2, r1, 1e-5f, 1e-5f));
+  EXPECT_EQ(0, std::memcmp(r1.data(), r2.data(), sizeof(float) * r1.size()));
 }
 
 // ---------------------------------------------------------------------------
 // 3. Thread-count determinism at a fixed level
 // ---------------------------------------------------------------------------
 
-Tensor ModelLossGrads(int64_t threads, std::vector<Tensor>* grads) {
-  ThreadScope tscope(threads);
+core::SagdfnConfig SmallModelConfig() {
   core::SagdfnConfig config;
   config.num_nodes = 40;
   config.embedding_dim = 8;
@@ -519,13 +532,23 @@ Tensor ModelLossGrads(int64_t threads, std::vector<Tensor>* grads) {
   config.history = 4;
   config.horizon = 4;
   config.seed = 7;
-  core::SagdfnModel model(config);
+  return config;
+}
+
+/// One forward+backward of `model` on fixed inputs; returns the loss.
+ag::Variable SmallModelLoss(core::SagdfnModel& model) {
   utils::Rng rng(31);
   Tensor x = Tensor::Normal(Shape({2, 4, 40, 2}), rng);
   Tensor tod = Tensor::Uniform(Shape({2, 4}), rng);
-  ag::Variable pred = model.Forward(x, tod, 0);
-  ag::Variable loss = ag::MeanAll(ag::Abs(pred));
+  ag::Variable loss = ag::MeanAll(ag::Abs(model.Forward(x, tod, 0)));
   loss.Backward();
+  return loss;
+}
+
+Tensor ModelLossGrads(int64_t threads, std::vector<Tensor>* grads) {
+  ThreadScope tscope(threads);
+  core::SagdfnModel model(SmallModelConfig());
+  ag::Variable loss = SmallModelLoss(model);
   if (grads != nullptr) {
     grads->clear();
     for (const auto& p : model.Parameters()) grads->push_back(p.grad());
@@ -572,23 +595,34 @@ TEST(SimdDeterminismTest, Avx2LevelBitIdenticalAcrossThreadCounts) {
 
 TEST(SimdDeterminismTest, FullModelForwardBackwardAgreesAcrossLevels) {
   if (SkipWithoutAvx2()) return;
-  std::vector<Tensor> g_scalar, g_avx2;
-  Tensor l_scalar, l_avx2;
-  {
-    LevelScope scope(simd::Level::kScalar);
-    l_scalar = ModelLossGrads(0, &g_scalar);
-  }
-  {
-    LevelScope scope(simd::Level::kAvx2);
-    l_avx2 = ModelLossGrads(0, &g_avx2);
-  }
-  EXPECT_NEAR(l_scalar.Item(), l_avx2.Item(),
-              1e-5 * (1.0 + std::fabs(l_scalar.Item())));
-  ASSERT_EQ(g_scalar.size(), g_avx2.size());
-  for (size_t i = 0; i < g_scalar.size(); ++i) {
-    EXPECT_TRUE(
-        tensor::AllClose(g_avx2[i], g_scalar[i], 1e-4f, 1e-3f))
-        << "grad " << i << " diverges across levels";
+  // The first step's loss and gradients, then the parameters after three
+  // Adam steps.
+  const auto run = [](simd::Level level) {
+    LevelScope scope(level);
+    core::SagdfnModel model(SmallModelConfig());
+    optim::Adam adam(model.Parameters(), 1e-2);
+    std::vector<Tensor> out;
+    for (int step = 0; step < 3; ++step) {
+      adam.ZeroGrad();
+      ag::Variable loss = SmallModelLoss(model);
+      if (step == 0) {
+        out.push_back(loss.value().Clone());
+        for (const auto& p : model.Parameters()) out.push_back(p.grad().Clone());
+      }
+      adam.Step();
+    }
+    for (const auto& p : model.Parameters()) out.push_back(p.value().Clone());
+    return out;
+  };
+  const std::vector<Tensor> scalar = run(simd::Level::kScalar);
+  const std::vector<Tensor> avx2 = run(simd::Level::kAvx2);
+  ASSERT_EQ(scalar.size(), avx2.size());
+  for (size_t i = 0; i < scalar.size(); ++i) {
+    ASSERT_EQ(scalar[i].size(), avx2[i].size());
+    ExpectSameBytes(scalar[i].data(), avx2[i].data(), scalar[i].size(),
+                    "tensor " + std::to_string(i) +
+                        " (loss, first-step grads, then params after 3 "
+                        "Adam steps)");
   }
 }
 
@@ -753,35 +787,30 @@ TEST(SimdKernelTest, GruStepFusedKernelsMatchAcrossLevels) {
     std::vector<float> o1(n), o2(n), r1(n), r2(n), z1(n), z2(n), t1(n),
         t2(n);
 
-    // Forward kernels contain sigma / tanh: the AVX2 polynomials agree to
-    // tolerance with libm, and the auxiliary activation outputs must too.
+    // The auxiliary activation outputs must match too.
     sc.sigmoid_mul(a.data(), b.data(), o1.data(), r1.data(), n);
     vx.sigmoid_mul(a.data(), b.data(), o2.data(), r2.data(), n);
-    ExpectClose(o2.data(), o1.data(), n, 1e-6, 1e-6, "sigmoid_mul");
-    ExpectClose(r2.data(), r1.data(), n, 1e-6, 1e-6, "sigmoid_mul r_out");
+    ExpectSameBytes(o2.data(), o1.data(), n, "sigmoid_mul");
+    ExpectSameBytes(r2.data(), r1.data(), n, "sigmoid_mul r_out");
 
     sc.gru_tail(a.data(), h.data(), b.data(), o1.data(), z1.data(),
                 t1.data(), n);
     vx.gru_tail(a.data(), h.data(), b.data(), o2.data(), z2.data(),
                 t2.data(), n);
-    ExpectClose(o2.data(), o1.data(), n, 1e-6, 1e-6, "gru_tail");
-    ExpectClose(z2.data(), z1.data(), n, 1e-6, 1e-6, "gru_tail z_out");
-    ExpectClose(t2.data(), t1.data(), n, 1e-6, 1e-6, "gru_tail t_out");
+    ExpectSameBytes(o2.data(), o1.data(), n, "gru_tail");
+    ExpectSameBytes(z2.data(), z1.data(), n, "gru_tail z_out");
+    ExpectSameBytes(t2.data(), t1.data(), n, "gru_tail t_out");
 
     std::vector<float> s1(3 * n), s2(3 * n), w1(3 * n), w2(3 * n);
     sc.gru_step(xi.data(), hh.data(), h.data(), o1.data(), r1.data(),
                 z1.data(), t1.data(), n);
     vx.gru_step(xi.data(), hh.data(), h.data(), o2.data(), r2.data(),
                 z2.data(), t2.data(), n);
-    ExpectClose(o2.data(), o1.data(), n, 1e-6, 1e-6, "gru_step");
-    ExpectClose(r2.data(), r1.data(), n, 1e-6, 1e-6, "gru_step r_out");
-    ExpectClose(z2.data(), z1.data(), n, 1e-6, 1e-6, "gru_step z_out");
-    ExpectClose(t2.data(), t1.data(), n, 1e-6, 1e-6, "gru_step n_out");
+    ExpectSameBytes(o2.data(), o1.data(), n, "gru_step");
+    ExpectSameBytes(r2.data(), r1.data(), n, "gru_step r_out");
+    ExpectSameBytes(z2.data(), z1.data(), n, "gru_step z_out");
+    ExpectSameBytes(t2.data(), t1.data(), n, "gru_step n_out");
 
-    // sigmoid_mul_grad is one source at both levels: exact. The other
-    // backward kernels agree to tight tolerance (the AVX2 TU contracts
-    // `1 - t*t` into an fma, so bitwise equality is only guaranteed
-    // WITHIN a level — see the offset-independence test below).
     std::vector<float> dg1(n), dg2(n), dh1(n), dh2(n), dc1(n), dc2(n);
     sc.sigmoid_mul_grad(g.data(), z.data(), h.data(), dg1.data(),
                         dh1.data(), n);
@@ -794,18 +823,18 @@ TEST(SimdKernelTest, GruStepFusedKernelsMatchAcrossLevels) {
                      dh1.data(), dc1.data(), n);
     vx.gru_tail_grad(g.data(), z.data(), t.data(), h.data(), dg2.data(),
                      dh2.data(), dc2.data(), n);
-    ExpectClose(dg2.data(), dg1.data(), n, 1e-6, 1e-6, "gru_tail_grad dgz");
-    ExpectClose(dh2.data(), dh1.data(), n, 1e-6, 1e-6, "gru_tail_grad dh");
-    ExpectClose(dc2.data(), dc1.data(), n, 1e-6, 1e-6, "gru_tail_grad dc");
+    ExpectSameBytes(dg2.data(), dg1.data(), n, "gru_tail_grad dgz");
+    ExpectSameBytes(dh2.data(), dh1.data(), n, "gru_tail_grad dh");
+    ExpectSameBytes(dc2.data(), dc1.data(), n, "gru_tail_grad dc");
 
     const auto rr = RandomVec(n, 2400 + n, 0.02f, 0.98f);
     sc.gru_step_grad(g.data(), rr.data(), z.data(), t.data(), h.data(),
                      hh.data(), s1.data(), w1.data(), dh1.data(), n);
     vx.gru_step_grad(g.data(), rr.data(), z.data(), t.data(), h.data(),
                      hh.data(), s2.data(), w2.data(), dh2.data(), n);
-    ExpectClose(s2.data(), s1.data(), 3 * n, 1e-6, 1e-6, "gru_step_grad dxi");
-    ExpectClose(w2.data(), w1.data(), 3 * n, 1e-6, 1e-6, "gru_step_grad dhh");
-    ExpectClose(dh2.data(), dh1.data(), n, 1e-6, 1e-6, "gru_step_grad dh");
+    ExpectSameBytes(s2.data(), s1.data(), 3 * n, "gru_step_grad dxi");
+    ExpectSameBytes(w2.data(), w1.data(), 3 * n, "gru_step_grad dhh");
+    ExpectSameBytes(dh2.data(), dh1.data(), n, "gru_step_grad dh");
   }
 }
 
@@ -1002,6 +1031,294 @@ TEST(SimdKernelTest, ExactKernelsBitIdenticalAcrossOffsetsAndLevels) {
     ExpectSameBits(scalar.second, avx2.second,
                    std::string(name) + " across levels, second output");
   }
+}
+
+// Inputs on which a hand-written lane and its definition could part:
+// NaN of both signs, signed zeros, infinities, denormals, the exp clamp
+// edges (+-88.376...) and their neighbours, and the points where expf
+// overflows, goes denormal and underflows.
+const std::vector<float>& EdgeValues() {
+  static const std::vector<float> values = [] {
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float hi = 88.3762626647950f;
+    const float lo = -88.3762626647949f;
+    const float dmin = std::numeric_limits<float>::denorm_min();
+    const float dmax = std::bit_cast<float>(uint32_t{0x007fffff});
+    const float fmax = std::numeric_limits<float>::max();
+    return std::vector<float>{
+        0.0f,   -0.0f,  nan,    -nan,
+        inf,    -inf,   hi,     std::nextafter(hi, inf),
+        std::nextafter(hi, 0.0f), lo, std::nextafter(lo, -inf),
+        std::nextafter(lo, 0.0f), dmin, -dmin, dmax, -dmax,
+        std::numeric_limits<float>::min(), fmax, -fmax, 1.0f,
+        -1.0f, 0.5f, 88.72284f, -87.33655f, -103.97208f, 1e-8f};
+  }();
+  return values;
+}
+
+/// Operands of one call for the definition checks: six inputs and four
+/// outputs of length 3n (gru_step and its backward read and write
+/// [r|z|n] rows), plus five doubles for the reductions.
+struct DefIo {
+  const float* in[6];
+  float* out[4];
+  double* d;
+  int64_t n;
+};
+using DefCall = void (*)(const simd::Kernels&, const DefIo&);
+
+/// The 18 kernels outside ExactKernels(). Any of them may carry a
+/// hand-written AVX2 body (DESIGN.md §5f); the checks below hold each
+/// level to the definition in simd_elementwise.h either way.
+const std::vector<std::pair<const char*, DefCall>>& DefinedKernels() {
+  using K = simd::Kernels;
+  using Io = DefIo;
+  static const std::vector<std::pair<const char*, DefCall>> kernels = {
+      {"vsqrt", [](const K& k, const Io& io) {
+         k.vsqrt(io.in[0], io.out[0], io.n);
+       }},
+      {"vexp", [](const K& k, const Io& io) {
+         k.vexp(io.in[0], io.out[0], io.n);
+       }},
+      {"sigmoid", [](const K& k, const Io& io) {
+         k.sigmoid(io.in[0], io.out[0], io.n);
+       }},
+      {"vtanh", [](const K& k, const Io& io) {
+         k.vtanh(io.in[0], io.out[0], io.n);
+       }},
+      {"sigmoid_grad", [](const K& k, const Io& io) {
+         k.sigmoid_grad(io.in[0], io.in[1], io.out[0], io.n);
+       }},
+      {"tanh_grad", [](const K& k, const Io& io) {
+         k.tanh_grad(io.in[0], io.in[1], io.out[0], io.n);
+       }},
+      {"axpy", [](const K& k, const Io& io) {
+         std::copy_n(io.in[1], io.n, io.out[0]);
+         k.axpy(io.in[2][0], io.in[0], io.out[0], io.n);
+       }},
+      {"dot", [](const K& k, const Io& io) {
+         io.d[0] = k.dot(io.in[0], io.in[1], io.n);
+       }},
+      {"sum", [](const K& k, const Io& io) {
+         io.d[0] = k.sum(io.in[0], io.n);
+       }},
+      {"diffuse_rows", [](const K& k, const Io& io) {
+         // n / 3 output rows of width 3, each mixing rows 2, 0 and 1 of
+         // in[1] with its own three weights from in[0].
+         const int64_t idx[3] = {2, 0, 1};
+         const int64_t rows = io.n / 3;
+         k.diffuse_rows(io.in[2], io.in[0], idx, 3, io.in[1], io.in[3],
+                        io.out[0], rows, 3);
+       }},
+      {"matmul_rows", [](const K& k, const Io& io) {
+         std::copy_n(io.in[2], io.n, io.out[0]);
+         k.matmul_rows(io.in[0], io.in[1], io.out[0], 1, 3, io.n);
+       }},
+      {"gru_blend", [](const K& k, const Io& io) {
+         k.gru_blend(io.in[0], io.in[1], io.in[2], io.out[0], io.n);
+       }},
+      {"sigmoid_mul", [](const K& k, const Io& io) {
+         k.sigmoid_mul(io.in[0], io.in[1], io.out[0], io.out[1], io.n);
+       }},
+      {"sigmoid_mul (eval)", [](const K& k, const Io& io) {
+         k.sigmoid_mul(io.in[0], io.in[1], io.out[0], nullptr, io.n);
+       }},
+      {"gru_tail", [](const K& k, const Io& io) {
+         k.gru_tail(io.in[0], io.in[1], io.in[2], io.out[0], io.out[1],
+                    io.out[2], io.n);
+       }},
+      {"gru_tail (eval)", [](const K& k, const Io& io) {
+         k.gru_tail(io.in[0], io.in[1], io.in[2], io.out[0], nullptr,
+                    nullptr, io.n);
+       }},
+      {"gru_tail_grad", [](const K& k, const Io& io) {
+         k.gru_tail_grad(io.in[0], io.in[1], io.in[2], io.in[3], io.out[0],
+                         io.out[1], io.out[2], io.n);
+       }},
+      {"gru_step", [](const K& k, const Io& io) {
+         k.gru_step(io.in[0], io.in[1], io.in[2], io.out[0], io.out[1],
+                    io.out[2], io.out[3], io.n);
+       }},
+      {"gru_step (eval)", [](const K& k, const Io& io) {
+         k.gru_step(io.in[0], io.in[1], io.in[2], io.out[0], nullptr,
+                    nullptr, nullptr, io.n);
+       }},
+      {"gru_step_grad", [](const K& k, const Io& io) {
+         k.gru_step_grad(io.in[0], io.in[1], io.in[2], io.in[3], io.in[4],
+                         io.in[5], io.out[0], io.out[1], io.out[2], io.n);
+       }},
+      {"masked_err", [](const K& k, const Io& io) {
+         const simd::MaskedErrAcc acc =
+             k.masked_err(io.in[0], io.in[1], io.n, 1e-3);
+         io.d[0] = acc.abs;
+         io.d[1] = acc.sq;
+         io.d[2] = acc.ape;
+         io.d[3] = static_cast<double>(acc.count);
+         io.d[4] = static_cast<double>(acc.ape_count);
+       }},
+  };
+  return kernels;
+}
+
+/// Like ExpectSameBytes, except that any two NaNs match. When two NaNs
+/// with different bits meet in one IEEE operation — an input NaN and the
+/// default NaN that inf - inf or 0 * inf makes, say — IEEE 754 leaves
+/// open which one the result carries, and x86 takes the first operand.
+/// GCC may order a commutative operation's operands differently in the
+/// two kernel TUs, so only whether a result is NaN is pinned there.
+void ExpectSameBytesOrBothNan(const float* x, const float* y, int64_t n,
+                              const std::string& what) {
+  for (int64_t i = 0; i < n; ++i) {
+    if (std::isnan(x[i]) && std::isnan(y[i])) continue;
+    if (std::bit_cast<uint32_t>(x[i]) != std::bit_cast<uint32_t>(y[i])) {
+      ExpectSameBytes(x + i, y + i, 1, what + " at i=" + std::to_string(i));
+      return;
+    }
+  }
+}
+
+/// Runs every DefinedKernels() entry at both levels on the inputs (each
+/// of length 3n) and compares all outputs byte for byte, NaNs up to
+/// their sign and payload (ExpectSameBytesOrBothNan).
+void ExpectDefinedKernelsMatch(const std::vector<std::vector<float>>& in,
+                               int64_t n, const std::string& what) {
+  const auto& sc = simd::KernelsFor(simd::Level::kScalar);
+  const auto& vx = simd::KernelsFor(simd::Level::kAvx2);
+  for (const auto& [name, call] : DefinedKernels()) {
+    std::vector<std::vector<float>> out[2];
+    double d[2][5] = {};
+    for (int level = 0; level < 2; ++level) {
+      out[level].assign(4, std::vector<float>(3 * n, 0.25f));
+      DefIo io{{in[0].data(), in[1].data(), in[2].data(), in[3].data(),
+                in[4].data(), in[5].data()},
+               {out[level][0].data(), out[level][1].data(),
+                out[level][2].data(), out[level][3].data()},
+               d[level],
+               n};
+      call(level == 0 ? sc : vx, io);
+    }
+    for (int j = 0; j < 4; ++j) {
+      ExpectSameBytesOrBothNan(out[0][j].data(), out[1][j].data(), 3 * n,
+                               std::string(name) + " output " +
+                                   std::to_string(j) + ", " + what);
+    }
+    for (int j = 0; j < 5; ++j) {
+      if (std::isnan(d[0][j]) && std::isnan(d[1][j])) continue;
+      ExpectSameDouble(d[0][j], d[1][j],
+                       std::string(name) + " result " + std::to_string(j) +
+                           ", " + what);
+    }
+    if (testing::Test::HasFailure()) return;
+  }
+}
+
+// Each hand-written AVX2 body against its definition: every edge value
+// at every lane and tail position for n = 1..17, then a long call with
+// edge values strewn through random data. The one-input kernels are
+// pinned to the bit, NaNs included, by the bit-pattern sweeps below.
+TEST(SimdKernelTest, HandBodiesMatchTheirDefinitions) {
+  if (SkipWithoutAvx2()) return;
+  const std::vector<float>& edges = EdgeValues();
+  const int64_t e = static_cast<int64_t>(edges.size());
+  std::vector<std::vector<float>> in(6);
+  for (int64_t n = 1; n <= 17; ++n) {
+    for (int64_t shift = 0; shift < e; ++shift) {
+      for (int64_t j = 0; j < 6; ++j) {
+        in[j].resize(3 * n);
+        for (int64_t i = 0; i < 3 * n; ++i) {
+          in[j][i] = edges[(i + shift + 5 * j) % e];
+        }
+      }
+      ExpectDefinedKernelsMatch(in, n,
+                                "n=" + std::to_string(n) +
+                                    " shift=" + std::to_string(shift));
+      if (testing::Test::HasFailure()) return;
+    }
+  }
+  const int64_t n = 65536;
+  for (int64_t j = 0; j < 6; ++j) {
+    in[j] = RandomVec(3 * n, 4000 + j, -12.0f, 12.0f);
+    for (int64_t i = j; i < 3 * n; i += 7) in[j][i] = edges[(i / 7) % e];
+  }
+  ExpectDefinedKernelsMatch(in, n, "n=65536");
+}
+
+/// Runs the one-input kernels with hand-written AVX2 bodies (sqrt and the
+/// exp family) at both levels over `bits` (as floats) and reports the
+/// first element whose bytes differ. `chunk` sets the call length, so a
+/// chunk below 8 runs every element through the AVX2 tail path.
+void ExpectUnaryKernelsMatch(const std::vector<uint32_t>& bits,
+                            int64_t chunk) {
+  const auto& sc = simd::KernelsFor(simd::Level::kScalar);
+  const auto& vx = simd::KernelsFor(simd::Level::kAvx2);
+  const int64_t n = static_cast<int64_t>(bits.size());
+  std::vector<float> x(n), o1(n), o2(n);
+  std::memcpy(x.data(), bits.data(), sizeof(float) * n);
+  using UnK = void (*)(const float*, float*, int64_t);
+  const std::pair<const char*, std::pair<UnK, UnK>> kernels[] = {
+      {"vsqrt", {sc.vsqrt, vx.vsqrt}},
+      {"vexp", {sc.vexp, vx.vexp}},
+      {"sigmoid", {sc.sigmoid, vx.sigmoid}},
+      {"vtanh", {sc.vtanh, vx.vtanh}}};
+  for (const auto& [name, fns] : kernels) {
+    for (int64_t i0 = 0; i0 < n; i0 += chunk) {
+      const int64_t len = std::min(chunk, n - i0);
+      fns.first(x.data() + i0, o1.data() + i0, len);
+      fns.second(x.data() + i0, o2.data() + i0, len);
+    }
+    ExpectSameBytes(o1.data(), o2.data(), n,
+                    std::string(name) + " over float patterns, chunk " +
+                        std::to_string(chunk));
+  }
+}
+
+// A strided sweep of the float bit patterns (every 65,537th, about 65k)
+// plus every class edge and its neighbours, through the lanes and
+// through the tail path.
+TEST(SimdKernelTest, UnaryKernelsMatchDefinitionOverBitPatterns) {
+  if (SkipWithoutAvx2()) return;
+  std::vector<uint32_t> bits;
+  for (uint64_t b = 0; b <= 0xffffffffu; b += 65537) {
+    bits.push_back(static_cast<uint32_t>(b));
+  }
+  const uint32_t edges[] = {
+      0x00000000u, 0x00000001u, 0x007fffffu, 0x00800000u, 0x3f800000u,
+      0x7f7fffffu, 0x7f800000u, 0x7f800001u, 0x7fbfffffu, 0x7fc00000u,
+      0x7fffffffu, std::bit_cast<uint32_t>(88.3762626647950f),
+      std::bit_cast<uint32_t>(88.3762626647949f)};
+  for (uint32_t edge : edges) {
+    for (uint32_t sign : {0u, 0x80000000u}) {
+      for (int d = -2; d <= 2; ++d) bits.push_back((edge | sign) + d);
+    }
+  }
+  ExpectUnaryKernelsMatch(bits, 4096);
+  ExpectUnaryKernelsMatch(bits, 7);
+}
+
+// Every one of the 2^32 float bit patterns through sqrt and the exp
+// family at both levels (minutes; the nightly workflow runs it with
+// --gtest_also_run_disabled_tests).
+TEST(SimdKernelTest, DISABLED_UnaryKernelsMatchDefinitionOnEveryFloat) {
+  if (SkipWithoutAvx2()) return;
+  const auto t0 = std::chrono::steady_clock::now();
+  constexpr uint64_t kChunk = uint64_t{1} << 16;
+  std::vector<uint32_t> bits(kChunk);
+  for (uint64_t base = 0; base < (uint64_t{1} << 32); base += kChunk) {
+    for (uint64_t i = 0; i < kChunk; ++i) {
+      bits[i] = static_cast<uint32_t>(base + i);
+    }
+    ExpectUnaryKernelsMatch(bits, kChunk);
+    if (testing::Test::HasFailure()) {
+      ADD_FAILURE() << "in the chunk from 0x" << std::hex << base;
+      return;
+    }
+  }
+  GTEST_LOG_(INFO) << "2^32 patterns in "
+                   << std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count()
+                   << " s";
 }
 
 TEST(FusedOpsTest, GruStepMatchesComposedChain) {

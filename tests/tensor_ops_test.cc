@@ -203,6 +203,26 @@ TEST(TensorOpsTest, FullReductions) {
   EXPECT_FLOAT_EQ(MinAll(a), 1.0f);
 }
 
+// A NaN anywhere makes MaxAll and MinAll NaN, so bound checks such as
+// EXPECT_LE(MaxAll(Abs(h)), 1.0f) fail on NaN outputs.
+TEST(TensorOpsTest, MaxAllMinAllReturnNanAtEveryPosition) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (int64_t n = 1; n <= 17; ++n) {
+    std::vector<float> v(n);
+    for (int64_t i = 0; i < n; ++i) v[i] = static_cast<float>(i % 5) - 2.0f;
+    const Tensor clean = T(v, {n});
+    EXPECT_EQ(MaxAll(clean), n >= 5 ? 2.0f : static_cast<float>(n - 3));
+    EXPECT_EQ(MinAll(clean), -2.0f);
+    for (int64_t pos = 0; pos < n; ++pos) {
+      std::vector<float> w = v;
+      w[pos] = nan;
+      const Tensor t = T(w, {n});
+      EXPECT_TRUE(std::isnan(MaxAll(t))) << "n=" << n << " NaN at " << pos;
+      EXPECT_TRUE(std::isnan(MinAll(t))) << "n=" << n << " NaN at " << pos;
+    }
+  }
+}
+
 TEST(TensorOpsTest, ReduceToIsBroadcastAdjoint) {
   // Sum of broadcast([2,1] -> [2,3]) gradient back to [2,1].
   Tensor g = T({1, 2, 3, 4, 5, 6}, {2, 3});
