@@ -126,12 +126,6 @@ Variable Div(const Variable& a, const Variable& b) {
                 });
 }
 
-Variable Neg(const Variable& a) {
-  auto na = a.node();
-  return MakeOp("Neg", tensor::Neg(a.value()), {a},
-                [na](const Tensor& g) { Accumulate(na, tensor::Neg(g)); });
-}
-
 Variable AddScalar(const Variable& a, float s) {
   auto na = a.node();
   return MakeOp("AddScalar", tensor::AddScalar(a.value(), s), {a},
@@ -207,24 +201,6 @@ Variable Exp(const Variable& a) {
   });
 }
 
-Variable Log(const Variable& a) {
-  auto na = a.node();
-  return MakeOp("Log", tensor::Log(a.value()), {a}, [na](const Tensor& g) {
-    Accumulate(na, tensor::Div(g, na->value));
-  });
-}
-
-Variable Sqrt(const Variable& a) {
-  auto na = a.node();
-  Tensor out = tensor::Sqrt(a.value());
-  return MakeOp("Sqrt", out, {a}, [na, out](const Tensor& g) {
-    Accumulate(na,
-               tensor::Div(tensor::MulScalar(g, 0.5f),
-                           tensor::Maximum(out, tensor::Tensor::Full(
-                                                    out.shape(), 1e-12f))));
-  });
-}
-
 Variable Tanh(const Variable& a) {
   auto na = a.node();
   Tensor out = tensor::Tanh(a.value());
@@ -256,16 +232,6 @@ Variable Abs(const Variable& a) {
   return MakeOp("Abs", tensor::Abs(a.value()), {a}, [na](const Tensor& g) {
     Accumulate(na, tensor::Mul(g, tensor::Sign(na->value)));
   });
-}
-
-Variable Pow(const Variable& a, float p) {
-  auto na = a.node();
-  return MakeOp("Pow", tensor::Pow(a.value(), p), {a},
-                [na, p](const Tensor& g) {
-                  Tensor d = tensor::MulScalar(
-                      tensor::Pow(na->value, p - 1.0f), p);
-                  Accumulate(na, tensor::Mul(g, d));
-                });
 }
 
 Variable Sum(const Variable& a, int64_t axis, bool keepdim) {
@@ -452,10 +418,6 @@ Variable Softmax(const Variable& a, int64_t axis) {
   Variable shifted = Sub(a, Variable(max_const));
   Variable e = Exp(shifted);
   return Div(e, Sum(e, axis, /*keepdim=*/true));
-}
-
-Variable MulMask(const Variable& a, const Tensor& mask) {
-  return Mul(a, Variable(mask));
 }
 
 Variable GruStep(const Variable& xi, const Variable& hh, const Variable& h) {

@@ -19,7 +19,6 @@ Variable Add(const Variable& a, const Variable& b);
 Variable Sub(const Variable& a, const Variable& b);
 Variable Mul(const Variable& a, const Variable& b);
 Variable Div(const Variable& a, const Variable& b);
-Variable Neg(const Variable& a);
 Variable AddScalar(const Variable& a, float s);
 Variable MulScalar(const Variable& a, float s);
 /// s - a per element (no constant tensor materialized).
@@ -32,14 +31,10 @@ Variable MatMul(const Variable& a, const Variable& b);
 Variable BatchedMatMul(const Variable& a, const Variable& b);
 
 Variable Exp(const Variable& a);
-Variable Log(const Variable& a);
-Variable Sqrt(const Variable& a);
 Variable Tanh(const Variable& a);
 Variable Sigmoid(const Variable& a);
 Variable Relu(const Variable& a);
 Variable Abs(const Variable& a);
-/// Elementwise power with scalar exponent.
-Variable Pow(const Variable& a, float p);
 
 Variable Sum(const Variable& a, int64_t axis, bool keepdim = false);
 Variable Mean(const Variable& a, int64_t axis, bool keepdim = false);
@@ -60,10 +55,6 @@ Variable Expand(const Variable& a, const tensor::Shape& shape);
 
 /// Numerically stable softmax along `axis` (shift by a detached max).
 Variable Softmax(const Variable& a, int64_t axis);
-
-/// Elementwise multiply by a constant mask (used for dropout; the mask
-/// receives no gradient).
-Variable MulMask(const Variable& a, const tensor::Tensor& mask);
 
 /// Fused GRU cell step (nn::GruCell). `xi` and `hh` are the input and
 /// hidden affine projections, [..., 3H] in [r|z|n] layout; `h` is the

@@ -93,7 +93,7 @@ ag::Variable GConvGruCell::Forward(
   ag::Variable gates = gate_conv_->Forward(a_s, index_set, xh, inv_deg);
   // Fused tail (core/fused_ops.h): r is applied inside the candidate-input
   // build, z/tanh/blend collapse into one pass. Bit-identical to the
-  // Sigmoid(Slice) -> Mul -> Concat -> Tanh -> GruBlend chain it replaces.
+  // Sigmoid(Slice) -> Mul -> Concat -> Tanh -> gru_blend chain it replaces.
   ag::Variable x_rh = GruCandidateInput(gates, x, h);
   ag::Variable candidate_pre =
       candidate_conv_->Forward(a_s, index_set, x_rh, inv_deg);

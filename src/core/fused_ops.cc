@@ -253,59 +253,6 @@ ag::Variable OneStepFastGConv(const ag::Variable& a_s,
       });
 }
 
-ag::Variable GruBlend(const ag::Variable& z, const ag::Variable& h,
-                      const ag::Variable& c) {
-  SAGDFN_CHECK(z.shape() == h.shape());
-  SAGDFN_CHECK(z.shape() == c.shape());
-  const int64_t size = z.size();
-  const float* pz = z.value().data();
-  const float* ph = h.value().data();
-  const float* pc = c.value().data();
-  Tensor out(z.shape());
-  float* po = out.data();
-  ParallelFor(0, size, kElementwiseGrain, [&](int64_t i0, int64_t i1) {
-    simd::K().gru_blend(pz + i0, ph + i0, pc + i0, po + i0, i1 - i0);
-  });
-
-  auto nz = z.node();
-  auto nh = h.node();
-  auto nc = c.node();
-  return MakeOp(
-      "GruBlend", out, {z, h, c}, [nz, nh, nc, size](const Tensor& g) {
-        const float* pg = g.data();
-        const float* pz = nz->value.data();
-        const float* ph = nh->value.data();
-        const float* pc = nc->value.data();
-        auto fused = [&](auto kernel_call) {
-          Tensor d(nz->value.shape());
-          float* pd = d.data();
-          ParallelFor(0, size, kElementwiseGrain,
-                      [&](int64_t i0, int64_t i1) {
-                        kernel_call(i0, i1, pd);
-                      });
-          return d;
-        };
-        if (nz->requires_grad) {
-          // dz = g * (h - c)
-          Accumulate(nz, fused([&](int64_t i0, int64_t i1, float* pd) {
-            simd::K().mul_sub(pg + i0, ph + i0, pc + i0, pd + i0, i1 - i0);
-          }));
-        }
-        if (nh->requires_grad) {
-          // dh = g * z
-          Accumulate(nh, fused([&](int64_t i0, int64_t i1, float* pd) {
-            simd::K().mul(pg + i0, pz + i0, pd + i0, i1 - i0);
-          }));
-        }
-        if (nc->requires_grad) {
-          // dc = g * (1 - z)
-          Accumulate(nc, fused([&](int64_t i0, int64_t i1, float* pd) {
-            simd::K().mul_one_minus(pg + i0, pz + i0, pd + i0, i1 - i0);
-          }));
-        }
-      });
-}
-
 ag::Variable GruCandidateInput(const ag::Variable& gates,
                                const ag::Variable& x, const ag::Variable& h) {
   SAGDFN_CHECK_EQ(gates.shape().ndim(), 3);

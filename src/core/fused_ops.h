@@ -29,14 +29,6 @@ autograd::Variable OneStepFastGConv(const autograd::Variable& a_s,
                                     const std::vector<int64_t>& index_set,
                                     const autograd::Variable& inv_deg);
 
-/// Fused GRU state blend: out = z * h + (1 - z) * c, all operands the
-/// same shape. Replaces the RSubScalar -> Mul -> Mul -> Add chain at the
-/// tail of GConvGruCell::Forward (one pass, one output tensor, and fused
-/// single-pass backwards for each input).
-autograd::Variable GruBlend(const autograd::Variable& z,
-                            const autograd::Variable& h,
-                            const autograd::Variable& c);
-
 /// Fused candidate-input build for GConvGruCell: given the gate-conv
 /// pre-activations `gates` [B, N, 2H] in [r|z] layout, writes
 ///   out[b, i, :] = [ x[b, i, :] | sigmoid(gates_r[b, i, :]) * h[b, i, :] ]
@@ -51,10 +43,10 @@ autograd::Variable GruCandidateInput(const autograd::Variable& gates,
 /// `gates` [B, N, 2H] ([r|z]), the previous state `h` [B, N, H] and the
 /// candidate-conv pre-activation `c_pre` [B, N, H], computes per element
 ///   z = sigmoid(gates_z), t = tanh(c_pre), out = z*h + (1-z)*t
-/// in one pass (the Sigmoid(Slice) -> Tanh -> GruBlend chain collapsed).
+/// in one pass (the Sigmoid(Slice) -> Tanh -> gru_blend chain collapsed).
 /// z and t are only materialized when gradients are being recorded. The
-/// blend uses GruBlend's exact instruction sequence, so results are
-/// bit-identical to the unfused path.
+/// blend is the gru_blend kernel's exact instruction sequence, so results
+/// are bit-identical to that chain.
 autograd::Variable GruTailBlend(const autograd::Variable& gates,
                                 const autograd::Variable& h,
                                 const autograd::Variable& c_pre);

@@ -60,15 +60,6 @@ const char* FamilyName(ModelFamily family) {
   return "?";
 }
 
-std::vector<ModelFamily> AllFamilies() {
-  return {ModelFamily::kDcrnn,  ModelFamily::kStgcn,
-          ModelFamily::kGraphWaveNet, ModelFamily::kGman,
-          ModelFamily::kAgcrn,  ModelFamily::kMtgnn,
-          ModelFamily::kAstgcn, ModelFamily::kStsgcn,
-          ModelFamily::kGts,    ModelFamily::kStep,
-          ModelFamily::kD2stgnn, ModelFamily::kSagdfn};
-}
-
 MemoryEstimate EstimateTrainingMemory(ModelFamily family,
                                       const MemoryParams& p) {
   MemoryEstimate est;

@@ -27,9 +27,6 @@ enum class ModelFamily {
 /// Human-readable family name matching the paper's tables.
 const char* FamilyName(ModelFamily family);
 
-/// All families in the paper's table order.
-std::vector<ModelFamily> AllFamilies();
-
 /// Workload parameters the estimates depend on (paper notation: N nodes,
 /// d node-embedding dim, D hidden dim, M significant nodes, B batch, T
 /// window length, P attention heads).

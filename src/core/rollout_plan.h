@@ -54,7 +54,7 @@ enum class PlanKind { kFull, kIncremental };
 ///
 /// Replay is bit-identical to SagdfnModel::Predict: every instruction
 /// calls the same dispatched kernels with the same per-row accumulation
-/// order as the eager ops it replaces (see tensor::MatMulInto and the
+/// order as the eager ops it replaces (see tensor::MatMulRowsInto and the
 /// *Into helpers in core/fused_ops.h).
 ///
 /// A plan is immutable after construction and safe to replay from many

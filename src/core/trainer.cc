@@ -718,12 +718,6 @@ std::vector<metrics::Scores> Trainer::EvaluateSplit(
   return metrics::EvaluateHorizons(pred, truth, horizons);
 }
 
-double Trainer::TimeInference() {
-  utils::Stopwatch watch;
-  Predict(data::Split::kTest);
-  return watch.ElapsedSeconds();
-}
-
 utils::Status FineTuneFromSnapshot(const SagdfnModel& snapshot,
                                    const data::ForecastDataset& dataset,
                                    const TrainOptions& options,

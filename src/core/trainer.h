@@ -123,10 +123,6 @@ class Trainer {
   std::vector<metrics::Scores> EvaluateSplit(
       data::Split split, const std::vector<int64_t>& horizons);
 
-  /// Timed average seconds for one inference pass over the (capped) test
-  /// split.
-  double TimeInference();
-
   int64_t global_iteration() const { return iteration_; }
 
   /// The Adam state driving this trainer (nullptr before the first

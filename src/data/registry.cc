@@ -111,10 +111,6 @@ std::vector<std::string> KnownDatasets() {
           "carpark1918-sim"};
 }
 
-std::vector<std::string> ScaleDatasets() {
-  return {"traffic10k-sim", "traffic100k-sim"};
-}
-
 TimeSeries MakeScaleDataset(const std::string& name, DatasetScale scale,
                             graph::SparseSpatialGraph* latent_graph) {
   SAGDFN_CHECK(name == "traffic10k-sim" || name == "traffic100k-sim")

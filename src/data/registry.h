@@ -30,14 +30,11 @@ struct DatasetInfo {
 /// "newyork2000-sim", "carpark1918-sim".
 std::vector<std::string> KnownDatasets();
 
-/// Names of the >= 10k-node scale scenarios: "traffic10k-sim" (N=10000)
-/// and "traffic100k-sim" (N=100000). Deliberately not part of
-/// KnownDatasets(): tier-1 sweeps over the paper datasets must not
+/// Generates a >= 10k-node scale scenario by name: "traffic10k-sim"
+/// (N=10000) or "traffic100k-sim" (N=100000). These are deliberately not
+/// part of KnownDatasets(): tier-1 sweeps over the paper datasets must not
 /// generate them by accident — they are driven by the `scale`-labeled
-/// tests, the graphsize bench, and the nightly 100k CI leg.
-std::vector<std::string> ScaleDatasets();
-
-/// Generates a scale scenario by name (see ScaleDatasets()). The latent
+/// tests, the graphsize bench, and the nightly 100k CI leg. The latent
 /// graph stays sparse end to end — a dense [N, N] latent would not fit —
 /// so the ground truth comes back as CSR for graph-recovery metrics.
 /// kQuick trims the series length, not the node count (node count is the

@@ -24,12 +24,4 @@ TimeSeries SelectNodes(const TimeSeries& series,
   return out;
 }
 
-TimeSeries SliceTime(const TimeSeries& series, int64_t start, int64_t end) {
-  TimeSeries out;
-  out.name = series.name;
-  out.steps_per_day = series.steps_per_day;
-  out.values = tensor::Slice(series.values, 0, start, end);
-  return out;
-}
-
 }  // namespace sagdfn::data

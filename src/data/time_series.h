@@ -39,9 +39,6 @@ TimeSeries SliceNodes(const TimeSeries& series, int64_t num_nodes);
 TimeSeries SelectNodes(const TimeSeries& series,
                        const std::vector<int64_t>& indices);
 
-/// Restricts a series to time steps [start, end).
-TimeSeries SliceTime(const TimeSeries& series, int64_t start, int64_t end);
-
 }  // namespace sagdfn::data
 
 #endif  // SAGDFN_DATA_TIME_SERIES_H_

@@ -9,11 +9,6 @@
 
 namespace sagdfn::graph {
 
-tensor::Tensor RowDegrees(const tensor::Tensor& adjacency) {
-  SAGDFN_CHECK_EQ(adjacency.ndim(), 2);
-  return tensor::Sum(adjacency, 1, /*keepdim=*/false);
-}
-
 tensor::Tensor RowNormalize(const tensor::Tensor& adjacency) {
   SAGDFN_CHECK_EQ(adjacency.ndim(), 2);
   const int64_t n = adjacency.dim(0);
@@ -34,7 +29,7 @@ tensor::Tensor SymmetricNormalize(const tensor::Tensor& adjacency) {
   SAGDFN_CHECK_EQ(adjacency.ndim(), 2);
   SAGDFN_CHECK_EQ(adjacency.dim(0), adjacency.dim(1));
   const int64_t n = adjacency.dim(0);
-  tensor::Tensor deg = RowDegrees(adjacency);
+  tensor::Tensor deg = tensor::Sum(adjacency, 1, /*keepdim=*/false);
   std::vector<float> inv_sqrt(n, 0.0f);
   for (int64_t i = 0; i < n; ++i) {
     if (deg[i] > 0.0f) inv_sqrt[i] = 1.0f / std::sqrt(deg[i]);
@@ -67,16 +62,6 @@ tensor::Tensor TopKPerRow(const tensor::Tensor& adjacency, int64_t k) {
     for (int64_t j = 0; j < keep; ++j) {
       pout[i * m + order[j]] = row[order[j]];
     }
-  }
-  return out;
-}
-
-tensor::Tensor ThresholdSparsify(const tensor::Tensor& adjacency,
-                                 float threshold) {
-  tensor::Tensor out = adjacency.Clone();
-  float* p = out.data();
-  for (int64_t i = 0; i < out.size(); ++i) {
-    if (p[i] < threshold) p[i] = 0.0f;
   }
   return out;
 }

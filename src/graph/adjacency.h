@@ -8,10 +8,6 @@
 
 namespace sagdfn::graph {
 
-/// Row-sum degrees of a (possibly slim N x M) adjacency matrix; returns a
-/// length-N vector tensor.
-tensor::Tensor RowDegrees(const tensor::Tensor& adjacency);
-
 /// Row-normalizes `adjacency` so each non-empty row sums to 1 (random-walk
 /// transition matrix). Zero rows stay zero.
 tensor::Tensor RowNormalize(const tensor::Tensor& adjacency);
@@ -21,10 +17,6 @@ tensor::Tensor SymmetricNormalize(const tensor::Tensor& adjacency);
 
 /// Keeps the `k` largest entries per row and zeroes the rest.
 tensor::Tensor TopKPerRow(const tensor::Tensor& adjacency, int64_t k);
-
-/// Zeroes entries below `threshold`.
-tensor::Tensor ThresholdSparsify(const tensor::Tensor& adjacency,
-                                 float threshold);
 
 /// Fraction of exactly-zero entries.
 double Sparsity(const tensor::Tensor& adjacency);

@@ -67,18 +67,6 @@ std::string Scores::ToString() const {
          " " + utils::FormatDouble(mape * 100.0, 1) + "%";
 }
 
-double MaskedMae(const tensor::Tensor& pred, const tensor::Tensor& truth) {
-  return Evaluate(pred, truth).mae;
-}
-
-double MaskedRmse(const tensor::Tensor& pred, const tensor::Tensor& truth) {
-  return Evaluate(pred, truth).rmse;
-}
-
-double MaskedMape(const tensor::Tensor& pred, const tensor::Tensor& truth) {
-  return Evaluate(pred, truth).mape;
-}
-
 Scores Evaluate(const tensor::Tensor& pred, const tensor::Tensor& truth) {
   return ScoresOf(Accumulate(pred, truth));
 }

@@ -37,24 +37,12 @@ struct Scores {
   std::string ToString() const;
 };
 
-/// Masked MAE: mean |pred - truth| over entries where truth != 0 (the
-/// METR-LA convention treating 0 as a missing reading); NaN when every
-/// entry is masked.
-///
-/// Each of the three single-metric helpers runs the same full Evaluate()
-/// pass — callers needing more than one metric should call Evaluate()
-/// once instead of paying the scan per metric.
-double MaskedMae(const tensor::Tensor& pred, const tensor::Tensor& truth);
-
-/// Masked RMSE; NaN when every entry is masked.
-double MaskedRmse(const tensor::Tensor& pred, const tensor::Tensor& truth);
-
-/// Masked MAPE (fraction); NaN when no entry has |truth| >=
-/// kMapeTruthFloor.
-double MaskedMape(const tensor::Tensor& pred, const tensor::Tensor& truth);
-
-/// All three at once, in a single parallel pass over the tensors
-/// (deterministic fixed-block reduction; see utils/parallel.h).
+/// The three metrics in a single parallel pass over the tensors
+/// (deterministic fixed-block reduction; see utils/parallel.h). MAE is
+/// the mean |pred - truth| over entries where truth != 0 (the METR-LA
+/// convention treating 0 as a missing reading), RMSE the root mean
+/// squared error over the same entries, and MAPE (a fraction) skips
+/// |truth| < kMapeTruthFloor; see Scores for the NaN contract.
 Scores Evaluate(const tensor::Tensor& pred, const tensor::Tensor& truth);
 
 /// Per-horizon evaluation. `pred` and `truth` are [S, f, N] (S evaluation

@@ -31,24 +31,6 @@ tensor::Tensor XavierUniform(tensor::Shape shape, utils::Rng& rng,
   return tensor::Tensor::Uniform(std::move(shape), rng, -a, a);
 }
 
-tensor::Tensor XavierNormal(tensor::Shape shape, utils::Rng& rng,
-                            float gain) {
-  int64_t fan_in = 0;
-  int64_t fan_out = 0;
-  FanInOut(shape, &fan_in, &fan_out);
-  const float stddev =
-      gain * std::sqrt(2.0f / static_cast<float>(fan_in + fan_out));
-  return tensor::Tensor::Normal(std::move(shape), rng, 0.0f, stddev);
-}
-
-tensor::Tensor HeUniform(tensor::Shape shape, utils::Rng& rng) {
-  int64_t fan_in = 0;
-  int64_t fan_out = 0;
-  FanInOut(shape, &fan_in, &fan_out);
-  const float a = std::sqrt(6.0f / static_cast<float>(fan_in));
-  return tensor::Tensor::Uniform(std::move(shape), rng, -a, a);
-}
-
 tensor::Tensor LinearDefault(tensor::Shape shape, utils::Rng& rng,
                              int64_t fan_in) {
   SAGDFN_CHECK_GT(fan_in, 0);

@@ -12,13 +12,6 @@ namespace sagdfn::nn {
 tensor::Tensor XavierUniform(tensor::Shape shape, utils::Rng& rng,
                              float gain = 1.0f);
 
-/// Xavier/Glorot normal init: N(0, sqrt(2 / (fan_in + fan_out))).
-tensor::Tensor XavierNormal(tensor::Shape shape, utils::Rng& rng,
-                            float gain = 1.0f);
-
-/// He/Kaiming uniform init: U(-a, a) with a = sqrt(6 / fan_in).
-tensor::Tensor HeUniform(tensor::Shape shape, utils::Rng& rng);
-
 /// PyTorch nn.Linear-style default: U(-1/sqrt(fan_in), 1/sqrt(fan_in)).
 tensor::Tensor LinearDefault(tensor::Shape shape, utils::Rng& rng,
                              int64_t fan_in);

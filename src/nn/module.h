@@ -51,7 +51,8 @@ class Module {
   /// Clears gradients on every parameter.
   void ZeroGrad();
 
-  /// Switches training/eval behaviour (dropout etc.) for the whole tree.
+  /// Switches training/eval behaviour (teacher forcing, SNS exploration)
+  /// for the whole tree.
   void SetTraining(bool training);
   bool training() const { return training_; }
 

@@ -9,52 +9,19 @@
 
 namespace sagdfn::optim {
 
-Optimizer::Optimizer(std::vector<autograd::Variable> params, double lr)
-    : params_(std::move(params)), lr_(lr) {
-  SAGDFN_CHECK(!params_.empty()) << "optimizer needs parameters";
-  for (const auto& p : params_) {
-    SAGDFN_CHECK(p.requires_grad()) << "optimizer over non-trainable var";
-  }
-}
-
-void Optimizer::ZeroGrad() {
-  for (auto& p : params_) p.ZeroGrad();
-}
-
-Sgd::Sgd(std::vector<autograd::Variable> params, double lr, double momentum)
-    : Optimizer(std::move(params), lr), momentum_(momentum) {
-  velocity_.reserve(params_.size());
-  for (const auto& p : params_) {
-    velocity_.push_back(tensor::Tensor::Zeros(p.shape()));
-  }
-}
-
-void Sgd::Step() {
-  const float lr = static_cast<float>(lr_);
-  const float mu = static_cast<float>(momentum_);
-  for (size_t i = 0; i < params_.size(); ++i) {
-    tensor::Tensor grad = params_[i].grad();
-    float* w = params_[i].mutable_value().data();
-    float* v = velocity_[i].data();
-    const float* g = grad.data();
-    const int64_t n = grad.size();
-    for (int64_t e = 0; e < n; ++e) {
-      v[e] = mu * v[e] + g[e];
-      w[e] -= lr * v[e];
-    }
-  }
-}
-
 Adam::Adam(std::vector<autograd::Variable> params, double lr, double beta1,
            double beta2, double eps, double weight_decay)
-    : Optimizer(std::move(params), lr),
+    : params_(std::move(params)),
+      lr_(lr),
       beta1_(beta1),
       beta2_(beta2),
       eps_(eps),
       weight_decay_(weight_decay) {
+  SAGDFN_CHECK(!params_.empty()) << "optimizer needs parameters";
   m_.reserve(params_.size());
   v_.reserve(params_.size());
   for (const auto& p : params_) {
+    SAGDFN_CHECK(p.requires_grad()) << "optimizer over non-trainable var";
     m_.push_back(tensor::Tensor::Zeros(p.shape()));
     v_.push_back(tensor::Tensor::Zeros(p.shape()));
   }

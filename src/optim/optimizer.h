@@ -7,53 +7,25 @@
 
 namespace sagdfn::optim {
 
-/// Base class for gradient-based optimizers over a fixed parameter set.
-class Optimizer {
- public:
-  explicit Optimizer(std::vector<autograd::Variable> params, double lr);
-  virtual ~Optimizer() = default;
-
-  Optimizer(const Optimizer&) = delete;
-  Optimizer& operator=(const Optimizer&) = delete;
-
-  /// Applies one update using the gradients currently stored on the
-  /// parameters.
-  virtual void Step() = 0;
-
-  /// Clears all parameter gradients.
-  void ZeroGrad();
-
-  double lr() const { return lr_; }
-  void set_lr(double lr) { lr_ = lr; }
-
-  const std::vector<autograd::Variable>& params() const { return params_; }
-
- protected:
-  std::vector<autograd::Variable> params_;
-  double lr_;
-};
-
-/// Plain SGD with optional momentum.
-class Sgd : public Optimizer {
- public:
-  Sgd(std::vector<autograd::Variable> params, double lr,
-      double momentum = 0.0);
-
-  void Step() override;
-
- private:
-  double momentum_;
-  std::vector<tensor::Tensor> velocity_;
-};
-
-/// Adam (Kingma & Ba, 2015) with bias correction; the paper's optimizer.
-class Adam : public Optimizer {
+/// Adam (Kingma & Ba, 2015) with bias correction over a fixed parameter
+/// set; the paper's optimizer.
+class Adam {
  public:
   Adam(std::vector<autograd::Variable> params, double lr,
        double beta1 = 0.9, double beta2 = 0.999, double eps = 1e-8,
        double weight_decay = 0.0);
 
-  void Step() override;
+  Adam(const Adam&) = delete;
+  Adam& operator=(const Adam&) = delete;
+
+  /// Applies one update using the gradients currently stored on the
+  /// parameters.
+  void Step();
+
+  double lr() const { return lr_; }
+  void set_lr(double lr) { lr_ = lr; }
+
+  const std::vector<autograd::Variable>& params() const { return params_; }
 
   int64_t step_count() const { return step_count_; }
 
@@ -69,6 +41,8 @@ class Adam : public Optimizer {
   void set_step_count(int64_t step_count);
 
  private:
+  std::vector<autograd::Variable> params_;
+  double lr_;
   double beta1_;
   double beta2_;
   double eps_;

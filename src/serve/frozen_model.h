@@ -14,7 +14,7 @@
 namespace sagdfn::serve {
 
 /// An immutable model snapshot prepared for serving: a SagdfnModel in
-/// eval mode (dropout off, SNS exploration disabled) plus the frozen
+/// eval mode (SNS exploration and teacher forcing off) plus the frozen
 /// adjacency snapshot (slim A_s + inverse degrees + index set) computed
 /// exactly once. After Freeze()/Load() nothing in here mutates, so one
 /// FrozenModel is shared read-only by every InferenceEngine worker.

@@ -56,18 +56,17 @@ struct MaskedErrAcc {
   int64_t ape_count = 0;  // entries with |truth| >= floor
 };
 
-/// Dispatch table of contiguous-array kernels. One table per Level; all
-/// entries are non-null. Pointers operate on raw float arrays — callers
-/// (tensor_ops, autograd backwards, metrics, optim) own the slicing,
-/// broadcasting, and parallel partitioning.
+/// Dispatch table of the 35 contiguous-array kernels the library runs.
+/// One table per Level; all entries are non-null. Pointers operate on raw
+/// float arrays — callers (tensor_ops, autograd backwards, the fused GRU
+/// ops, metrics, optim) own the slicing, broadcasting, and parallel
+/// partitioning.
 struct Kernels {
   // -- Elementwise binary: o[i] = a[i] OP b[i] ------------------------------
   void (*add)(const float* a, const float* b, float* o, int64_t n);
   void (*sub)(const float* a, const float* b, float* o, int64_t n);
   void (*mul)(const float* a, const float* b, float* o, int64_t n);
   void (*div)(const float* a, const float* b, float* o, int64_t n);
-  void (*vmax)(const float* a, const float* b, float* o, int64_t n);
-  void (*vmin)(const float* a, const float* b, float* o, int64_t n);
 
   // -- Elementwise with a broadcast scalar ----------------------------------
   void (*add_s)(const float* a, float s, float* o, int64_t n);   // a + s
@@ -76,8 +75,6 @@ struct Kernels {
   void (*mul_s)(const float* a, float s, float* o, int64_t n);   // a * s
   void (*div_s)(const float* a, float s, float* o, int64_t n);   // a / s
   void (*rdiv_s)(const float* a, float s, float* o, int64_t n);  // s / a
-  void (*max_s)(const float* a, float s, float* o, int64_t n);
-  void (*min_s)(const float* a, float s, float* o, int64_t n);
 
   // -- In-place accumulation (reduction inner loops) ------------------------
   void (*acc_add)(float* dst, const float* src, int64_t n);   // dst += src
@@ -87,7 +84,6 @@ struct Kernels {
   void (*neg)(const float* a, float* o, int64_t n);
   void (*vabs)(const float* a, float* o, int64_t n);
   void (*relu)(const float* a, float* o, int64_t n);
-  void (*vsqrt)(const float* a, float* o, int64_t n);
   void (*vexp)(const float* a, float* o, int64_t n);
   void (*sigmoid)(const float* a, float* o, int64_t n);
   void (*vtanh)(const float* a, float* o, int64_t n);
@@ -99,11 +95,6 @@ struct Kernels {
   void (*tanh_grad)(const float* g, const float* out, float* o, int64_t n);
   /// o = x > 0 ? g : 0         (relu backward; `x` is the fwd input)
   void (*relu_grad)(const float* g, const float* x, float* o, int64_t n);
-  /// o = g * (a - b)           (GRU blend backward wrt z)
-  void (*mul_sub)(const float* g, const float* a, const float* b, float* o,
-                  int64_t n);
-  /// o = g * (1 - z)           (GRU blend backward wrt candidate)
-  void (*mul_one_minus)(const float* g, const float* z, float* o, int64_t n);
 
   // -- Linear-algebra inner loops -------------------------------------------
   /// dst[i] = fma(a, x[i], dst[i])  (matmul / diffusion row update)
@@ -143,7 +134,9 @@ struct Kernels {
                       int64_t k, int64_t n);
 
   // -- Model-specific fusions -----------------------------------------------
-  /// o = fma(z, h, (1-z)*c)   (GRU state blend, one pass)
+  /// o = fma(z, h, (1-z)*c)   (GRU state blend, one pass). gru_tail and
+  /// gru_step end with this blend; no library op calls the kernel alone,
+  /// the benches time it.
   void (*gru_blend)(const float* z, const float* h, const float* c, float* o,
                     int64_t n);
   /// o = sigmoid(a) * b; when r_out is non-null it also receives
@@ -153,7 +146,7 @@ struct Kernels {
   void (*sigmoid_mul)(const float* a, const float* b, float* o, float* r_out,
                       int64_t n);
   /// Fused GConv-GRU tail: z = sigmoid(gz), t = tanh(c),
-  /// o = z*h + (1-z)*t — the Sigmoid -> Tanh -> GruBlend chain in one
+  /// o = z*h + (1-z)*t — the Sigmoid -> Tanh -> gru_blend chain in one
   /// pass. z_out / t_out are optional (null in eval). The blend uses the
   /// same instruction sequence as gru_blend, so bits match the unfused
   /// composition.

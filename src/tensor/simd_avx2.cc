@@ -109,13 +109,6 @@ inline __m256 TanhPs(__m256 x) {
   return _mm256_blendv_ps(y, x, nan_mask);
 }
 
-void VSqrtAvx2(const float* a, float* o, int64_t n) {
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(o + i, _mm256_sqrt_ps(_mm256_loadu_ps(a + i)));
-  }
-  VSqrt(a + i, o + i, n - i);
-}
 void VExpAvx2(const float* a, float* o, int64_t n) {
   int64_t i = 0;
   for (; i + 8 <= n; i += 8) {
@@ -483,30 +476,23 @@ const Kernels& Avx2Kernels() {
       .sub = Sub,
       .mul = Mul,
       .div = Div,
-      .vmax = VMax,
-      .vmin = VMin,
       .add_s = AddS,
       .sub_s = SubS,
       .rsub_s = RSubS,
       .mul_s = MulS,
       .div_s = DivS,
       .rdiv_s = RDivS,
-      .max_s = MaxS,
-      .min_s = MinS,
       .acc_add = AccAdd,
       .max_into = MaxInto,
       .neg = Neg,
       .vabs = VAbs,
       .relu = Relu,
-      .vsqrt = VSqrtAvx2,
       .vexp = VExpAvx2,
       .sigmoid = SigmoidAvx2,
       .vtanh = VTanhAvx2,
       .sigmoid_grad = SigmoidGrad,
       .tanh_grad = TanhGrad,
       .relu_grad = ReluGrad,
-      .mul_sub = MulSub,
-      .mul_one_minus = MulOneMinus,
       .axpy = AxpyAvx2,
       .scale = Scale,
       .dot = DotAvx2,

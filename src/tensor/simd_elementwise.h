@@ -131,12 +131,6 @@ void Mul(const float* a, const float* b, float* o, int64_t n) {
 void Div(const float* a, const float* b, float* o, int64_t n) {
   for (int64_t i = 0; i < n; ++i) o[i] = a[i] / b[i];
 }
-void VMax(const float* a, const float* b, float* o, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) o[i] = a[i] > b[i] ? a[i] : b[i];
-}
-void VMin(const float* a, const float* b, float* o, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) o[i] = a[i] < b[i] ? a[i] : b[i];
-}
 
 void AddS(const float* a, float s, float* o, int64_t n) {
   for (int64_t i = 0; i < n; ++i) o[i] = a[i] + s;
@@ -155,12 +149,6 @@ void DivS(const float* a, float s, float* o, int64_t n) {
 }
 void RDivS(const float* a, float s, float* o, int64_t n) {
   for (int64_t i = 0; i < n; ++i) o[i] = s / a[i];
-}
-void MaxS(const float* a, float s, float* o, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) o[i] = a[i] > s ? a[i] : s;
-}
-void MinS(const float* a, float s, float* o, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) o[i] = a[i] < s ? a[i] : s;
 }
 
 void AccAdd(float* dst, const float* src, int64_t n) {
@@ -182,9 +170,6 @@ void VAbs(const float* a, float* o, int64_t n) {
 void Relu(const float* a, float* o, int64_t n) {
   for (int64_t i = 0; i < n; ++i) o[i] = a[i] > 0.0f ? a[i] : 0.0f;
 }
-void VSqrt(const float* a, float* o, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) o[i] = std::sqrt(a[i]);
-}
 void VExp(const float* a, float* o, int64_t n) {
   for (int64_t i = 0; i < n; ++i) o[i] = ExpOne(a[i]);
 }
@@ -203,13 +188,6 @@ void TanhGrad(const float* g, const float* out, float* o, int64_t n) {
 }
 void ReluGrad(const float* g, const float* x, float* o, int64_t n) {
   for (int64_t i = 0; i < n; ++i) o[i] = x[i] > 0.0f ? g[i] : 0.0f;
-}
-void MulSub(const float* g, const float* a, const float* b, float* o,
-            int64_t n) {
-  for (int64_t i = 0; i < n; ++i) o[i] = g[i] * (a[i] - b[i]);
-}
-void MulOneMinus(const float* g, const float* z, float* o, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) o[i] = g[i] * (1.0f - z[i]);
 }
 
 void Axpy(float a, const float* x, float* dst, int64_t n) {

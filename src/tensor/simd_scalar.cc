@@ -12,30 +12,23 @@ const Kernels& ScalarKernels() {
       .sub = Sub,
       .mul = Mul,
       .div = Div,
-      .vmax = VMax,
-      .vmin = VMin,
       .add_s = AddS,
       .sub_s = SubS,
       .rsub_s = RSubS,
       .mul_s = MulS,
       .div_s = DivS,
       .rdiv_s = RDivS,
-      .max_s = MaxS,
-      .min_s = MinS,
       .acc_add = AccAdd,
       .max_into = MaxInto,
       .neg = Neg,
       .vabs = VAbs,
       .relu = Relu,
-      .vsqrt = VSqrt,
       .vexp = VExp,
       .sigmoid = Sigmoid,
       .vtanh = VTanh,
       .sigmoid_grad = SigmoidGrad,
       .tanh_grad = TanhGrad,
       .relu_grad = ReluGrad,
-      .mul_sub = MulSub,
-      .mul_one_minus = MulOneMinus,
       .axpy = Axpy,
       .scale = Scale,
       .dot = Dot,

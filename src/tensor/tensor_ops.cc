@@ -39,21 +39,6 @@ constexpr int64_t kKTile = 256;
 // faster.
 constexpr int64_t kRegisterRowMaxCols = 256;
 
-// The Maximum/Minimum element op on every BroadcastBinary path, the same
-// as the vmax/vmin and max_s/min_s kernels compute: `x` wins only when it
-// compares strictly greater (less), so a NaN in either operand or a +-0
-// tie gives `y`. std::max/std::min pick `x` in those cases.
-float MaxOf(float x, float y) { return x > y ? x : y; }
-float MinOf(float x, float y) { return x < y ? x : y; }
-
-// o[i] = Op(s, b[i]): the scalar-lhs fast path for an op whose table has
-// no reversed kernel. Passing `b` first to max_s/min_s would swap the
-// operands and change which side a NaN or +-0 tie yields.
-template <float (*Op)(float, float)>
-void LhsScalar(const float* b, float s, float* o, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) o[i] = Op(s, b[i]);
-}
-
 // Applies one operation elementwise over broadcast inputs. The three
 // contiguous fast paths run the dispatched SIMD kernels: `vv` for
 // identical shapes, `vs` (o = a[i] OP s) when the rhs is a scalar, `sv`
@@ -225,8 +210,7 @@ int64_t ReduceOuterGrain(const AxisSplit& s) {
 
 // Single-row matmul macro-kernel: out_row += a_row * B over kk in
 // [k0, k1), streaming B rows through the dispatched axpy kernel. Zero
-// entries of A are skipped (the slim adjacency and dropout masks are
-// sparse in practice).
+// entries of A are skipped (the slim adjacency is sparse in practice).
 inline void MatMulRowTile(const float* a_row, const float* pb, float* out_row,
                           int64_t k0, int64_t k1, int64_t n,
                           const simd::Kernels& kern) {
@@ -282,16 +266,6 @@ Tensor Div(const Tensor& a, const Tensor& b) {
                          std::divides<float>());
 }
 
-Tensor Maximum(const Tensor& a, const Tensor& b) {
-  const simd::Kernels& k = simd::K();
-  return BroadcastBinary(a, b, k.vmax, k.max_s, LhsScalar<MaxOf>, MaxOf);
-}
-
-Tensor Minimum(const Tensor& a, const Tensor& b) {
-  const simd::Kernels& k = simd::K();
-  return BroadcastBinary(a, b, k.vmin, k.min_s, LhsScalar<MinOf>, MinOf);
-}
-
 Tensor AddScalar(const Tensor& a, float s) {
   return ScalarKernel(a, s, simd::K().add_s);
 }
@@ -308,12 +282,6 @@ Tensor Neg(const Tensor& a) { return UnaryKernel(a, simd::K().neg); }
 
 Tensor Exp(const Tensor& a) { return UnaryKernel(a, simd::K().vexp); }
 
-Tensor Log(const Tensor& a) {
-  return UnaryOp(a, [](float x) { return std::log(x); });
-}
-
-Tensor Sqrt(const Tensor& a) { return UnaryKernel(a, simd::K().vsqrt); }
-
 Tensor Abs(const Tensor& a) { return UnaryKernel(a, simd::K().vabs); }
 
 Tensor Sign(const Tensor& a) {
@@ -329,15 +297,6 @@ Tensor Sigmoid(const Tensor& a) {
 }
 
 Tensor Relu(const Tensor& a) { return UnaryKernel(a, simd::K().relu); }
-
-Tensor Clamp(const Tensor& a, float lo, float hi) {
-  SAGDFN_CHECK_LE(lo, hi);
-  return UnaryOp(a, [lo, hi](float x) { return std::clamp(x, lo, hi); });
-}
-
-Tensor Pow(const Tensor& a, float p) {
-  return UnaryOp(a, [p](float x) { return std::pow(x, p); });
-}
 
 Tensor MatMul(const Tensor& a, const Tensor& b) {
   SAGDFN_CHECK_EQ(a.ndim(), 2) << "MatMul lhs must be 2-D";
@@ -362,16 +321,6 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
     MatMulRows(pa, pb, po, i0, i1, k, n);
   });
   return out;
-}
-
-void MatMulInto(const float* a, const float* b, float* o, int64_t rows,
-                int64_t k, int64_t n) {
-  std::memset(o, 0, sizeof(float) * rows * n);
-  const int64_t row_grain =
-      std::max<int64_t>(1, kMatMulGrainFlops / std::max<int64_t>(1, k * n));
-  ParallelFor(0, rows, row_grain, [&](int64_t i0, int64_t i1) {
-    MatMulRows(a, b, o, i0, i1, k, n);
-  });
 }
 
 void MatMulRowsInto(const float* a, const float* b, float* o, int64_t i0,
@@ -467,33 +416,6 @@ Tensor Max(const Tensor& a, int64_t axis, bool keepdim) {
   return out;
 }
 
-Tensor ArgMax(const Tensor& a, int64_t axis) {
-  const AxisSplit s = SplitAtAxis(a.shape(), axis);
-  SAGDFN_CHECK_GT(s.axis_size, 0);
-  Tensor out{ReducedShape(a.shape(), axis, /*keepdim=*/false)};
-  const float* pa = a.data();
-  float* po = out.data();
-  ParallelFor2D(
-      s.outer, s.inner, ReduceOuterGrain(s), kReduceBlock,
-      [&](int64_t o0, int64_t o1, int64_t i0, int64_t i1) {
-        for (int64_t o = o0; o < o1; ++o) {
-          for (int64_t i = i0; i < i1; ++i) {
-            float best = -std::numeric_limits<float>::infinity();
-            int64_t best_idx = 0;
-            for (int64_t x = 0; x < s.axis_size; ++x) {
-              float v = pa[(o * s.axis_size + x) * s.inner + i];
-              if (v > best) {
-                best = v;
-                best_idx = x;
-              }
-            }
-            po[o * s.inner + i] = static_cast<float>(best_idx);
-          }
-        }
-      });
-  return out;
-}
-
 Tensor SumAll(const Tensor& a) {
   const float* pa = a.data();
   const auto sum = simd::K().sum;
@@ -512,9 +434,9 @@ Tensor MeanAll(const Tensor& a) {
   return Tensor::Scalar(SumAll(a).Item() / a.size());
 }
 
-// Both fold with Maximum's / Minimum's rule, which takes b when a or b
-// is NaN, and stop at the first NaN they hold: a NaN at any position is
-// the result.
+// Both fold with `best > x ? best : x` (`<` for MinAll), which takes x
+// when either is NaN, and stop at the first NaN they hold: a NaN at any
+// position is the result.
 float MaxAll(const Tensor& a) {
   SAGDFN_CHECK_GT(a.size(), 0);
   const float* pa = a.data();
@@ -630,23 +552,6 @@ Tensor Concat(const std::vector<Tensor>& parts, int64_t axis) {
     axis_offset += p_axis;
   }
   return out;
-}
-
-Tensor Stack(const std::vector<Tensor>& parts, int64_t axis) {
-  SAGDFN_CHECK(!parts.empty());
-  std::vector<Tensor> expanded;
-  expanded.reserve(parts.size());
-  for (const Tensor& p : parts) {
-    SAGDFN_CHECK(p.shape() == parts[0].shape());
-    std::vector<int64_t> dims = p.shape().dims();
-    int64_t ax = axis < 0 ? axis + p.ndim() + 1 : axis;
-    SAGDFN_CHECK_GE(ax, 0);
-    SAGDFN_CHECK_LE(ax, p.ndim());
-    dims.insert(dims.begin() + ax, 1);
-    expanded.push_back(p.Reshape(dims));
-  }
-  int64_t ax = axis < 0 ? axis + parts[0].ndim() + 1 : axis;
-  return Concat(expanded, ax);
 }
 
 Tensor Slice(const Tensor& a, int64_t axis, int64_t start, int64_t end) {

@@ -15,10 +15,6 @@ Tensor Add(const Tensor& a, const Tensor& b);
 Tensor Sub(const Tensor& a, const Tensor& b);
 Tensor Mul(const Tensor& a, const Tensor& b);
 Tensor Div(const Tensor& a, const Tensor& b);
-/// a > b ? a : b (a < b ? a : b for Minimum) per element on every
-/// broadcast path: a NaN in either operand or a +-0 tie gives b.
-Tensor Maximum(const Tensor& a, const Tensor& b);
-Tensor Minimum(const Tensor& a, const Tensor& b);
 
 // Scalar-broadcast conveniences.
 Tensor AddScalar(const Tensor& a, float s);
@@ -30,19 +26,12 @@ Tensor RSubScalar(const Tensor& a, float s);
 // Elementwise unary operations.
 Tensor Neg(const Tensor& a);
 Tensor Exp(const Tensor& a);
-Tensor Log(const Tensor& a);
-Tensor Sqrt(const Tensor& a);
 Tensor Abs(const Tensor& a);
 /// -1, 0 or +1 per element.
 Tensor Sign(const Tensor& a);
 Tensor Tanh(const Tensor& a);
 Tensor Sigmoid(const Tensor& a);
 Tensor Relu(const Tensor& a);
-/// Clamps every element into [lo, hi].
-Tensor Clamp(const Tensor& a, float lo, float hi);
-/// Raises every element to the (scalar) power p. Elements must be >= 0
-/// when p is non-integral.
-Tensor Pow(const Tensor& a, float p);
 
 /// 2-D matrix product: [m, k] x [k, n] -> [m, n].
 Tensor MatMul(const Tensor& a, const Tensor& b);
@@ -53,23 +42,16 @@ Tensor MatMul(const Tensor& a, const Tensor& b);
 ///   [m, k]    x [B, k, n] -> [B, m, n]  (lhs shared across batch)
 Tensor BatchedMatMul(const Tensor& a, const Tensor& b);
 
-/// Raw-pointer matmul into a caller-owned buffer: o[rows, n] = a[rows, k]
-/// x b[k, n]. Zeroes `o`, then runs the same row-parallel
-/// macro-kernel as MatMul / BatchedMatMul — per-row accumulation order is
-/// identical, so for equal operand values the output rows are
-/// bit-identical to those ops. This is what lets the eval-mode rollout
-/// plan (core/rollout_plan) replay matmuls into arena scratch while
-/// staying memcmp-equal to the eager path. `o` must not alias `a` or `b`.
-void MatMulInto(const float* a, const float* b, float* o, int64_t rows,
-                int64_t k, int64_t n);
-
-/// Row-range variant of MatMulInto for callers that fuse the matmul into
-/// a larger per-row-range parallel region (one ParallelFor dispatch
-/// covering several row-local stages): zeroes rows [i0, i1) of `o` and
-/// accumulates a[i0:i1] x b into them with the same per-row accumulation
-/// order as MatMul / MatMulInto. Per-row results are independent of how the
-/// caller partitions the row range, so any partition is bit-identical to
-/// the full-matrix ops.
+/// Raw-pointer matmul into a caller-owned buffer for callers that fuse the
+/// matmul into a larger per-row-range parallel region (one ParallelFor
+/// dispatch covering several row-local stages): zeroes rows [i0, i1) of
+/// `o` (o[rows, n] = a[rows, k] x b[k, n]) and accumulates a[i0:i1] x b
+/// into them with the same per-row accumulation order as MatMul /
+/// BatchedMatMul. Per-row results are independent of how the caller
+/// partitions the row range, so any partition is bit-identical to the
+/// full-matrix ops; this is what lets the eval-mode rollout plan
+/// (core/rollout_plan) replay matmuls into arena scratch while staying
+/// memcmp-equal to the eager path. `o` must not alias `a` or `b`.
 void MatMulRowsInto(const float* a, const float* b, float* o, int64_t i0,
                     int64_t i1, int64_t k, int64_t n);
 
@@ -79,8 +61,6 @@ void MatMulRowsInto(const float* a, const float* b, float* o, int64_t i0,
 Tensor Sum(const Tensor& a, int64_t axis, bool keepdim = false);
 Tensor Mean(const Tensor& a, int64_t axis, bool keepdim = false);
 Tensor Max(const Tensor& a, int64_t axis, bool keepdim = false);
-/// Index of the maximum along `axis` (ties -> first), as float values.
-Tensor ArgMax(const Tensor& a, int64_t axis);
 
 /// Full reductions to a rank-0 scalar tensor.
 Tensor SumAll(const Tensor& a);
@@ -97,9 +77,6 @@ Tensor Transpose(const Tensor& a, int64_t axis0, int64_t axis1);
 
 /// Concatenates tensors along `axis`; all other dims must match.
 Tensor Concat(const std::vector<Tensor>& parts, int64_t axis);
-
-/// Stacks equal-shaped tensors along a new leading `axis`.
-Tensor Stack(const std::vector<Tensor>& parts, int64_t axis);
 
 /// Returns a[..., start:end, ...] along `axis` (copy).
 Tensor Slice(const Tensor& a, int64_t axis, int64_t start, int64_t end);

@@ -82,20 +82,8 @@ void ScratchArena::RestoreTo(int64_t chunk, int64_t used, int64_t total) {
   total_used_ = total;
 }
 
-int64_t ScratchArena::bytes_reserved() const {
-  int64_t total = 0;
-  for (const Chunk& c : chunks_) total += c.capacity;
-  return total;
-}
-
 int64_t ScratchArena::ProcessHighWater() {
   return ProcessHighWaterAtomic().load(std::memory_order_relaxed);
-}
-
-void ScratchArena::ReleaseAll() {
-  chunks_.clear();
-  active_ = 0;
-  total_used_ = 0;
 }
 
 }  // namespace sagdfn::utils

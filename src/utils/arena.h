@@ -81,15 +81,9 @@ class ScratchArena {
   /// Largest bytes_in_use() this arena ever reached.
   int64_t high_water() const { return high_water_; }
 
-  /// Total chunk capacity currently held (never shrinks mid-run).
-  int64_t bytes_reserved() const;
-
   /// Largest high_water() across every thread's arena, process-wide.
   /// Exported as the `arena.high_water_bytes` telemetry gauge.
   static int64_t ProcessHighWater();
-
-  /// Frees every chunk (tests only; outstanding pointers become invalid).
-  void ReleaseAll();
 
  private:
   struct Chunk {

@@ -53,12 +53,10 @@ Status FaultInjector::Configure(const std::string& spec) {
   std::lock_guard<std::mutex> lock(mu_);
   if (!parsed.ok()) {
     // A mistyped spec must not leave stale rules armed.
-    spec_.clear();
     rules_.clear();
     enabled_.store(false, std::memory_order_relaxed);
     return parsed;
   }
-  spec_ = spec;
   rules_ = std::move(rules);
   seed_ = seed;
   rng_ = Rng(seed_);
@@ -245,11 +243,6 @@ Status FaultInjector::ConfigureFromEnv() {
 void FaultInjector::Reset() {
   Status status = Configure("");
   (void)status;  // "" always parses
-}
-
-std::string FaultInjector::active_spec() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return spec_;
 }
 
 bool FaultInjector::TenantMatches(const Rule& rule, std::string_view tenant) {

@@ -92,14 +92,11 @@ class FaultInjector {
   /// or empty disables injection).
   Status ConfigureFromEnv();
 
-  /// Disables injection and clears counters, latches, and the spec.
+  /// Disables injection and clears counters, latches, and the rules.
   void Reset();
 
   /// True if any rule is active.
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-
-  /// The spec this injector was last configured with.
-  std::string active_spec() const;
 
   /// Probes an index-triggered site (kLoss/kGrad by iteration, kCrash by
   /// epoch). Returns true if a fault fires now; one-shot rules latch.
@@ -141,7 +138,6 @@ class FaultInjector {
 
   mutable std::mutex mu_;
   std::atomic<bool> enabled_{false};
-  std::string spec_;
   std::vector<Rule> rules_;
   uint64_t seed_ = 42;
   Rng rng_{42};

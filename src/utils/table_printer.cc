@@ -21,8 +21,6 @@ void TablePrinter::AddRow(std::initializer_list<std::string> row) {
   AddRow(std::vector<std::string>(row));
 }
 
-void TablePrinter::Print(std::ostream& os) const { os << ToString(); }
-
 std::string TablePrinter::ToString() const {
   std::vector<size_t> widths(headers_.size());
   for (size_t c = 0; c < headers_.size(); ++c) {

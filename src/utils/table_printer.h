@@ -1,7 +1,6 @@
 #ifndef SAGDFN_UTILS_TABLE_PRINTER_H_
 #define SAGDFN_UTILS_TABLE_PRINTER_H_
 
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -19,9 +18,6 @@ class TablePrinter {
 
   /// Convenience: appends a row of already-stringified cells.
   void AddRow(std::initializer_list<std::string> row);
-
-  /// Writes the table (header, separator, rows) to `os`.
-  void Print(std::ostream& os) const;
 
   /// Returns the rendered table as a string.
   std::string ToString() const;

@@ -72,7 +72,7 @@ TEST(HistoricalAverageTest, PredictsDailyPattern) {
   Tensor truth = CollectTruth(dataset, data::Split::kTest, 10);
   EXPECT_EQ(pred.shape(), truth.shape());
   // Far better than predicting a constant 0.
-  EXPECT_LT(metrics::MaskedMae(pred, truth), 30.0);
+  EXPECT_LT(metrics::Evaluate(pred, truth).mae, 30.0);
 }
 
 TEST(ArForecasterTest, NailsSyntheticArProcess) {
@@ -130,8 +130,8 @@ TEST(VarForecasterTest, CapturesCrossNodeDependence) {
   Tensor var_n1 = tensor::Slice(tensor::Slice(var_pred, 1, 0, 1), 2, 1, 2);
   Tensor ar_n1 = tensor::Slice(tensor::Slice(ar_pred, 1, 0, 1), 2, 1, 2);
   Tensor truth_n1 = tensor::Slice(tensor::Slice(truth, 1, 0, 1), 2, 1, 2);
-  EXPECT_LT(metrics::MaskedMae(var_n1, truth_n1),
-            0.5 * metrics::MaskedMae(ar_n1, truth_n1));
+  EXPECT_LT(metrics::Evaluate(var_n1, truth_n1).mae,
+            0.5 * metrics::Evaluate(ar_n1, truth_n1).mae);
 }
 
 TEST(SvrForecasterTest, BeatsZeroPredictor) {
@@ -143,8 +143,8 @@ TEST(SvrForecasterTest, BeatsZeroPredictor) {
   Tensor pred = model.Predict(dataset, data::Split::kTest, 15);
   Tensor truth = CollectTruth(dataset, data::Split::kTest, 15);
   Tensor zeros = Tensor::Zeros(truth.shape());
-  EXPECT_LT(metrics::MaskedMae(pred, truth),
-            metrics::MaskedMae(zeros, truth));
+  EXPECT_LT(metrics::Evaluate(pred, truth).mae,
+            metrics::Evaluate(zeros, truth).mae);
 }
 
 TEST(RnnSeq2SeqTest, ForwardShape) {

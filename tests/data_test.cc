@@ -50,9 +50,6 @@ TEST(TimeSeriesTest, SliceAndSelectNodes) {
   TimeSeries picked = SelectNodes(s, {3, 0});
   EXPECT_FLOAT_EQ(picked.values.At({5, 0}), 305.0f);
   EXPECT_FLOAT_EQ(picked.values.At({5, 1}), 5.0f);
-  TimeSeries clipped = SliceTime(s, 10, 20);
-  EXPECT_EQ(clipped.num_steps(), 10);
-  EXPECT_FLOAT_EQ(clipped.values.At({0, 0}), 10.0f);
 }
 
 TEST(ScalerTest, RoundTrip) {

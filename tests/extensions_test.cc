@@ -155,13 +155,13 @@ TEST(MaskedLossTest, MissingReadingsDoNotTrainOrScore) {
   // does not change the score.
   tensor::Tensor pred = trainer.Predict(data::Split::kTest);
   tensor::Tensor truth = trainer.Truth(data::Split::kTest);
-  const double base = metrics::MaskedMae(pred, truth);
+  const double base = metrics::Evaluate(pred, truth).mae;
   for (int64_t s = 0; s < pred.dim(0); ++s) {
     for (int64_t t = 0; t < pred.dim(1); ++t) {
       pred.At({s, t, 2}) = 1e6f;
     }
   }
-  EXPECT_DOUBLE_EQ(metrics::MaskedMae(pred, truth), base);
+  EXPECT_DOUBLE_EQ(metrics::Evaluate(pred, truth).mae, base);
 }
 
 }  // namespace

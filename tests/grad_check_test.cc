@@ -59,16 +59,9 @@ TEST(GradCheckTest, BinaryBroadcast) {
 
 TEST(GradCheckTest, Unary) {
   Tensor a = RandT(Shape({2, 3}), 7);
-  Tensor positive = RandT(Shape({2, 3}), 8, 0.5f, 2.0f);
-  ExpectGradOk([](const auto& v) { return SumAll(Neg(v[0])); }, {a});
   ExpectGradOk([](const auto& v) { return SumAll(Exp(v[0])); }, {a});
-  ExpectGradOk([](const auto& v) { return SumAll(Log(v[0])); }, {positive});
-  ExpectGradOk([](const auto& v) { return SumAll(Sqrt(v[0])); },
-               {positive});
   ExpectGradOk([](const auto& v) { return SumAll(Tanh(v[0])); }, {a});
   ExpectGradOk([](const auto& v) { return SumAll(Sigmoid(v[0])); }, {a});
-  ExpectGradOk([](const auto& v) { return SumAll(Pow(v[0], 3.0f)); },
-               {positive});
   ExpectGradOk([](const auto& v) { return SumAll(MulScalar(v[0], -2.5f)); },
                {a});
   ExpectGradOk([](const auto& v) { return SumAll(AddScalar(v[0], 1.5f)); },

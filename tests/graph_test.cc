@@ -14,7 +14,7 @@ using tensor::Tensor;
 
 TEST(AdjacencyTest, RowDegreesAndNormalize) {
   Tensor a = Tensor::FromVector({0, 2, 2, 0, 0, 0}, Shape({2, 3}));
-  Tensor deg = RowDegrees(a);
+  Tensor deg = tensor::Sum(a, 1, /*keepdim=*/false);
   EXPECT_FLOAT_EQ(deg[0], 4.0f);
   EXPECT_FLOAT_EQ(deg[1], 0.0f);
   Tensor norm = RowNormalize(a);
@@ -44,10 +44,12 @@ TEST(AdjacencyTest, TopKPerRowKeepsLargest) {
 }
 
 TEST(AdjacencyTest, ThresholdAndSparsity) {
-  Tensor a = Tensor::FromVector({0.1f, 0.5f, 0.9f, 0.0f}, Shape({2, 2}));
-  Tensor t = ThresholdSparsify(a, 0.4f);
+  // Keeping the larger entry of each row zeroes half of the matrix.
+  Tensor a = Tensor::FromVector({0.1f, 0.5f, 0.9f, 0.3f}, Shape({2, 2}));
+  Tensor t = TopKPerRow(a, 1);
   EXPECT_FLOAT_EQ(t[0], 0.0f);
   EXPECT_FLOAT_EQ(t[1], 0.5f);
+  EXPECT_DOUBLE_EQ(Sparsity(a), 0.0);
   EXPECT_DOUBLE_EQ(Sparsity(t), 0.5);
 }
 

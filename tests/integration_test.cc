@@ -129,8 +129,8 @@ TEST(IntegrationTest, SagdfnBeatsLstmOnDriverFollowerData) {
   tensor::Tensor truth =
       baselines::CollectTruth(dataset, data::Split::kTest,
                               sagdfn_pred.dim(0));
-  const double sagdfn_mae = metrics::MaskedMae(sagdfn_pred, truth);
-  const double temporal_mae = metrics::MaskedMae(temporal_pred, truth);
+  const double sagdfn_mae = metrics::Evaluate(sagdfn_pred, truth).mae;
+  const double temporal_mae = metrics::Evaluate(temporal_pred, truth).mae;
   EXPECT_LT(sagdfn_mae, temporal_mae);
 }
 

@@ -25,17 +25,19 @@ TEST(MetricsTest, PerfectPredictionIsZero) {
 TEST(MetricsTest, KnownValues) {
   Tensor pred = Tensor::FromVector({2, 2}, Shape({2}));
   Tensor truth = Tensor::FromVector({1, 4}, Shape({2}));
-  EXPECT_DOUBLE_EQ(MaskedMae(pred, truth), 1.5);           // (1 + 2) / 2
-  EXPECT_NEAR(MaskedRmse(pred, truth), std::sqrt(2.5), 1e-9);
-  EXPECT_NEAR(MaskedMape(pred, truth), (1.0 + 0.5) / 2, 1e-9);
+  Scores s = Evaluate(pred, truth);
+  EXPECT_DOUBLE_EQ(s.mae, 1.5);  // (1 + 2) / 2
+  EXPECT_NEAR(s.rmse, std::sqrt(2.5), 1e-9);
+  EXPECT_NEAR(s.mape, (1.0 + 0.5) / 2, 1e-9);
 }
 
 TEST(MetricsTest, ZeroTruthMasked) {
   // Second entry has truth 0 -> excluded entirely.
   Tensor pred = Tensor::FromVector({2, 100}, Shape({2}));
   Tensor truth = Tensor::FromVector({1, 0}, Shape({2}));
-  EXPECT_DOUBLE_EQ(MaskedMae(pred, truth), 1.0);
-  EXPECT_DOUBLE_EQ(MaskedMape(pred, truth), 1.0);
+  Scores s = Evaluate(pred, truth);
+  EXPECT_DOUBLE_EQ(s.mae, 1.0);
+  EXPECT_DOUBLE_EQ(s.mape, 1.0);
 }
 
 TEST(MetricsTest, AllMaskedReturnsNan) {
@@ -48,9 +50,6 @@ TEST(MetricsTest, AllMaskedReturnsNan) {
   EXPECT_TRUE(std::isnan(s.rmse));
   EXPECT_TRUE(std::isnan(s.mape));
   EXPECT_FALSE(s.IsSignal());
-  EXPECT_TRUE(std::isnan(MaskedMae(pred, truth)));
-  EXPECT_TRUE(std::isnan(MaskedRmse(pred, truth)));
-  EXPECT_TRUE(std::isnan(MaskedMape(pred, truth)));
 }
 
 TEST(MetricsTest, IsSignalWithAnyUnmaskedEntry) {
@@ -86,7 +85,8 @@ TEST(MetricsTest, RmseAtLeastMae) {
   utils::Rng rng(1);
   Tensor pred = Tensor::Uniform(Shape({100}), rng, 1.0f, 2.0f);
   Tensor truth = Tensor::Uniform(Shape({100}), rng, 1.0f, 2.0f);
-  EXPECT_GE(MaskedRmse(pred, truth), MaskedMae(pred, truth));
+  Scores s = Evaluate(pred, truth);
+  EXPECT_GE(s.rmse, s.mae);
 }
 
 TEST(MetricsTest, HorizonSlicing) {
@@ -120,9 +120,10 @@ TEST_P(MetricScaleProperty, Scaling) {
   const float k = GetParam();
   Tensor pred_k = tensor::MulScalar(pred, k);
   Tensor truth_k = tensor::MulScalar(truth, k);
-  EXPECT_NEAR(MaskedMae(pred_k, truth_k), k * MaskedMae(pred, truth),
-              1e-3);
-  EXPECT_NEAR(MaskedMape(pred_k, truth_k), MaskedMape(pred, truth), 1e-5);
+  Scores base = Evaluate(pred, truth);
+  Scores scaled = Evaluate(pred_k, truth_k);
+  EXPECT_NEAR(scaled.mae, k * base.mae, 1e-3);
+  EXPECT_NEAR(scaled.mape, base.mape, 1e-5);
 }
 
 INSTANTIATE_TEST_SUITE_P(Factors, MetricScaleProperty,

@@ -4,9 +4,7 @@
 
 #include "autograd/grad_check.h"
 #include "autograd/ops.h"
-#include "nn/dropout.h"
 #include "nn/init.h"
-#include "nn/layer_norm.h"
 #include "nn/linear.h"
 #include "nn/mlp.h"
 #include "nn/rnn.h"
@@ -128,52 +126,6 @@ TEST(LstmCellTest, GradCheckOneStep) {
         return ag::MeanAll(ag::Add(hn, cn));
       },
       {x, h, c}, &error))
-      << error;
-}
-
-TEST(DropoutTest, EvalModeIsIdentity) {
-  Dropout dropout(0.5);
-  dropout.SetTraining(false);
-  utils::Rng rng(11);
-  Tensor x = Tensor::Uniform(Shape({10, 10}), rng);
-  ag::Variable y = dropout.Forward(ag::Variable(x));
-  EXPECT_TRUE(tensor::AllClose(y.value(), x));
-}
-
-TEST(DropoutTest, TrainingPreservesExpectation) {
-  Dropout dropout(0.3, 12345);
-  dropout.SetTraining(true);
-  Tensor x = Tensor::Ones(Shape({10000}));
-  ag::Variable y = dropout.Forward(ag::Variable(x));
-  EXPECT_NEAR(tensor::MeanAll(y.value()).Item(), 1.0f, 0.05f);
-  // Survivors are scaled by 1/(1-p).
-  float max_v = tensor::MaxAll(y.value());
-  EXPECT_NEAR(max_v, 1.0f / 0.7f, 1e-4f);
-}
-
-TEST(LayerNormTest, NormalizesLastDim) {
-  LayerNorm norm(8);
-  utils::Rng rng(12);
-  Tensor x = Tensor::Normal(Shape({4, 8}), rng, 5.0f, 3.0f);
-  ag::Variable y = norm.Forward(ag::Variable(x));
-  // Per-row mean ~0, variance ~1 with default gamma/beta.
-  Tensor row_mean = tensor::Mean(y.value(), 1);
-  for (int64_t i = 0; i < 4; ++i) EXPECT_NEAR(row_mean[i], 0.0f, 1e-4f);
-  Tensor sq = tensor::Mean(tensor::Mul(y.value(), y.value()), 1);
-  for (int64_t i = 0; i < 4; ++i) EXPECT_NEAR(sq[i], 1.0f, 1e-2f);
-}
-
-TEST(LayerNormTest, GradCheck) {
-  LayerNorm norm(4);
-  utils::Rng rng(13);
-  Tensor x = Tensor::Uniform(Shape({3, 4}), rng, -1.0f, 1.0f);
-  Tensor w = Tensor::Uniform(Shape({3, 4}), rng, -1.0f, 1.0f);
-  std::string error;
-  EXPECT_TRUE(ag::CheckGradients(
-      [&](const std::vector<ag::Variable>& v) {
-        return ag::SumAll(ag::Mul(norm.Forward(v[0]), ag::Variable(w)));
-      },
-      {x}, &error))
       << error;
 }
 

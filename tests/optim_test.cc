@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include "autograd/ops.h"
-#include "optim/lr_scheduler.h"
 #include "tensor/tensor_ops.h"
 #include "utils/rng.h"
 
@@ -16,57 +15,17 @@ namespace ag = ::sagdfn::autograd;
 using tensor::Shape;
 using tensor::Tensor;
 
-// Minimizes f(w) = mean((w - target)^2) and returns the final w.
-template <typename MakeOpt>
-Tensor MinimizeQuadratic(MakeOpt make_opt, int64_t steps) {
+TEST(AdamTest, ConvergesOnQuadratic) {
+  // Minimizes f(w) = mean((w - target)^2).
   ag::Variable w(Tensor::Full(Shape({4}), 5.0f), true);
   ag::Variable target(Tensor::FromVector({1, -2, 0.5f, 3}, Shape({4})));
-  auto opt = make_opt(std::vector<ag::Variable>{w});
-  for (int64_t i = 0; i < steps; ++i) {
-    opt->ZeroGrad();
+  Adam adam({w}, 0.1);
+  for (int i = 0; i < 300; ++i) {
+    w.ZeroGrad();
     ag::MseLoss(w, target).Backward();
-    opt->Step();
+    adam.Step();
   }
-  return w.value();
-}
-
-TEST(SgdTest, ConvergesOnQuadratic) {
-  Tensor w = MinimizeQuadratic(
-      [](std::vector<ag::Variable> p) {
-        return std::make_unique<Sgd>(std::move(p), 0.2);
-      },
-      200);
-  EXPECT_TRUE(tensor::AllClose(
-      w, Tensor::FromVector({1, -2, 0.5f, 3}, Shape({4})), 1e-2f, 1e-2f));
-}
-
-TEST(SgdTest, MomentumAccelerates) {
-  // With momentum the same step budget gets at least as close.
-  auto dist = [](const Tensor& w) {
-    Tensor t = Tensor::FromVector({1, -2, 0.5f, 3}, Shape({4}));
-    return tensor::SumAll(tensor::Abs(tensor::Sub(w, t))).Item();
-  };
-  Tensor plain = MinimizeQuadratic(
-      [](std::vector<ag::Variable> p) {
-        return std::make_unique<Sgd>(std::move(p), 0.05);
-      },
-      30);
-  Tensor momentum = MinimizeQuadratic(
-      [](std::vector<ag::Variable> p) {
-        return std::make_unique<Sgd>(std::move(p), 0.05, 0.9);
-      },
-      30);
-  EXPECT_LE(dist(momentum), dist(plain));
-}
-
-TEST(AdamTest, ConvergesOnQuadratic) {
-  Tensor w = MinimizeQuadratic(
-      [](std::vector<ag::Variable> p) {
-        return std::make_unique<Adam>(std::move(p), 0.1);
-      },
-      300);
-  EXPECT_TRUE(tensor::AllClose(
-      w, Tensor::FromVector({1, -2, 0.5f, 3}, Shape({4})), 2e-2f, 2e-2f));
+  EXPECT_TRUE(tensor::AllClose(w.value(), target.value(), 2e-2f, 2e-2f));
 }
 
 TEST(AdamTest, StepCountAdvances) {
@@ -83,7 +42,6 @@ TEST(AdamTest, WeightDecayShrinks) {
   ag::Variable w(Tensor::Full(Shape({2}), 1.0f), true);
   Adam adam({w}, 0.05, 0.9, 0.999, 1e-8, 0.5);
   for (int i = 0; i < 50; ++i) {
-    adam.ZeroGrad();
     // Loss that is constant in w: gradient is zero, only decay acts.
     ag::Variable loss(Tensor::Scalar(0.0f), true);
     w.ZeroGrad();
@@ -111,32 +69,6 @@ TEST(ClipGradNormTest, LeavesSmallGradientsAlone) {
   Tensor before = w.grad().Clone();
   ClipGradNorm({w}, 10.0);
   EXPECT_TRUE(tensor::AllClose(w.grad(), before));
-}
-
-TEST(MultiStepLrTest, DecaysAtMilestones) {
-  ag::Variable w(Tensor::Ones(Shape({1})), true);
-  Sgd sgd({w}, 1.0);
-  MultiStepLr scheduler(&sgd, {2, 5}, 0.1);
-  scheduler.Step(0);
-  EXPECT_DOUBLE_EQ(sgd.lr(), 1.0);
-  scheduler.Step(2);
-  EXPECT_NEAR(sgd.lr(), 0.1, 1e-12);
-  scheduler.Step(3);
-  EXPECT_NEAR(sgd.lr(), 0.1, 1e-12);
-  scheduler.Step(5);
-  EXPECT_NEAR(sgd.lr(), 0.01, 1e-12);
-}
-
-TEST(CosineLrTest, AnnealsToMin) {
-  ag::Variable w(Tensor::Ones(Shape({1})), true);
-  Sgd sgd({w}, 1.0);
-  CosineLr scheduler(&sgd, 10, 0.1);
-  scheduler.Step(0);
-  EXPECT_NEAR(sgd.lr(), 1.0, 1e-9);
-  scheduler.Step(5);
-  EXPECT_NEAR(sgd.lr(), 0.55, 1e-9);
-  scheduler.Step(10);
-  EXPECT_NEAR(sgd.lr(), 0.1, 1e-9);
 }
 
 }  // namespace

@@ -9,7 +9,8 @@
 //      1, 2, 4 threads at a FIXED dispatch level;
 //   3. full-model forward+backward and Adam steps memcmp-identical
 //      across levels;
-//   4. fused ops (OneStepFastGConv, GruBlend) against their composed
+//   4. fused ops (OneStepFastGConv, GruStep) and the gru_blend kernel
+//      against their composed
 //      reference chains, plus finite-difference gradients;
 //   5. ScratchArena reuse/reset/high-water semantics;
 //   6. DeterministicBlockReduce correctness and the kReduceBlock pin.
@@ -193,15 +194,15 @@ TEST(SimdKernelTest, BinaryKernelsMatchScalarExactly) {
   using InPlace = void (*)(float*, const float*, int64_t);
   const std::vector<std::pair<BinVV, BinVV>> pairs = {
       {sc.add, vx.add}, {sc.sub, vx.sub}, {sc.mul, vx.mul},
-      {sc.div, vx.div}, {sc.vmax, vx.vmax}, {sc.vmin, vx.vmin},
+      {sc.div, vx.div},
   };
   const std::vector<std::pair<InPlace, InPlace>> in_place = {
       {sc.acc_add, vx.acc_add}, {sc.max_into, vx.max_into}};
   for (const auto& [ks, kv] : pairs) EXPECT_NE(ks, kv);
   for (const auto& [ks, kv] : in_place) EXPECT_NE(ks, kv);
 
-  // +,-,*,/,min,max are single IEEE operations: bit-identical, NaN and
-  // signed-zero ties included.
+  // +,-,*,/ and max_into's compare-select are single IEEE operations:
+  // bit-identical, NaN and signed-zero ties included.
   const auto check = [&](const std::vector<float>& a,
                          const std::vector<float>& b) {
     const int64_t n = static_cast<int64_t>(a.size());
@@ -242,7 +243,6 @@ TEST(SimdKernelTest, ScalarOperandKernelsMatchExactly) {
       {sc.add_s, vx.add_s},   {sc.sub_s, vx.sub_s},
       {sc.rsub_s, vx.rsub_s}, {sc.mul_s, vx.mul_s},
       {sc.div_s, vx.div_s},   {sc.rdiv_s, vx.rdiv_s},
-      {sc.max_s, vx.max_s},   {sc.min_s, vx.min_s},
   };
   for (const auto& [ks, kv] : pairs) EXPECT_NE(ks, kv);
   const auto check = [&](const std::vector<float>& a, float s) {
@@ -289,10 +289,6 @@ TEST(SimdKernelTest, UnaryKernelsMatchScalarExactly) {
       kv(a.data(), o2.data(), n);
       EXPECT_EQ(0, std::memcmp(o1.data(), o2.data(), sizeof(float) * n));
     }
-    const auto pos = RandomVec(n, 500 + n, 0.0f, 10.0f);
-    sc.vsqrt(pos.data(), o1.data(), n);
-    vx.vsqrt(pos.data(), o2.data(), n);
-    EXPECT_EQ(0, std::memcmp(o1.data(), o2.data(), sizeof(float) * n));
 
     sc.vexp(a.data(), o1.data(), n);
     vx.vexp(a.data(), o2.data(), n);
@@ -355,14 +351,6 @@ TEST(SimdKernelTest, GradAndFusedKernelsMatchScalarExactly) {
     sc.relu_grad(g.data(), a.data(), o1.data(), n);
     vx.relu_grad(g.data(), a.data(), o2.data(), n);
     ExpectSameBits(o1, o2, "relu_grad");
-
-    sc.mul_sub(g.data(), a.data(), b.data(), o1.data(), n);
-    vx.mul_sub(g.data(), a.data(), b.data(), o2.data(), n);
-    ExpectSameBits(o1, o2, "mul_sub");
-
-    sc.mul_one_minus(g.data(), z.data(), o1.data(), n);
-    vx.mul_one_minus(g.data(), z.data(), o2.data(), n);
-    ExpectSameBits(o1, o2, "mul_one_minus");
 
     sc.gru_blend(z.data(), a.data(), b.data(), o1.data(), n);
     vx.gru_blend(z.data(), a.data(), b.data(), o2.data(), n);
@@ -603,7 +591,7 @@ TEST(SimdDeterminismTest, FullModelForwardBackwardAgreesAcrossLevels) {
     optim::Adam adam(model.Parameters(), 1e-2);
     std::vector<Tensor> out;
     for (int step = 0; step < 3; ++step) {
-      adam.ZeroGrad();
+      model.ZeroGrad();
       ag::Variable loss = SmallModelLoss(model);
       if (step == 0) {
         out.push_back(loss.value().Clone());
@@ -729,46 +717,19 @@ TEST(FusedOpsTest, OneStepFastGConvPassesGradCheck) {
       << error;
 }
 
+// The gru_blend kernel (the blend inside GruTailBlend and GruStep) against
+// the composed z*h + (1-z)*c chain.
 TEST(FusedOpsTest, GruBlendMatchesComposedChain) {
   utils::Rng rng(47);
   const Shape shape({2, 9, 5});
-  Tensor z0 = Tensor::Uniform(shape, rng);
-  Tensor h0 = Tensor::Normal(shape, rng);
-  Tensor c0 = Tensor::Normal(shape, rng);
-
-  auto run = [&](bool fused) {
-    ag::Variable z(z0.Clone(), true);
-    ag::Variable h(h0.Clone(), true);
-    ag::Variable c(c0.Clone(), true);
-    ag::Variable out =
-        fused ? core::GruBlend(z, h, c)
-              : ag::Add(ag::Mul(z, h),
-                        ag::Mul(ag::RSubScalar(z, 1.0f), c));
-    ag::MeanAll(ag::Mul(out, out)).Backward();
-    return std::vector<Tensor>{out.value(), z.grad(), h.grad(), c.grad()};
-  };
-  const auto f = run(true);
-  const auto r = run(false);
-  for (size_t i = 0; i < f.size(); ++i) {
-    EXPECT_TRUE(tensor::AllClose(f[i], r[i], 1e-6f, 1e-5f)) << "tensor " << i;
-  }
-}
-
-TEST(FusedOpsTest, GruBlendPassesGradCheck) {
-  utils::Rng rng(48);
-  const Shape shape({2, 3, 4});
-  std::vector<Tensor> inputs = {Tensor::Uniform(shape, rng),
-                                Tensor::Normal(shape, rng),
-                                Tensor::Normal(shape, rng)};
-  std::string error;
-  EXPECT_TRUE(ag::CheckGradients(
-      [](const std::vector<ag::Variable>& v) {
-        return ag::MeanAll(
-            ag::Mul(core::GruBlend(v[0], v[1], v[2]),
-                    core::GruBlend(v[0], v[1], v[2])));
-      },
-      inputs, &error))
-      << error;
+  Tensor z = Tensor::Uniform(shape, rng);
+  Tensor h = Tensor::Normal(shape, rng);
+  Tensor c = Tensor::Normal(shape, rng);
+  Tensor fused(shape);
+  simd::K().gru_blend(z.data(), h.data(), c.data(), fused.data(), z.size());
+  Tensor composed = tensor::Add(tensor::Mul(z, h),
+                                tensor::Mul(tensor::RSubScalar(z, 1.0f), c));
+  EXPECT_TRUE(tensor::AllClose(fused, composed, 1e-6f, 1e-5f));
 }
 
 TEST(SimdKernelTest, GruStepFusedKernelsMatchAcrossLevels) {
@@ -919,7 +880,7 @@ struct ExactIo {
 };
 using ExactCall = void (*)(const simd::Kernels&, const ExactIo&);
 
-/// The 24 kernels compiled from the one source in simd_elementwise.h.
+/// The 18 kernels compiled from the one source in simd_elementwise.h.
 /// The in-place ones (acc_add, max_into, scale) first copy `a` into `o`.
 const std::vector<std::pair<const char*, ExactCall>>& ExactKernels() {
   using K = simd::Kernels;
@@ -929,10 +890,6 @@ const std::vector<std::pair<const char*, ExactCall>>& ExactKernels() {
       {"sub", [](const K& k, const Io& io) { k.sub(io.a, io.b, io.o, io.n); }},
       {"mul", [](const K& k, const Io& io) { k.mul(io.a, io.b, io.o, io.n); }},
       {"div", [](const K& k, const Io& io) { k.div(io.a, io.b, io.o, io.n); }},
-      {"vmax",
-       [](const K& k, const Io& io) { k.vmax(io.a, io.b, io.o, io.n); }},
-      {"vmin",
-       [](const K& k, const Io& io) { k.vmin(io.a, io.b, io.o, io.n); }},
       {"add_s",
        [](const K& k, const Io& io) { k.add_s(io.a, io.s, io.o, io.n); }},
       {"sub_s",
@@ -945,10 +902,6 @@ const std::vector<std::pair<const char*, ExactCall>>& ExactKernels() {
        [](const K& k, const Io& io) { k.div_s(io.a, io.s, io.o, io.n); }},
       {"rdiv_s",
        [](const K& k, const Io& io) { k.rdiv_s(io.a, io.s, io.o, io.n); }},
-      {"max_s",
-       [](const K& k, const Io& io) { k.max_s(io.a, io.s, io.o, io.n); }},
-      {"min_s",
-       [](const K& k, const Io& io) { k.min_s(io.a, io.s, io.o, io.n); }},
       {"acc_add",
        [](const K& k, const Io& io) {
          std::copy_n(io.a, io.n, io.o);
@@ -964,14 +917,6 @@ const std::vector<std::pair<const char*, ExactCall>>& ExactKernels() {
       {"relu", [](const K& k, const Io& io) { k.relu(io.a, io.o, io.n); }},
       {"relu_grad",
        [](const K& k, const Io& io) { k.relu_grad(io.a, io.b, io.o, io.n); }},
-      {"mul_sub",
-       [](const K& k, const Io& io) {
-         k.mul_sub(io.a, io.b, io.c, io.o, io.n);
-       }},
-      {"mul_one_minus",
-       [](const K& k, const Io& io) {
-         k.mul_one_minus(io.a, io.b, io.o, io.n);
-       }},
       {"scale",
        [](const K& k, const Io& io) {
          std::copy_n(io.a, io.n, io.o);
@@ -1068,16 +1013,13 @@ struct DefIo {
 };
 using DefCall = void (*)(const simd::Kernels&, const DefIo&);
 
-/// The 18 kernels outside ExactKernels(). Any of them may carry a
+/// The 17 kernels outside ExactKernels(). Any of them may carry a
 /// hand-written AVX2 body (DESIGN.md §5f); the checks below hold each
 /// level to the definition in simd_elementwise.h either way.
 const std::vector<std::pair<const char*, DefCall>>& DefinedKernels() {
   using K = simd::Kernels;
   using Io = DefIo;
   static const std::vector<std::pair<const char*, DefCall>> kernels = {
-      {"vsqrt", [](const K& k, const Io& io) {
-         k.vsqrt(io.in[0], io.out[0], io.n);
-       }},
       {"vexp", [](const K& k, const Io& io) {
          k.vexp(io.in[0], io.out[0], io.n);
        }},
@@ -1244,8 +1186,8 @@ TEST(SimdKernelTest, HandBodiesMatchTheirDefinitions) {
   ExpectDefinedKernelsMatch(in, n, "n=65536");
 }
 
-/// Runs the one-input kernels with hand-written AVX2 bodies (sqrt and the
-/// exp family) at both levels over `bits` (as floats) and reports the
+/// Runs the one-input kernels with hand-written AVX2 bodies (the exp
+/// family) at both levels over `bits` (as floats) and reports the
 /// first element whose bytes differ. `chunk` sets the call length, so a
 /// chunk below 8 runs every element through the AVX2 tail path.
 void ExpectUnaryKernelsMatch(const std::vector<uint32_t>& bits,
@@ -1257,7 +1199,6 @@ void ExpectUnaryKernelsMatch(const std::vector<uint32_t>& bits,
   std::memcpy(x.data(), bits.data(), sizeof(float) * n);
   using UnK = void (*)(const float*, float*, int64_t);
   const std::pair<const char*, std::pair<UnK, UnK>> kernels[] = {
-      {"vsqrt", {sc.vsqrt, vx.vsqrt}},
       {"vexp", {sc.vexp, vx.vexp}},
       {"sigmoid", {sc.sigmoid, vx.sigmoid}},
       {"vtanh", {sc.vtanh, vx.vtanh}}};
@@ -1296,8 +1237,7 @@ TEST(SimdKernelTest, UnaryKernelsMatchDefinitionOverBitPatterns) {
   ExpectUnaryKernelsMatch(bits, 7);
 }
 
-// Every one of the 2^32 float bit patterns through sqrt and the exp
-// family at both levels (minutes; the nightly workflow runs it with
+// Every one of the 2^32 float bit patterns through the exp family at both levels (minutes; the nightly workflow runs it with
 // --gtest_also_run_disabled_tests).
 TEST(SimdKernelTest, DISABLED_UnaryKernelsMatchDefinitionOnEveryFloat) {
   if (SkipWithoutAvx2()) return;

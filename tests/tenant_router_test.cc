@@ -27,6 +27,7 @@
 //     torn candidate.
 #include "serve/tenant_router.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstring>
@@ -34,6 +35,7 @@
 #include <fstream>
 #include <future>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -514,7 +516,8 @@ TEST_F(TenantTest, SlowBatchFaultTimesOutOnlyQualifiedTenant) {
 
   // Every london batch stalls 30 ms; its queued requests carry 5 ms
   // deadlines and expire behind the stall. newyork runs the same load
-  // with the same deadlines, unstalled.
+  // without deadlines.
+  constexpr double kStallSeconds = 0.030;
   ASSERT_TRUE(utils::FaultInjector::Global()
                   .Configure("slow_batch@us=30000@tenant=london2000")
                   .ok());
@@ -532,16 +535,22 @@ TEST_F(TenantTest, SlowBatchFaultTimesOutOnlyQualifiedTenant) {
   }
   EXPECT_GT(expired, 0) << "the stalled tenant should expire queued work";
 
+  // A stalled batch sleeps at least the full 30 ms, so had the stall
+  // leaked, every newyork request would take that long; one request
+  // under it proves newyork ran unstalled. A busy host only slows
+  // requests down, so it cannot fail this check on every request.
+  double fastest_ny_seconds = std::numeric_limits<double>::infinity();
   for (const RequestData& r : requests) {
-    Forecast forecast =
-        router.Submit("newyork2000", r.x, r.future_tod, deadline).get();
+    const auto start = std::chrono::steady_clock::now();
+    Forecast forecast = router.Submit("newyork2000", r.x, r.future_tod).get();
+    fastest_ny_seconds = std::min(
+        fastest_ny_seconds, std::chrono::duration<double>(
+                                std::chrono::steady_clock::now() - start)
+                                .count());
     EXPECT_TRUE(forecast.status.ok()) << forecast.status.ToString();
   }
   utils::FaultInjector::Global().Reset();
-
-  TenantStats ny_stats;
-  ASSERT_TRUE(router.StatsFor("newyork2000", &ny_stats).ok());
-  EXPECT_EQ(ny_stats.engine.timed_out, 0)
+  EXPECT_LT(fastest_ny_seconds, kStallSeconds)
       << "the unqualified tenant must not inherit the stall";
 }
 

@@ -1,15 +1,13 @@
 #include "tensor/tensor_ops.h"
 
-#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "tensor/simd.h"
+#include "autograd/ops.h"
 #include "utils/rng.h"
 
 namespace sagdfn::tensor {
@@ -52,72 +50,8 @@ TEST(TensorOpsTest, SubDivMaxMin) {
   Tensor b = T({2, 3, 4}, {3});
   EXPECT_TRUE(AllClose(Sub(a, b), T({2, 6, 12}, {3})));
   EXPECT_TRUE(AllClose(Div(a, b), T({2, 3, 4}, {3})));
-  EXPECT_TRUE(AllClose(Maximum(a, T({5, 5, 5}, {3})), T({5, 9, 16}, {3})));
-  EXPECT_TRUE(AllClose(Minimum(a, T({5, 5, 5}, {3})), T({4, 5, 5}, {3})));
-}
-
-// Maximum is a > b ? a : b (Minimum a < b ? a : b) on every broadcast
-// path and at every SIMD level: a NaN in either operand or a +-0 tie
-// gives b, bit for bit.
-TEST(TensorOpsTest, MaximumMinimumPickBOnNanAndSignedZeroTies) {
-  const float nan = std::numeric_limits<float>::quiet_NaN();
-  const float inf = std::numeric_limits<float>::infinity();
-  const std::vector<float> v = {nan, 0.0f, -0.0f, 1.0f, -1.0f, inf, -inf};
-  const int64_t k = static_cast<int64_t>(v.size());
-  // Every value three times over: 21 elements reach vector lanes and a
-  // scalar tail.
-  std::vector<float> run;
-  for (int rep = 0; rep < 3; ++rep) run.insert(run.end(), v.begin(), v.end());
-  const int64_t m = static_cast<int64_t>(run.size());
-  // Every ordered pair (v[i / k], v[i % k]) as two same-shape operands.
-  std::vector<float> lhs, rhs;
-  for (int64_t i = 0; i < k * k; ++i) {
-    lhs.push_back(v[i / k]);
-    rhs.push_back(v[i % k]);
-  }
-
-  for (simd::Level level : {simd::Level::kScalar, simd::Level::kAvx2}) {
-    if (level == simd::Level::kAvx2 && !simd::Avx2Available()) continue;
-    const simd::Level previous = simd::ActiveLevel();
-    ASSERT_TRUE(simd::SetActiveLevel(level));
-    for (const bool is_max : {true, false}) {
-      const auto op = is_max ? Maximum : Minimum;
-      const auto expected = [&](float x, float y) {
-        return std::bit_cast<uint32_t>(is_max ? (x > y ? x : y)
-                                              : (x < y ? x : y));
-      };
-      const std::string what = std::string(is_max ? "Maximum" : "Minimum") +
-                               " at " + simd::LevelName(level);
-      // Same shape.
-      Tensor same = op(T(lhs, {k * k}), T(rhs, {k * k}));
-      for (int64_t i = 0; i < k * k; ++i) {
-        EXPECT_EQ(std::bit_cast<uint32_t>(same.data()[i]),
-                  expected(lhs[i], rhs[i]))
-            << what << ", same shape, pair " << i;
-      }
-      for (int64_t j = 0; j < k; ++j) {
-        // b is the scalar, then a is.
-        Tensor b_scalar = op(T(run, {m}), Tensor::Scalar(v[j]));
-        Tensor a_scalar = op(Tensor::Scalar(v[j]), T(run, {m}));
-        for (int64_t i = 0; i < m; ++i) {
-          EXPECT_EQ(std::bit_cast<uint32_t>(b_scalar.data()[i]),
-                    expected(run[i], v[j]))
-              << what << ", b scalar, i=" << i << " j=" << j;
-          EXPECT_EQ(std::bit_cast<uint32_t>(a_scalar.data()[i]),
-                    expected(v[j], run[i]))
-              << what << ", a scalar, i=" << i << " j=" << j;
-        }
-      }
-      // General broadcast: [k, 1] op [1, k] -> [k, k].
-      Tensor general = op(T(v, {k, 1}), T(v, {1, k}));
-      for (int64_t i = 0; i < k * k; ++i) {
-        EXPECT_EQ(std::bit_cast<uint32_t>(general.data()[i]),
-                  expected(v[i / k], v[i % k]))
-            << what << ", general broadcast, pair " << i;
-      }
-    }
-    simd::SetActiveLevel(previous);
-  }
+  EXPECT_FLOAT_EQ(MaxAll(Sub(a, b)), 12.0f);
+  EXPECT_FLOAT_EQ(MinAll(Div(a, b)), 2.0f);
 }
 
 TEST(TensorOpsTest, UnaryOps) {
@@ -126,8 +60,6 @@ TEST(TensorOpsTest, UnaryOps) {
   EXPECT_TRUE(AllClose(Abs(a), T({1, 0, 4}, {3})));
   EXPECT_TRUE(AllClose(Sign(a), T({-1, 0, 1}, {3})));
   EXPECT_TRUE(AllClose(Relu(a), T({0, 0, 4}, {3})));
-  EXPECT_TRUE(AllClose(Sqrt(T({4, 9}, {2})), T({2, 3}, {2})));
-  EXPECT_TRUE(AllClose(Clamp(a, -0.5f, 2.0f), T({-0.5f, 0, 2}, {3})));
 }
 
 TEST(TensorOpsTest, SigmoidStability) {
@@ -192,7 +124,6 @@ TEST(TensorOpsTest, SumMeanMaxAlongAxis) {
   EXPECT_TRUE(AllClose(Sum(a, 1, true), T({6, 15}, {2, 1})));
   EXPECT_TRUE(AllClose(Mean(a, 0), T({2.5f, 3.5f, 4.5f}, {3})));
   EXPECT_TRUE(AllClose(Max(a, 1), T({3, 6}, {2})));
-  EXPECT_TRUE(AllClose(ArgMax(a, 1), T({2, 2}, {2})));
 }
 
 TEST(TensorOpsTest, FullReductions) {
@@ -256,12 +187,14 @@ TEST(TensorOpsTest, ConcatAxis0And1) {
   EXPECT_TRUE(AllClose(Concat({a, b}, 1), T({1, 2, 3, 4}, {1, 4})));
 }
 
+// The library's Stack is the autograd op (a Reshape per part, then
+// Concat); its forward value is plain tensor data.
 TEST(TensorOpsTest, StackCreatesNewAxis) {
-  Tensor a = T({1, 2}, {2});
-  Tensor b = T({3, 4}, {2});
-  Tensor s = Stack({a, b}, 0);
+  autograd::Variable a(T({1, 2}, {2}));
+  autograd::Variable b(T({3, 4}, {2}));
+  Tensor s = autograd::Stack({a, b}, 0).value();
   EXPECT_EQ(s.shape(), Shape({2, 2}));
-  Tensor s1 = Stack({a, b}, 1);
+  Tensor s1 = autograd::Stack({a, b}, 1).value();
   EXPECT_EQ(s1.shape(), Shape({2, 2}));
   EXPECT_FLOAT_EQ(s1.At({0, 1}), 3.0f);
 }
@@ -313,7 +246,7 @@ TEST(TensorOpsTest, HasNonFinite) {
   EXPECT_FALSE(HasNonFinite(T({1, 2}, {2})));
   EXPECT_TRUE(HasNonFinite(T({1, NAN}, {2})));
   EXPECT_TRUE(HasNonFinite(T({1, INFINITY}, {2})));
-  EXPECT_TRUE(HasNonFinite(Log(T({0.0f}, {1}))));
+  EXPECT_TRUE(HasNonFinite(Div(T({1.0f}, {1}), T({0.0f}, {1}))));
 }
 
 // Property suite: algebraic identities on random tensors.
@@ -334,8 +267,6 @@ TEST_P(TensorAlgebraProperty, Identities) {
   EXPECT_TRUE(AllClose(Div(safe, safe), Tensor::Ones(a.shape())));
   // Broadcast distribution: (a + c) - c = a.
   EXPECT_TRUE(AllClose(Sub(Add(a, c), c), a, 1e-4f, 1e-3f));
-  // exp(log(x)) = x for positive x.
-  EXPECT_TRUE(AllClose(Exp(Log(safe)), safe, 1e-4f, 1e-3f));
   // Sum over both axes equals SumAll.
   EXPECT_NEAR(SumAll(a).Item(), SumAll(Sum(a, 0)).Item(), 1e-3f);
 }

@@ -142,9 +142,6 @@ TEST_P(BinaryOpDifferential, MatchesReferenceOnRandomBroadcasts) {
     EXPECT_TRUE(AllClose(Div(a, b),
                          RefBinary(a, b, std::divides<float>()), 1e-5f,
                          1e-4f));
-    EXPECT_TRUE(AllClose(
-        Maximum(a, b),
-        RefBinary(a, b, [](float x, float y) { return std::max(x, y); })));
   }
 }
 

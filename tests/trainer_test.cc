@@ -107,9 +107,10 @@ TEST(TrainerTest, BetterThanUntrainedModel) {
   SagdfnConfig config = TinyModelConfig(dataset);
   SagdfnModel untrained(config);
   Trainer eval_only(&untrained, &dataset, QuickOptions());
-  const double untrained_mae = metrics::MaskedMae(
-      eval_only.Predict(data::Split::kTest),
-      eval_only.Truth(data::Split::kTest));
+  const double untrained_mae =
+      metrics::Evaluate(eval_only.Predict(data::Split::kTest),
+                        eval_only.Truth(data::Split::kTest))
+          .mae;
 
   SagdfnModel trained(config);
   TrainOptions options = QuickOptions();
@@ -118,8 +119,9 @@ TEST(TrainerTest, BetterThanUntrainedModel) {
   Trainer trainer(&trained, &dataset, options);
   trainer.Train();
   const double trained_mae =
-      metrics::MaskedMae(trainer.Predict(data::Split::kTest),
-                         trainer.Truth(data::Split::kTest));
+      metrics::Evaluate(trainer.Predict(data::Split::kTest),
+                        trainer.Truth(data::Split::kTest))
+          .mae;
   EXPECT_LT(trained_mae, untrained_mae);
 }
 

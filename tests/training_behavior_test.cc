@@ -195,7 +195,7 @@ TEST(BestCheckpointTest, RestoreRecoversBestValidationWeights) {
 
   tensor::Tensor pred = trainer.Predict(data::Split::kValidation);
   tensor::Tensor truth = trainer.Truth(data::Split::kValidation);
-  const double restored_mae = metrics::MaskedMae(pred, truth);
+  const double restored_mae = metrics::Evaluate(pred, truth).mae;
   // The post-restore validation MAE equals the best seen during training
   // (up to resampling noise none of which applies here).
   EXPECT_NEAR(restored_mae, result.best_val_mae,

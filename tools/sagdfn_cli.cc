@@ -54,6 +54,7 @@
 #include "serve/registry.h"
 #include "serve/tenant_router.h"
 #include "utils/cli.h"
+#include "utils/percentile.h"
 #include "utils/string_util.h"
 #include "utils/table_printer.h"
 
@@ -314,17 +315,12 @@ int ServeTenants(const utils::CommandLine& cli,
   for (const std::string& id : tenants) {
     std::vector<double>& sample = latencies_us[id];
     std::sort(sample.begin(), sample.end());
-    const auto percentile = [&](double p) {
-      const size_t index =
-          static_cast<size_t>(p * static_cast<double>(sample.size() - 1));
-      return sample[index];
-    };
     total_failures += failures[id];
     table.AddRow({id, std::to_string(router.WorkersGranted(id)),
                   std::to_string(sample.size()),
                   std::to_string(failures[id]),
-                  utils::FormatDouble(percentile(0.5), 0),
-                  utils::FormatDouble(percentile(0.99), 0)});
+                  utils::FormatDouble(utils::PercentileSorted(sample, 50), 0),
+                  utils::FormatDouble(utils::PercentileSorted(sample, 99), 0)});
   }
   std::cout << table.ToString();
   return total_failures == 0 ? 0 : 1;
@@ -445,11 +441,6 @@ int Serve(const utils::CommandLine& cli, const std::string& name) {
   int64_t failures = 0;
   for (int64_t f : failures_per_client) failures += f;
   std::sort(latencies_us.begin(), latencies_us.end());
-  const auto percentile = [&](double p) {
-    const size_t index = static_cast<size_t>(
-        p * static_cast<double>(latencies_us.size() - 1));
-    return latencies_us[index];
-  };
   const serve::EngineStats stats = engine.stats();
   utils::TablePrinter table({"metric", "value"});
   table.AddRow({"requests", std::to_string(requests.size())});
@@ -464,10 +455,14 @@ int Serve(const utils::CommandLine& cli, const std::string& name) {
     table.AddRow({"candidates published", std::to_string(rstats.published)});
     table.AddRow({"candidates rejected", std::to_string(rstats.rejected)});
   }
-  table.AddRow({"p50 latency", utils::FormatDouble(percentile(0.5), 0) +
-                                   " us"});
-  table.AddRow({"p99 latency", utils::FormatDouble(percentile(0.99), 0) +
-                                   " us"});
+  table.AddRow(
+      {"p50 latency",
+       utils::FormatDouble(utils::PercentileSorted(latencies_us, 50), 0) +
+           " us"});
+  table.AddRow(
+      {"p99 latency",
+       utils::FormatDouble(utils::PercentileSorted(latencies_us, 99), 0) +
+           " us"});
   table.AddRow(
       {"throughput",
        utils::FormatDouble(static_cast<double>(requests.size()) / wall_s, 1) +
