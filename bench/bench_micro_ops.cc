@@ -8,6 +8,7 @@
 // your own --benchmark_out= to override.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <functional>
@@ -605,10 +606,10 @@ void BM_SimdMatMulRows(benchmark::State& state) {
   RunSimdKernelBench(
       state, "matmul_rows",
       [&](const tensor::simd::Kernels& k) {
-        k.matmul_rows(a.data(), w16.data(), o16.data(), kRowBenchRows,
-                      kRowBenchC, 16);
-        k.matmul_rows(a.data(), w8.data(), o8.data(), kRowBenchRows,
-                      kRowBenchC, 8);
+        k.matmul_rows(a.data(), kRowBenchC, 1, w16.data(), o16.data(),
+                      kRowBenchRows, kRowBenchC, 16);
+        k.matmul_rows(a.data(), kRowBenchC, 1, w8.data(), o8.data(),
+                      kRowBenchRows, kRowBenchC, 8);
         benchmark::DoNotOptimize(o16.data());
         benchmark::DoNotOptimize(o8.data());
         benchmark::ClobberMemory();
@@ -616,6 +617,43 @@ void BM_SimdMatMulRows(benchmark::State& state) {
       kRowBenchRows * kRowBenchC * (16 + 8));
 }
 BENCHMARK(BM_SimdMatMulRows)->ArgNames({"level"})->Arg(0)->Arg(1);
+
+// The a_s gradient of one train-metrla diffusion step (N = 207, M = 16,
+// C = 18, batch 8): one dot_gather call per (batch, node) row, each
+// dotting the row against the M significant nodes' rows.
+void BM_SimdDotGather(benchmark::State& state) {
+  constexpr int64_t kNodes = 207, kM = 16, kC = 18, kBatch = 8;
+  static const tensor::Tensor gm = [] {
+    utils::Rng rng(19);
+    return tensor::Tensor::Normal(tensor::Shape({kBatch, kNodes, kC}), rng);
+  }();
+  static const tensor::Tensor term = [] {
+    utils::Rng rng(20);
+    return tensor::Tensor::Normal(tensor::Shape({kBatch, kNodes, kC}), rng);
+  }();
+  static const std::vector<int64_t> index_set = [] {
+    std::vector<int64_t> idx(kM);
+    for (int64_t j = 0; j < kM; ++j) idx[j] = (j * 2654435761LL) % kNodes;
+    return idx;
+  }();
+  static std::vector<double> acc(kNodes * kM);
+  RunSimdKernelBench(
+      state, "dot_gather",
+      [&](const tensor::simd::Kernels& k) {
+        std::fill(acc.begin(), acc.end(), 0.0);
+        for (int64_t i = 0; i < kNodes; ++i) {
+          for (int64_t b = 0; b < kBatch; ++b) {
+            k.dot_gather(gm.data() + (b * kNodes + i) * kC,
+                         term.data() + b * kNodes * kC, index_set.data(), kM,
+                         kC, acc.data() + i * kM);
+          }
+        }
+        benchmark::DoNotOptimize(acc.data());
+        benchmark::ClobberMemory();
+      },
+      kNodes * kBatch * kM * kC);
+}
+BENCHMARK(BM_SimdDotGather)->ArgNames({"level"})->Arg(0)->Arg(1);
 
 // Deterministic block reduction over the bench buffer. The per-block
 // partials live in the calling thread's ScratchArena, so this bench also

@@ -167,28 +167,16 @@ Variable BatchedMatMul(const Variable& a, const Variable& b) {
   return MakeOp(
       "BatchedMatMul", tensor::BatchedMatMul(a.value(), b.value()), {a, b},
       [na, nb](const Tensor& g) {
-        const Tensor& av = na->value;
-        const Tensor& bv = nb->value;
-        // g: [B, m, n].
+        // g: [B, m, n]. ga[b] = g[b] @ b[b]^T and gb[b] = a[b]^T @ g[b],
+        // each summed over the batch when its operand is the shared 2-D
+        // one.
         if (na->requires_grad) {
-          // ga[b] = g[b] @ b[b]^T, reduced over batch when a is 2-D.
-          Tensor bt = bv.ndim() == 3 ? tensor::Transpose(bv, 1, 2)
-                                     : tensor::Transpose(bv, 0, 1);
-          Tensor ga = tensor::BatchedMatMul(g, bt);  // [B, m, k]
-          if (av.ndim() == 2) {
-            ga = tensor::Sum(ga, 0, /*keepdim=*/false);  // [m, k]
-          }
-          Accumulate(na, ga);
+          Accumulate(na, tensor::BatchedMatMulNT(
+                             g, nb->value, /*sum_batch=*/na->value.ndim() == 2));
         }
         if (nb->requires_grad) {
-          // gb[b] = a[b]^T @ g[b], reduced over batch when b is 2-D.
-          Tensor at = av.ndim() == 3 ? tensor::Transpose(av, 1, 2)
-                                     : tensor::Transpose(av, 0, 1);
-          Tensor gb = tensor::BatchedMatMul(at, g);  // [B, k, n]
-          if (bv.ndim() == 2) {
-            gb = tensor::Sum(gb, 0, /*keepdim=*/false);  // [k, n]
-          }
-          Accumulate(nb, gb);
+          Accumulate(nb, tensor::BatchedMatMulTN(
+                             na->value, g, /*sum_batch=*/nb->value.ndim() == 2));
         }
       });
 }

@@ -2,6 +2,7 @@
 
 #include <unordered_set>
 
+#include "tensor/simd.h"
 #include "tensor/tensor_ops.h"
 #include "utils/check.h"
 
@@ -18,9 +19,7 @@ void Node::AccumulateGrad(const tensor::Tensor& g) {
     grad_defined = true;
     return;
   }
-  float* pd = grad.data();
-  const float* ps = g.data();
-  for (int64_t i = 0; i < grad.size(); ++i) pd[i] += ps[i];
+  tensor::simd::K().acc_add(grad.data(), g.data(), grad.size());
 }
 
 }  // namespace internal

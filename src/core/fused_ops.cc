@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "tensor/simd.h"
+#include "tensor/tensor_ops.h"
 #include "utils/arena.h"
 #include "utils/check.h"
 #include "utils/parallel.h"
@@ -176,22 +177,27 @@ ag::Variable OneStepFastGConv(const ag::Variable& a_s,
         });
 
         if (na->requires_grad) {
-          // d_a[i, j] = sum_b dot(gm[b, i, :], term[b, idx[j], :]);
-          // disjoint a_s rows per task, batch loop in ascending order.
+          // d_a[i, j] = sum_b dot(gm[b, i, :], term[b, idx[j], :]): one
+          // dot_gather call per (i, b) covers every j, adding the batches'
+          // dots in ascending order. Disjoint a_s rows per task.
           Tensor d_a{Shape({n, kk})};
           float* pda = d_a.data();
           ParallelFor(0, n, RowGrain(kk * c * batch),
                       [&](int64_t i0, int64_t i1) {
                         const simd::Kernels& kern = simd::K();
+                        ScratchArena& arena = ScratchArena::ThreadLocal();
+                        ScratchArena::Scope scope(arena);
+                        double* acc = arena.AllocArray<double>(kk);
                         for (int64_t i = i0; i < i1; ++i) {
+                          std::fill_n(acc, kk, 0.0);
+                          for (int64_t b = 0; b < batch; ++b) {
+                            kern.dot_gather(pdt + (b * n + i) * c,
+                                            pt + b * n * c, idx.data(), kk,
+                                            c, acc);
+                          }
                           float* da_row = pda + i * kk;
                           for (int64_t j = 0; j < kk; ++j) {
-                            double acc = 0.0;
-                            for (int64_t b = 0; b < batch; ++b) {
-                              acc += kern.dot(pdt + (b * n + i) * c,
-                                              pt + (b * n + idx[j]) * c, c);
-                            }
-                            da_row[j] = static_cast<float>(acc);
+                            da_row[j] = static_cast<float>(acc[j]);
                           }
                         }
                       });
@@ -218,31 +224,30 @@ ag::Variable OneStepFastGConv(const ag::Variable& a_s,
         }
 
         if (nt->requires_grad) {
-          // Gather backward: dG[b, j, :] = sum_i a_s[i, j] * gm[b, i, :]
-          // scattered into d_term[b, idx[j], :]. dG lives in the worker's
-          // ScratchArena and is fully computed (reads of gm done) before
-          // the scatter writes into the same batch slab — idx[j] may
-          // alias any row, including i itself. Batches are disjoint per
-          // task; the j scatter runs in ascending order, so repeated
-          // indices accumulate deterministically.
+          // Gather backward: dG_b = a_s^T gm_b ([K, C]), then d_term[b,
+          // idx[j], :] += dG_b[j, :]. a_s^T is built once in the calling
+          // thread's arena; each dG_b row is one MatMulRowsInto row, the
+          // fma chain over ascending i with zero weights skipped that an
+          // axpy per (i, j) would run. dG_b lives in the worker's arena
+          // and is fully computed (reads of gm done) before the scatter
+          // writes into the same batch slab — idx[j] may alias any row,
+          // including i itself. Batches are disjoint per task; the j
+          // scatter runs in ascending order, so repeated indices
+          // accumulate deterministically.
+          ScratchArena& arena = ScratchArena::ThreadLocal();
+          ScratchArena::Scope scope(arena);
+          float* a_t = arena.AllocArray<float>(kk * n);
+          for (int64_t i = 0; i < n; ++i) {
+            for (int64_t j = 0; j < kk; ++j) a_t[j * n + i] = pa[i * kk + j];
+          }
           ParallelFor(0, batch, 1, [&](int64_t b0, int64_t b1) {
             const simd::Kernels& kern = simd::K();
-            ScratchArena& arena = ScratchArena::ThreadLocal();
+            ScratchArena& task_arena = ScratchArena::ThreadLocal();
+            ScratchArena::Scope task_scope(task_arena);
+            float* dg = task_arena.AllocArray<float>(kk * c);
             for (int64_t b = b0; b < b1; ++b) {
-              ScratchArena::Scope scope(arena);
-              float* dg = arena.AllocArray<float>(kk * c);
-              std::memset(dg, 0, sizeof(float) * kk * c);
-              const float* gm_base = pdt + b * n * c;
-              for (int64_t i = 0; i < n; ++i) {
-                const float* a_row = pa + i * kk;
-                const float* gm_row = gm_base + i * c;
-                for (int64_t j = 0; j < kk; ++j) {
-                  const float av = a_row[j];
-                  if (av == 0.0f) continue;
-                  kern.axpy(av, gm_row, dg + j * c, c);
-                }
-              }
               float* dt_base = pdt + b * n * c;
+              tensor::MatMulRowsInto(a_t, dt_base, dg, 0, kk, n, c);
               for (int64_t j = 0; j < kk; ++j) {
                 kern.acc_add(dt_base + idx[j] * c, dg + j * c, c);
               }

@@ -19,8 +19,17 @@ namespace sagdfn::core {
 /// each output row streams the indexed term rows through the dispatched
 /// axpy kernel (zero entries of a_s skipped, mirroring MatMul's slim
 /// sparsity), so an encoder rollout allocates one tensor per step instead
-/// of four. Backward recomputes the small intermediates into the calling
-/// thread's ScratchArena.
+/// of four.
+///
+/// Backward runs row kernels, not one short kernel per (row, neighbour,
+/// batch): the a_s gradient is one dot_gather call per (b, i) for all K
+/// neighbours, adding the batches' dots in ascending order; the gather
+/// gradient dG_b = a_s^T gm_b is one MatMulRowsInto call per batch over
+/// an a_s^T built once in the calling thread's ScratchArena, then
+/// scattered into d_term in ascending j. Each output element keeps the
+/// fma chain of the per-(i, j, b) dot and per-(b, i, j) axpy loops it
+/// replaced, so the gradients are bit-identical to them
+/// (FusedOpsTest.OneStepFastGConvBackwardMatchesReferenceBits).
 ///
 /// Shapes: a_s [N, K], term [B, N, C], inv_deg [N, 1]; index_set holds K
 /// indices into [0, N). Gradients flow to all three tensor inputs.

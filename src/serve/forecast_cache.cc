@@ -166,11 +166,6 @@ void TickStreamer::BindEngine(InferenceEngine* engine) {
       });
 }
 
-int64_t TickStreamer::window_id() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return window_id_;
-}
-
 bool TickStreamer::last_tick_incremental() const {
   std::lock_guard<std::mutex> lock(mu_);
   return last_incremental_;

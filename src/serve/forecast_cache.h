@@ -174,8 +174,6 @@ class TickStreamer {
   /// the observer (clear it or destroy the engine first).
   void BindEngine(InferenceEngine* engine);
 
-  /// Ticks fed so far minus one; -1 before the first tick.
-  int64_t window_id() const;
   /// True when the most recent published tick used the incremental path.
   bool last_tick_incremental() const;
 

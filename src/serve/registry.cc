@@ -437,11 +437,6 @@ RegistryStats ModelRegistry::stats() const {
   return stats_;
 }
 
-std::shared_ptr<const FrozenModel> ModelRegistry::live() const {
-  std::lock_guard<std::mutex> lock(state_mu_);
-  return live_;
-}
-
 bool ModelRegistry::on_probation() const {
   std::lock_guard<std::mutex> lock(state_mu_);
   return probation_model_ != nullptr;

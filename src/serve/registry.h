@@ -155,10 +155,6 @@ class ModelRegistry {
 
   RegistryStats stats() const;
 
-  /// The snapshot the registry believes is live (== the engine's, except
-  /// transiently while a swap is being applied).
-  std::shared_ptr<const FrozenModel> live() const;
-
   /// True while a swapped-in model is still inside its probation window.
   bool on_probation() const;
 

@@ -167,16 +167,6 @@ bool TenantRouter::on_probation(const std::string& tenant) const {
   return t != nullptr && t->registry->on_probation();
 }
 
-std::vector<std::string> TenantRouter::Tenants() const {
-  std::vector<std::string> ids;
-  std::lock_guard<std::mutex> lock(mu_);
-  ids.reserve(tenants_.size());
-  for (const auto& [id, tenant] : tenants_) {
-    if (tenant != nullptr) ids.push_back(id);
-  }
-  return ids;
-}
-
 std::vector<TenantStats> TenantRouter::Stats() const {
   std::vector<std::shared_ptr<Tenant>> pinned;
   {

@@ -139,9 +139,6 @@ class TenantRouter {
   /// True while `tenant`'s registry has a swapped-in model on probation.
   bool on_probation(const std::string& tenant) const;
 
-  /// Registered tenant ids, sorted.
-  std::vector<std::string> Tenants() const;
-
   /// Per-tenant counters, sorted by id.
   std::vector<TenantStats> Stats() const;
 

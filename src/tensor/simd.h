@@ -56,7 +56,7 @@ struct MaskedErrAcc {
   int64_t ape_count = 0;  // entries with |truth| >= floor
 };
 
-/// Dispatch table of the 35 contiguous-array kernels the library runs.
+/// Dispatch table of the 36 contiguous-array kernels the library runs.
 /// One table per Level; all entries are non-null. Pointers operate on raw
 /// float arrays — callers (tensor_ops, autograd backwards, the fused GRU
 /// ops, metrics, optim) own the slicing, broadcasting, and parallel
@@ -106,6 +106,11 @@ struct Kernels {
   double (*dot)(const float* a, const float* b, int64_t n);
   /// sum_i (double)a[i], in dot's order.
   double (*sum)(const float* a, int64_t n);
+  /// acc[j] += dot(x, src + idx[j] * c, c) for j < m, each dot in dot's
+  /// lane order: a row of x against m gathered rows of width c in one
+  /// call (the a_s gradient of the slim diffusion step).
+  void (*dot_gather)(const float* x, const float* src, const int64_t* idx,
+                     int64_t m, int64_t c, double* acc);
 
   // -- Register-resident row kernels ----------------------------------------
   // Each output element goes through exactly the ops of the axpy/scale
@@ -127,11 +132,14 @@ struct Kernels {
   void (*diffuse_rows)(const float* self, const float* a, const int64_t* idx,
                        int64_t m, const float* src, const float* inv_deg,
                        float* out, int64_t rows, int64_t c);
-  /// o[r, :] += sum_{kk < k} a[r, kk] * b[kk, :] for r < rows, with a
-  /// [rows, k], b [k, n] and o [rows, n] row-major: per row, one
-  /// axpy(a[r, kk], b row kk, o row r) per nonzero a[r, kk].
-  void (*matmul_rows)(const float* a, const float* b, float* o, int64_t rows,
-                      int64_t k, int64_t n);
+  /// o[r, :] += sum_{kk < k} a[r * a_rs + kk * a_cs] * b[kk, :] for
+  /// r < rows, with b [k, n] and o [rows, n] row-major: per row, one
+  /// axpy(a[r, kk], b row kk, o row r) per nonzero a[r, kk]. A row-major
+  /// a [rows, k] has a_rs = k, a_cs = 1; the transpose of a row-major
+  /// [k, lda] matrix is read in place with a_rs = 1, a_cs = lda.
+  void (*matmul_rows)(const float* a, int64_t a_rs, int64_t a_cs,
+                      const float* b, float* o, int64_t rows, int64_t k,
+                      int64_t n);
 
   // -- Model-specific fusions -----------------------------------------------
   /// o = fma(z, h, (1-z)*c)   (GRU state blend, one pass). gru_tail and

@@ -169,6 +169,53 @@ double DotAvx2(const float* a, const float* b, int64_t n) {
   }
   return acc;
 }
+
+/// FoldLanes on a register: ((l0 + l1) + l2) + l3.
+inline double FoldPd(__m256d v) {
+  const __m128d lo = _mm256_castpd256_pd128(v);
+  const __m128d hi = _mm256_extractf128_pd(v, 1);
+  __m128d s = _mm_add_sd(lo, _mm_unpackhi_pd(lo, lo));
+  s = _mm_add_sd(s, hi);
+  s = _mm_add_sd(s, _mm_unpackhi_pd(hi, hi));
+  return _mm_cvtsd_f64(s);
+}
+
+/// Widest x row whose full 8-float blocks dot_gather widens to doubles
+/// once per call; wider rows run DotAvx2 per gathered row.
+constexpr int64_t kGatherMaxWidth = 64;
+
+/// DotAvx2's lanes for each gathered row, with x's full blocks widened
+/// once per call instead of once per row.
+void DotGatherAvx2(const float* x, const float* src, const int64_t* idx,
+                   int64_t m, int64_t c, double* acc) {
+  if (c > kGatherMaxWidth) {
+    for (int64_t j = 0; j < m; ++j) acc[j] += DotAvx2(x, src + idx[j] * c, c);
+    return;
+  }
+  const int64_t full = c / 8 * 8;
+  alignas(32) double xd[kGatherMaxWidth];
+  for (int64_t i = 0; i < full; i += 4) {
+    _mm256_store_pd(xd + i, _mm256_cvtps_pd(_mm_loadu_ps(x + i)));
+  }
+  for (int64_t j = 0; j < m; ++j) {
+    const float* y = src + idx[j] * c;
+    __m256d acc_lo = _mm256_setzero_pd();
+    __m256d acc_hi = _mm256_setzero_pd();
+    for (int64_t i = 0; i < full; i += 8) {
+      acc_lo = _mm256_fmadd_pd(_mm256_load_pd(xd + i),
+                               _mm256_cvtps_pd(_mm_loadu_ps(y + i)), acc_lo);
+      acc_hi = _mm256_fmadd_pd(_mm256_load_pd(xd + i + 4),
+                               _mm256_cvtps_pd(_mm_loadu_ps(y + i + 4)),
+                               acc_hi);
+    }
+    double d = FoldPd(_mm256_add_pd(acc_lo, acc_hi));
+    for (int64_t i = full; i < c; ++i) {
+      d = std::fma(static_cast<double>(x[i]), static_cast<double>(y[i]), d);
+    }
+    acc[j] += d;
+  }
+}
+
 double SumAvx2(const float* a, int64_t n) {
   __m256d acc_lo = _mm256_setzero_pd();
   __m256d acc_hi = _mm256_setzero_pd();
@@ -236,16 +283,16 @@ inline void StoreVec(float* p, int v, __m256 x, __m256i mask) {
   }
 }
 
-/// One R-row x NV-vector tile: out[r] = (init[r] + sum over t of
-/// a[r * m + t] * b_row(t)) * scale[r] for r < R, skipping zero weights
-/// per row and the multiply when `scale` is null. `init` and `out` rows
-/// are `ld` floats apart and may be the same rows. The row loops carry
-/// unroll pragmas: without them GCC 12 keeps some R = 8 accumulators on
-/// the stack.
+/// One R-row x NV-vector tile: out[r] = (init[r] + sum over t < m of
+/// a[r * a_rs + t * a_cs] * b_row(t)) * scale[r] for r < R, skipping zero
+/// weights per row and the multiply when `scale` is null. `init` and
+/// `out` rows are `ld` floats apart and may be the same rows. The row
+/// loops carry unroll pragmas: without them GCC 12 keeps some R = 8
+/// accumulators on the stack.
 template <int R, int NV, bool kTail, typename BRow>
-inline void RowTile(const float* init, const float* a, int64_t m, BRow b_row,
-                    const float* scale, float* out, int64_t ld,
-                    __m256i mask) {
+inline void RowTile(const float* init, const float* a, int64_t a_rs,
+                    int64_t a_cs, int64_t m, BRow b_row, const float* scale,
+                    float* out, int64_t ld, __m256i mask) {
   __m256 acc[R][NV];
 #pragma GCC unroll 8
   for (int r = 0; r < R; ++r) {
@@ -257,9 +304,10 @@ inline void RowTile(const float* init, const float* a, int64_t m, BRow b_row,
     const float* row = b_row(t);
     __m256 bv[NV];
     for (int v = 0; v < NV; ++v) bv[v] = LoadVec<NV, kTail>(row, v, mask);
+    const float* a_t = a + t * a_cs;
 #pragma GCC unroll 8
     for (int r = 0; r < R; ++r) {
-      const float av = a[r * m + t];
+      const float av = a_t[r * a_rs];
       if (av == 0.0f) continue;
       const __m256 va = _mm256_set1_ps(av);
       for (int v = 0; v < NV; ++v) {
@@ -279,12 +327,13 @@ inline void RowTile(const float* init, const float* a, int64_t m, BRow b_row,
   }
 }
 
-/// Runs RowTile over `rows` rows of width w (init, out and a rows are w,
-/// w and m floats apart): for each <= 32-float column block, full tiles
-/// of TileRows(NV) rows, then the leftover rows one at a time.
+/// Runs RowTile over `rows` rows of width w (init and out rows are w
+/// floats apart, a's rows a_rs): for each <= 32-float column block, full
+/// tiles of TileRows(NV) rows, then the leftover rows one at a time.
 template <typename BRow>
-void RowTiles(const float* init, const float* a, int64_t m, BRow b_row,
-              const float* scale, float* out, int64_t rows, int64_t w) {
+void RowTiles(const float* init, const float* a, int64_t a_rs, int64_t a_cs,
+              int64_t m, BRow b_row, const float* scale, float* out,
+              int64_t rows, int64_t w) {
   for (int64_t b0 = 0; b0 < w; b0 += 8 * kRowVecs) {
     const int64_t width = std::min<int64_t>(8 * kRowVecs, w - b0);
     const int64_t rem = width % 8;
@@ -294,12 +343,14 @@ void RowTiles(const float* init, const float* a, int64_t m, BRow b_row,
       constexpr int R = TileRows(NV);
       int64_t r = 0;
       for (; r + R <= rows; r += R) {
-        RowTile<R, NV, kTail>(init + r * w + b0, a + r * m, m, block_row,
+        RowTile<R, NV, kTail>(init + r * w + b0, a + r * a_rs, a_rs, a_cs,
+                              m, block_row,
                               scale == nullptr ? nullptr : scale + r,
                               out + r * w + b0, w, mask);
       }
       for (; r < rows; ++r) {
-        RowTile<1, NV, kTail>(init + r * w + b0, a + r * m, m, block_row,
+        RowTile<1, NV, kTail>(init + r * w + b0, a + r * a_rs, a_rs, a_cs,
+                              m, block_row,
                               scale == nullptr ? nullptr : scale + r,
                               out + r * w + b0, w, mask);
       }
@@ -320,14 +371,15 @@ void RowTiles(const float* init, const float* a, int64_t m, BRow b_row,
 void DiffuseRowsAvx2(const float* self, const float* a, const int64_t* idx,
                      int64_t m, const float* src, const float* inv_deg,
                      float* out, int64_t rows, int64_t c) {
-  RowTiles(self, a, m, [&](int64_t j) { return src + idx[j] * c; }, inv_deg,
-           out, rows, c);
+  RowTiles(self, a, m, 1, m, [&](int64_t j) { return src + idx[j] * c; },
+           inv_deg, out, rows, c);
 }
 
-void MatMulRowsAvx2(const float* a, const float* b, float* o, int64_t rows,
-                    int64_t k, int64_t n) {
-  RowTiles(o, a, k, [&](int64_t kk) { return b + kk * n; }, nullptr, o,
-           rows, n);
+void MatMulRowsAvx2(const float* a, int64_t a_rs, int64_t a_cs,
+                    const float* b, float* o, int64_t rows, int64_t k,
+                    int64_t n) {
+  RowTiles(o, a, a_rs, a_cs, k, [&](int64_t kk) { return b + kk * n; },
+           nullptr, o, rows, n);
 }
 
 void GruBlendAvx2(const float* z, const float* h, const float* c, float* o,
@@ -497,6 +549,7 @@ const Kernels& Avx2Kernels() {
       .scale = Scale,
       .dot = DotAvx2,
       .sum = SumAvx2,
+      .dot_gather = DotGatherAvx2,
       .diffuse_rows = DiffuseRowsAvx2,
       .matmul_rows = MatMulRowsAvx2,
       .gru_blend = GruBlendAvx2,

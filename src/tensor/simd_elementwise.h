@@ -232,6 +232,14 @@ void Scale(float* dst, float s, int64_t n) {
   for (; i < n; ++i) acc += a[i];
   return acc;
 }
+/// One dot per gathered row, each added onto its own double: the batch
+/// sum of the a_s gradient runs one call per batch, so acc[j] takes the
+/// batches' dots one by one in ascending order.
+[[maybe_unused]] void DotGather(const float* x, const float* src,
+                                const int64_t* idx, int64_t m, int64_t c,
+                                double* acc) {
+  for (int64_t j = 0; j < m; ++j) acc[j] += Dot(x, src + idx[j] * c, c);
+}
 [[maybe_unused]] MaskedErrAcc MaskedErr(const float* pred, const float* truth,
                                         int64_t n, double mape_floor) {
   double abs[4] = {}, sq[4] = {}, ape[4] = {};
@@ -288,17 +296,18 @@ constexpr int64_t kRowBlock = 32;
     }
   }
 }
-[[maybe_unused]] void MatMulRows(const float* a, const float* b, float* o,
-                                 int64_t rows, int64_t k, int64_t n) {
+[[maybe_unused]] void MatMulRows(const float* a, int64_t a_rs, int64_t a_cs,
+                                 const float* b, float* o, int64_t rows,
+                                 int64_t k, int64_t n) {
   for (int64_t r = 0; r < rows; ++r) {
-    const float* a_row = a + r * k;
+    const float* a_row = a + r * a_rs;
     float* o_row = o + r * n;
     for (int64_t b0 = 0; b0 < n; b0 += kRowBlock) {
       const int64_t w = n - b0 < kRowBlock ? n - b0 : kRowBlock;
       float acc[kRowBlock];
       for (int64_t i = 0; i < w; ++i) acc[i] = o_row[b0 + i];
       for (int64_t kk = 0; kk < k; ++kk) {
-        const float av = a_row[kk];
+        const float av = a_row[kk * a_cs];
         if (av == 0.0f) continue;
         const float* b_row = b + kk * n + b0;
         for (int64_t i = 0; i < w; ++i) acc[i] = std::fma(av, b_row[i], acc[i]);

@@ -33,6 +33,7 @@ const Kernels& ScalarKernels() {
       .scale = Scale,
       .dot = Dot,
       .sum = Sum,
+      .dot_gather = DotGather,
       .diffuse_rows = DiffuseRows,
       .matmul_rows = MatMulRows,
       .gru_blend = GruBlend,

@@ -7,6 +7,7 @@
 #include <limits>
 
 #include "tensor/simd.h"
+#include "utils/arena.h"
 #include "utils/block_reduce.h"
 #include "utils/check.h"
 #include "utils/parallel.h"
@@ -39,10 +40,24 @@ constexpr int64_t kKTile = 256;
 // faster.
 constexpr int64_t kRegisterRowMaxCols = 256;
 
-// Applies one operation elementwise over broadcast inputs. The three
+// True when b's shape is a's trailing dims ([B, N, O] and [O], or
+// [2, 3, 4] and [3, 4]): every row of a meets all of b.
+bool IsRowBroadcast(const Shape& a, const Shape& b) {
+  if (b.ndim() >= a.ndim()) return false;
+  const int64_t lead = a.ndim() - b.ndim();
+  for (int64_t d = 0; d < b.ndim(); ++d) {
+    if (a.dims()[lead + d] != b.dims()[d]) return false;
+  }
+  return true;
+}
+
+// Applies one operation elementwise over broadcast inputs. The four
 // contiguous fast paths run the dispatched SIMD kernels: `vv` for
-// identical shapes, `vs` (o = a[i] OP s) when the rhs is a scalar, `sv`
-// (o = s OP a[i]) when the lhs is. The general broadcast path walks a
+// identical shapes and once per row of a when b is a's trailing dims
+// (the bias add), `vs` (o = a[i] OP s) when the rhs is a scalar, `sv`
+// (o = s OP a[i]) when the lhs is. Each is one IEEE operation per
+// element with the operands in a-then-b order, so the fast paths give
+// the general path's bits. The general broadcast path walks a
 // multi-index with per-input strides and stays on the scalar `op` (its
 // access pattern is gather-like, not vectorizable as contiguous lanes).
 // All paths parallelize over contiguous output chunks (each element is
@@ -83,6 +98,20 @@ Tensor BroadcastBinary(const Tensor& a, const Tensor& b, BinVV vv, BinVS vs,
     ParallelFor(0, b.size(), kElementwiseGrain,
                 [&](int64_t i0, int64_t i1) {
                   sv(pb + i0, s, po + i0, i1 - i0);
+                });
+    return out;
+  }
+  if (b.size() > 0 && IsRowBroadcast(a.shape(), b.shape())) {
+    Tensor out(a.shape());
+    const int64_t w = b.size();
+    const float* pa = a.data();
+    const float* pb = b.data();
+    float* po = out.data();
+    ParallelFor(0, a.size() / w, std::max<int64_t>(1, kElementwiseGrain / w),
+                [&](int64_t r0, int64_t r1) {
+                  for (int64_t r = r0; r < r1; ++r) {
+                    vv(pa + r * w, pb, po + r * w, w);
+                  }
                 });
     return out;
   }
@@ -211,35 +240,84 @@ int64_t ReduceOuterGrain(const AxisSplit& s) {
 // Single-row matmul macro-kernel: out_row += a_row * B over kk in
 // [k0, k1), streaming B rows through the dispatched axpy kernel. Zero
 // entries of A are skipped (the slim adjacency is sparse in practice).
-inline void MatMulRowTile(const float* a_row, const float* pb, float* out_row,
-                          int64_t k0, int64_t k1, int64_t n,
+inline void MatMulRowTile(const float* a_row, int64_t a_cs, const float* pb,
+                          float* out_row, int64_t k0, int64_t k1, int64_t n,
                           const simd::Kernels& kern) {
   for (int64_t kk = k0; kk < k1; ++kk) {
-    const float av = a_row[kk];
+    const float av = a_row[kk * a_cs];
     if (av == 0.0f) continue;
     kern.axpy(av, pb + kk * n, out_row, n);
   }
 }
 
-// Shared [rows in [i0, i1)] kernel used by MatMul, BatchedMatMul and
-// MatMulRowsInto. Rows up to kRegisterRowMaxCols wide run the
-// register-resident matmul_rows kernel; wider rows advance k tiles in
-// order inside each row. Both issue the same per-element fma sequence,
-// so per-row accumulation order equals the sequential kernel's
-// (bit-identical output for every thread count / partition / path).
-inline void MatMulRows(const float* pa, const float* pb, float* po,
-                       int64_t i0, int64_t i1, int64_t k, int64_t n) {
+// Shared row kernel of MatMul, BatchedMatMul, MatMulRowsInto and the
+// BatchedMatMul backward products: o[r, :] += sum_kk a[r * a_rs +
+// kk * a_cs] * b[kk, :] for r < rows. Rows up to kRegisterRowMaxCols
+// wide run the register-resident matmul_rows kernel; wider rows advance
+// k tiles in order inside each row. Both issue the same per-element fma
+// sequence, so per-row accumulation order equals the sequential
+// kernel's (bit-identical output for every thread count / partition /
+// path / operand stride).
+inline void MatMulRows(const float* pa, int64_t a_rs, int64_t a_cs,
+                       const float* pb, float* po, int64_t rows, int64_t k,
+                       int64_t n) {
   const simd::Kernels& kern = simd::K();
   if (n <= kRegisterRowMaxCols) {
-    kern.matmul_rows(pa + i0 * k, pb, po + i0 * n, i1 - i0, k, n);
+    kern.matmul_rows(pa, a_rs, a_cs, pb, po, rows, k, n);
     return;
   }
   for (int64_t k0 = 0; k0 < k; k0 += kKTile) {
     const int64_t k1 = std::min<int64_t>(k, k0 + kKTile);
-    for (int64_t i = i0; i < i1; ++i) {
-      MatMulRowTile(pa + i * k, pb, po + i * n, k0, k1, n, kern);
+    for (int64_t i = 0; i < rows; ++i) {
+      MatMulRowTile(pa + i * a_rs, a_cs, pb, po + i * n, k0, k1, n, kern);
     }
   }
+}
+
+// Rows of `batch` matrix products of `rows` x n, each with a contraction
+// of length k. row_fn(bi, r0, r1, dst) writes rows [r0, r1) of product bi
+// into dst (row stride n) from zero. Without `sum_batch` the products
+// fill [batch, rows, n], parallel over the flattened batch x row space
+// as BatchedMatMul is. With it the result is [rows, n], their sum in
+// ascending bi through acc_add from a zeroed tensor — Sum(., 0)'s order
+// — and each task owns a block of rows across every batch, its per-batch
+// rows staged in the task's ScratchArena.
+template <typename RowFn>
+Tensor BatchProductRows(int64_t batch, int64_t rows, int64_t k, int64_t n,
+                        bool sum_batch, RowFn row_fn) {
+  const int64_t flops = std::max<int64_t>(1, k * n);
+  if (!sum_batch) {
+    Tensor out{Shape({batch, rows, n})};
+    float* po = out.data();
+    ParallelFor(0, batch * rows,
+                std::max<int64_t>(1, kMatMulGrainFlops / flops),
+                [&](int64_t f0, int64_t f1) {
+                  for (int64_t f = f0; f < f1;) {
+                    const int64_t bi = f / rows;
+                    const int64_t r0 = f - bi * rows;
+                    const int64_t r1 = std::min<int64_t>(rows, r0 + (f1 - f));
+                    row_fn(bi, r0, r1, po + f * n);
+                    f += r1 - r0;
+                  }
+                });
+    return out;
+  }
+  Tensor out{Shape({rows, n})};
+  float* po = out.data();
+  ParallelFor(0, rows,
+              std::max<int64_t>(1, kMatMulGrainFlops /
+                                       (flops * std::max<int64_t>(1, batch))),
+              [&](int64_t r0, int64_t r1) {
+                const auto acc_add = simd::K().acc_add;
+                utils::ScratchArena& arena = utils::ScratchArena::ThreadLocal();
+                utils::ScratchArena::Scope scope(arena);
+                float* part = arena.AllocArray<float>((r1 - r0) * n);
+                for (int64_t bi = 0; bi < batch; ++bi) {
+                  row_fn(bi, r0, r1, part);
+                  acc_add(po + r0 * n, part, (r1 - r0) * n);
+                }
+              });
+  return out;
 }
 
 }  // namespace
@@ -318,7 +396,7 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   const int64_t row_grain =
       std::max<int64_t>(1, kMatMulGrainFlops / std::max<int64_t>(1, k * n));
   ParallelFor(0, m, row_grain, [&](int64_t i0, int64_t i1) {
-    MatMulRows(pa, pb, po, i0, i1, k, n);
+    MatMulRows(pa + i0 * k, k, 1, pb, po + i0 * n, i1 - i0, k, n);
   });
   return out;
 }
@@ -326,7 +404,7 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
 void MatMulRowsInto(const float* a, const float* b, float* o, int64_t i0,
                     int64_t i1, int64_t k, int64_t n) {
   std::memset(o + i0 * n, 0, sizeof(float) * (i1 - i0) * n);
-  MatMulRows(a, b, o, i0, i1, k, n);
+  MatMulRows(a + i0 * k, k, 1, b, o + i0 * n, i1 - i0, k, n);
 }
 
 Tensor BatchedMatMul(const Tensor& a, const Tensor& b) {
@@ -360,11 +438,68 @@ Tensor BatchedMatMul(const Tensor& a, const Tensor& b) {
       const int64_t i1 = std::min<int64_t>(m, i0 + (r1 - r));
       const float* a_mat = broadcast_lhs ? pa : pa + bi * m * k;
       const float* b_mat = broadcast_rhs ? pb : pb + bi * k * n;
-      MatMulRows(a_mat, b_mat, po + bi * m * n, i0, i1, k, n);
+      MatMulRows(a_mat + i0 * k, k, 1, b_mat, po + (bi * m + i0) * n,
+                 i1 - i0, k, n);
       r += i1 - i0;
     }
   });
   return out;
+}
+
+Tensor BatchedMatMulNT(const Tensor& g, const Tensor& b, bool sum_batch) {
+  SAGDFN_CHECK_EQ(g.ndim(), 3);
+  SAGDFN_CHECK(b.ndim() == 2 || b.ndim() == 3);
+  const int64_t batch = g.dim(0);
+  const int64_t m = g.dim(1);
+  const int64_t n = g.dim(2);
+  const bool shared = b.ndim() == 2;
+  if (!shared) SAGDFN_CHECK_EQ(b.dim(0), batch);
+  const int64_t k = b.dim(b.ndim() - 2);
+  SAGDFN_CHECK_EQ(b.dim(b.ndim() - 1), n);
+  // b^T [n, k] per b matrix, staged in the calling thread's arena; the
+  // workers only read it.
+  const int64_t mats = shared ? 1 : batch;
+  utils::ScratchArena& arena = utils::ScratchArena::ThreadLocal();
+  utils::ScratchArena::Scope scope(arena);
+  float* bt = arena.AllocArray<float>(mats * n * k);
+  const float* pb = b.data();
+  for (int64_t x = 0; x < mats; ++x) {
+    const float* src = pb + x * k * n;
+    float* dst = bt + x * n * k;
+    for (int64_t kk = 0; kk < k; ++kk) {
+      for (int64_t t = 0; t < n; ++t) dst[t * k + kk] = src[kk * n + t];
+    }
+  }
+  const float* pg = g.data();
+  return BatchProductRows(
+      batch, m, n, k, sum_batch,
+      [&](int64_t bi, int64_t r0, int64_t r1, float* dst) {
+        std::memset(dst, 0, sizeof(float) * (r1 - r0) * k);
+        MatMulRows(pg + (bi * m + r0) * n, n, 1,
+                   bt + (shared ? 0 : bi * n * k), dst, r1 - r0, n, k);
+      });
+}
+
+Tensor BatchedMatMulTN(const Tensor& a, const Tensor& g, bool sum_batch) {
+  SAGDFN_CHECK_EQ(g.ndim(), 3);
+  SAGDFN_CHECK(a.ndim() == 2 || a.ndim() == 3);
+  const int64_t batch = g.dim(0);
+  const int64_t m = g.dim(1);
+  const int64_t n = g.dim(2);
+  const bool shared = a.ndim() == 2;
+  if (!shared) SAGDFN_CHECK_EQ(a.dim(0), batch);
+  SAGDFN_CHECK_EQ(a.dim(a.ndim() - 2), m);
+  const int64_t k = a.dim(a.ndim() - 1);
+  const float* pa = a.data();
+  const float* pg = g.data();
+  // Row kk of a^T is column kk of a: stride 1 between rows, k along one.
+  return BatchProductRows(
+      batch, k, m, n, sum_batch,
+      [&](int64_t bi, int64_t r0, int64_t r1, float* dst) {
+        std::memset(dst, 0, sizeof(float) * (r1 - r0) * n);
+        MatMulRows(pa + (shared ? 0 : bi * m * k) + r0, 1, k, pg + bi * m * n,
+                   dst, r1 - r0, m, n);
+      });
 }
 
 Tensor Sum(const Tensor& a, int64_t axis, bool keepdim) {

@@ -42,6 +42,21 @@ Tensor MatMul(const Tensor& a, const Tensor& b);
 ///   [m, k]    x [B, k, n] -> [B, m, n]  (lhs shared across batch)
 Tensor BatchedMatMul(const Tensor& a, const Tensor& b);
 
+/// The two products of BatchedMatMul's backward, each without a
+/// transposed copy of its big operand:
+///   BatchedMatMulNT: g [B, m, n] x b^T, b [k, n] (shared) or [B, k, n]
+///                    -> [B, m, k];
+///   BatchedMatMulTN: a^T x g [B, m, n], a [m, k] (shared) or [B, m, k]
+///                    -> [B, k, n], reading a's columns in place.
+/// With `sum_batch` the result is the sum over the batch ([m, k] or
+/// [k, n]) in ascending batch order. The bits equal
+/// BatchedMatMul(g, Transpose(b)) and BatchedMatMul(Transpose(a), g),
+/// followed by Sum(., 0) with `sum_batch`: each output row runs the
+/// same fma chain from zero. NT stages b^T ([n, k] per b matrix) in the
+/// calling thread's ScratchArena.
+Tensor BatchedMatMulNT(const Tensor& g, const Tensor& b, bool sum_batch);
+Tensor BatchedMatMulTN(const Tensor& a, const Tensor& g, bool sum_batch);
+
 /// Raw-pointer matmul into a caller-owned buffer for callers that fuse the
 /// matmul into a larger per-row-range parallel region (one ParallelFor
 /// dispatch covering several row-local stages): zeroes rows [i0, i1) of

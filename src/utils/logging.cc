@@ -1,6 +1,5 @@
 #include "utils/logging.h"
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <iostream>
@@ -8,17 +7,9 @@
 namespace sagdfn::utils {
 namespace {
 
-std::atomic<int> g_min_level{static_cast<int>(LogLevel::kInfo)};
+constexpr LogLevel kMinLevel = LogLevel::kInfo;
 
 }  // namespace
-
-void SetLogLevel(LogLevel level) {
-  g_min_level.store(static_cast<int>(level), std::memory_order_relaxed);
-}
-
-LogLevel GetLogLevel() {
-  return static_cast<LogLevel>(g_min_level.load(std::memory_order_relaxed));
-}
 
 const char* LogLevelName(LogLevel level) {
   switch (level) {
@@ -47,10 +38,7 @@ LogMessage::LogMessage(LogLevel level, const char* file, int line)
 }
 
 LogMessage::~LogMessage() {
-  if (static_cast<int>(level_) <
-      static_cast<int>(GetLogLevel())) {
-    return;
-  }
+  if (static_cast<int>(level_) < static_cast<int>(kMinLevel)) return;
   std::cerr << stream_.str() << std::endl;
 }
 

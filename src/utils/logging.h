@@ -14,12 +14,8 @@ enum class LogLevel {
   kError = 3,
 };
 
-/// Sets the minimum severity that is actually emitted. Messages below the
-/// threshold are formatted but discarded. Default is kInfo.
-void SetLogLevel(LogLevel level);
-
-/// Returns the current minimum severity.
-LogLevel GetLogLevel();
+/// The logger emits kInfo and above; kDebug messages are formatted but
+/// discarded.
 
 /// Returns a short human-readable tag ("DEBUG", "INFO", ...).
 const char* LogLevelName(LogLevel level);

@@ -2,8 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <string>
+
 #include "autograd/variable.h"
+#include "tensor/simd.h"
 #include "tensor/tensor_ops.h"
+#include "utils/parallel.h"
 #include "utils/rng.h"
 
 namespace sagdfn::autograd {
@@ -207,6 +215,101 @@ TEST(AutogradTest, SetRequiresGradOnNonLeafDies) {
   Variable a(T({1}, {1}), true);
   Variable b = Mul(a, a);
   EXPECT_DEATH(b.set_requires_grad(false), "non-leaf");
+}
+
+/// Normal values with +0.0 / -0.0 strewn through, and one +inf.
+Tensor WithSpecials(const Shape& shape, utils::Rng& rng, bool with_inf) {
+  Tensor t = Tensor::Normal(shape, rng);
+  float* p = t.data();
+  for (int64_t i = 0; i < t.size(); ++i) {
+    if (i % 5 == 1) p[i] = 0.0f;
+    if (i % 7 == 2) p[i] = -0.0f;
+  }
+  if (with_inf) p[t.size() / 2] = std::numeric_limits<float>::infinity();
+  return t;
+}
+
+void ExpectSameBytes(const Tensor& got, const Tensor& want,
+                     const std::string& what) {
+  ASSERT_TRUE(got.shape() == want.shape()) << what;
+  for (int64_t i = 0; i < got.size(); ++i) {
+    const uint32_t x = std::bit_cast<uint32_t>(got.data()[i]);
+    const uint32_t y = std::bit_cast<uint32_t>(want.data()[i]);
+    if (x != y) {
+      ADD_FAILURE() << what << " differs at i=" << i << ": " << got.data()[i]
+                    << " vs " << want.data()[i];
+      return;
+    }
+  }
+}
+
+// BatchedMatMul's backward reads its operands in place; its gradients
+// must be the bytes of the transposed-copy products it replaced,
+// BatchedMatMul(g, b^T) and BatchedMatMul(a^T, g), summed over the batch
+// (tensor::Sum) for the shared 2-D operand. Shapes [B, m, k] x [k, n],
+// [m, k] x [B, k, n] and [B, m, k] x [B, k, n], widths across the 8-lane
+// and 32-float boundaries, signed zeros in every operand and an inf in the
+// incoming gradient, at both SIMD levels and pool sizes 1, 2 and 8.
+TEST(AutogradTest, BatchedMatMulBackwardMatchesTransposedProducts) {
+  namespace simd = tensor::simd;
+  std::vector<simd::Level> levels = {simd::Level::kScalar};
+  if (simd::Avx2Available()) levels.push_back(simd::Level::kAvx2);
+  // Restores the level and pool size however the test exits.
+  struct Restore {
+    simd::Level level = simd::ActiveLevel();
+    int64_t threads = utils::GetNumThreads();
+    ~Restore() {
+      simd::SetActiveLevel(level);
+      utils::SetNumThreads(threads);
+    }
+  } restore;
+  for (int64_t k : {1, 7, 8, 9, 18, 33}) {
+    for (int64_t n : {1, 8, 9, 17, 32, 40}) {
+      for (int64_t m : {1, 5, 37}) {
+        for (int64_t batch : {1, 3}) {
+          for (int form = 0; form < 3; ++form) {
+            const bool a2 = form == 1;
+            const bool b2 = form == 0;
+            utils::Rng rng(static_cast<uint64_t>(k * 997 + n * 31 + m * 7 +
+                                                 batch + form * 100000));
+            const Tensor a0 = WithSpecials(
+                a2 ? Shape({m, k}) : Shape({batch, m, k}), rng, false);
+            const Tensor b0 = WithSpecials(
+                b2 ? Shape({k, n}) : Shape({batch, k, n}), rng, false);
+            const Tensor g = WithSpecials(Shape({batch, m, n}), rng, true);
+            for (simd::Level level : levels) {
+              simd::SetActiveLevel(level);
+              Tensor want_a = tensor::BatchedMatMul(
+                  g, b2 ? tensor::Transpose(b0, 0, 1)
+                        : tensor::Transpose(b0, 1, 2));
+              if (a2) want_a = tensor::Sum(want_a, 0);
+              Tensor want_b = tensor::BatchedMatMul(
+                  a2 ? tensor::Transpose(a0, 0, 1)
+                     : tensor::Transpose(a0, 1, 2),
+                  g);
+              if (b2) want_b = tensor::Sum(want_b, 0);
+              for (int64_t threads : {1, 2, 8}) {
+                utils::SetNumThreads(threads);
+                Variable a(a0.Clone(), true);
+                Variable b(b0.Clone(), true);
+                SumAll(Mul(BatchedMatMul(a, b), Variable(g))).Backward();
+                const std::string what =
+                    std::string(simd::LevelName(level)) +
+                    " threads=" + std::to_string(threads) +
+                    " form=" + std::to_string(form) +
+                    " k=" + std::to_string(k) + " n=" + std::to_string(n) +
+                    " m=" + std::to_string(m) +
+                    " batch=" + std::to_string(batch);
+                ExpectSameBytes(a.grad(), want_a, "grad a, " + what);
+                ExpectSameBytes(b.grad(), want_b, "grad b, " + what);
+                if (testing::Test::HasFailure()) return;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -183,7 +183,7 @@ TEST(RowKernelTest, MatMulRowsMatchesAxpyPerK) {
           // matmul_rows accumulates into o: start from nonzero contents.
           FillNormal(got.data() + offset, rows * n, 500 + n);
           want = got;
-          k.matmul_rows(a.data() + offset, b.data() + offset,
+          k.matmul_rows(a.data() + offset, kk, 1, b.data() + offset,
                         got.data() + offset, rows, kk, n);
           ReferenceMatMulRows(k, a.data() + offset, b.data() + offset,
                               want.data() + offset, rows, kk, n);
@@ -273,7 +273,7 @@ TEST(RowKernelTest, TailLanesStopAtTheRowEnd) {
         FillNormal(gb.data(), kk * c, 1100 + c);
         FillNormal(go.data(), rows * c, 1200 + c);
         std::vector<float> mm_want(go.data(), go.data() + rows * c);
-        k.matmul_rows(ga.data(), gb.data(), go.data(), rows, kk, c);
+        k.matmul_rows(ga.data(), kk, 1, gb.data(), go.data(), rows, kk, c);
         ReferenceMatMulRows(k, ga.data(), gb.data(), mm_want.data(), rows, kk,
                             c);
         EXPECT_TRUE(BytesEqual(go.data(), mm_want.data(), rows * c)) << what;
@@ -380,8 +380,8 @@ TEST(RowKernelTest, MatMulRowsTilesMatchPerRowComposition) {
           FillNormal(got.data() + offset, rows * n, 80 + n);
           for (int64_t r = 0; r < rows; ++r) got[offset + r * n] = -0.0f;
           std::vector<float> want = got;
-          k.matmul_rows(a.data(), b.data() + offset, got.data() + offset,
-                        rows, kk, n);
+          k.matmul_rows(a.data(), kk, 1, b.data() + offset,
+                        got.data() + offset, rows, kk, n);
           ReferenceMatMulRows(k, a.data(), b.data() + offset,
                               want.data() + offset, rows, kk, n);
           const std::string what = std::string(simd::LevelName(level)) +

@@ -717,6 +717,143 @@ TEST(FusedOpsTest, OneStepFastGConvPassesGradCheck) {
       << error;
 }
 
+// The backward of OneStepFastGConv as one dot per (i, j, b) and one axpy
+// per (b, i, j), at the active level: the reference that dot_gather and
+// the a_s^T matmul rows must reproduce bit for bit.
+struct GconvGrads {
+  Tensor d_a, d_term, d_inv;
+};
+GconvGrads ReferenceGconvBackward(const Tensor& a_s, const Tensor& term,
+                                  const std::vector<int64_t>& idx,
+                                  const Tensor& inv, const Tensor& g,
+                                  const Tensor& out) {
+  const simd::Kernels& kern = simd::K();
+  const int64_t batch = term.dim(0), n = term.dim(1), c = term.dim(2);
+  const int64_t k = static_cast<int64_t>(idx.size());
+  const float* pa = a_s.data();
+  const float* pt = term.data();
+  const float* pg = g.data();
+  const float* pinv = inv.data();
+  GconvGrads r{Tensor(Shape({n, k})), Tensor(term.shape()),
+               Tensor(Shape({n, 1}))};
+  float* pdt = r.d_term.data();
+  for (int64_t row = 0; row < batch * n; ++row) {
+    kern.mul_s(pg + row * c, pinv[row % n], pdt + row * c, c);
+  }
+  for (int64_t i = 0; i < n; ++i) {
+    for (int64_t j = 0; j < k; ++j) {
+      double acc = 0.0;
+      for (int64_t b = 0; b < batch; ++b) {
+        acc += kern.dot(pdt + (b * n + i) * c, pt + (b * n + idx[j]) * c, c);
+      }
+      r.d_a.data()[i * k + j] = static_cast<float>(acc);
+    }
+    double acc = 0.0;
+    for (int64_t b = 0; b < batch; ++b) {
+      acc += kern.dot(pg + (b * n + i) * c, out.data() + (b * n + i) * c, c);
+    }
+    r.d_inv.data()[i] = static_cast<float>(acc / pinv[i]);
+  }
+  std::vector<float> dg(k * c);
+  for (int64_t b = 0; b < batch; ++b) {
+    std::fill(dg.begin(), dg.end(), 0.0f);
+    for (int64_t i = 0; i < n; ++i) {
+      for (int64_t j = 0; j < k; ++j) {
+        const float av = pa[i * k + j];
+        if (av == 0.0f) continue;
+        kern.axpy(av, pdt + (b * n + i) * c, dg.data() + j * c, c);
+      }
+    }
+    for (int64_t j = 0; j < k; ++j) {
+      kern.acc_add(pdt + (b * n + idx[j]) * c, dg.data() + j * c, c);
+    }
+  }
+  return r;
+}
+
+// OneStepFastGConv's three gradients against the reference loops, byte
+// for byte, at both levels and pool sizes 1, 2 and 8: widths across the
+// 8-lane boundary, 1-17 significant nodes with a repeated index, batches
+// 1-3, and +0.0 / -0.0 / inf / NaN weights. Row i0 of the incoming
+// gradient carries +-inf and its even weights are signed zeros, so a
+// zero weight that reached the scatter would turn 0 * inf into NaN. The
+// NaN and inf weights sit in different columns, so no output meets two
+// different NaNs.
+TEST(FusedOpsTest, OneStepFastGConvBackwardMatchesReferenceBits) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  std::vector<simd::Level> levels = {simd::Level::kScalar};
+  if (simd::Avx2Available()) levels.push_back(simd::Level::kAvx2);
+  for (int64_t c : {1, 7, 8, 9, 17, 18, 33}) {
+    for (int64_t m : {1, 3, 4, 5, 16, 17}) {
+      for (int64_t batch = 1; batch <= 3; ++batch) {
+        for (int64_t n : {m + 2, int64_t{300}}) {
+          utils::Rng rng(static_cast<uint64_t>(c * 1000 + m * 10 + batch));
+          std::vector<int64_t> idx(m);
+          for (auto& j : idx) j = rng.UniformInt(0, n);
+          if (m > 1) idx[m - 1] = idx[0];
+          Tensor a0 = Tensor::Normal(Shape({n, m}), rng);
+          float* pa = a0.data();
+          for (int64_t e = 0; e < n * m; ++e) {
+            if (e % 5 == 0) pa[e] = 0.0f;
+            if (e % 7 == 3) pa[e] = -0.0f;
+          }
+          const int64_t i0 = n / 4, i1 = n / 3, i2 = n / 2;
+          for (int64_t j = 0; j < m; j += 2) {
+            pa[i0 * m + j] = (j % 4 == 0) ? 0.0f : -0.0f;
+          }
+          pa[i1 * m] = nan;
+          if (m > 1) pa[i2 * m + 1] = inf;
+          Tensor t0 = Tensor::Normal(Shape({batch, n, c}), rng);
+          Tensor inv0 = tensor::AddScalar(Tensor::Uniform(Shape({n, 1}), rng),
+                                          0.25f);
+          Tensor g = Tensor::Normal(Shape({batch, n, c}), rng);
+          for (int64_t b = 0; b < batch; ++b) {
+            for (int64_t x = 0; x < c; ++x) {
+              g.data()[(b * n + i0) * c + x] = (x % 2 == 0) ? inf : -inf;
+            }
+          }
+          if (batch >= 2) {
+            // Batch 1 cancels batch 0 exactly (same term, negated g), so
+            // each a_s gradient after two batches is 0 only if the second
+            // dot is added after the first one's lanes are folded.
+            for (int64_t e = 0; e < n * c; ++e) {
+              t0.data()[n * c + e] = t0.data()[e];
+              g.data()[n * c + e] = -g.data()[e];
+            }
+          }
+          for (simd::Level level : levels) {
+            LevelScope level_scope(level);
+            for (int64_t threads : {1, 2, 8}) {
+              ThreadScope thread_scope(threads);
+              ag::Variable a_s(a0.Clone(), true);
+              ag::Variable term(t0.Clone(), true);
+              ag::Variable inv(inv0.Clone(), true);
+              ag::Variable out = core::OneStepFastGConv(a_s, term, idx, inv);
+              ag::SumAll(ag::Mul(out, ag::Variable(g))).Backward();
+              const GconvGrads want = ReferenceGconvBackward(
+                  a0, t0, idx, inv0, g, out.value());
+              const std::string what =
+                  std::string(simd::LevelName(level)) +
+                  " threads=" + std::to_string(threads) +
+                  " c=" + std::to_string(c) + " m=" + std::to_string(m) +
+                  " batch=" + std::to_string(batch) +
+                  " n=" + std::to_string(n);
+              ExpectSameBytes(a_s.grad().data(), want.d_a.data(),
+                              want.d_a.size(), "d_a " + what);
+              ExpectSameBytes(term.grad().data(), want.d_term.data(),
+                              want.d_term.size(), "d_term " + what);
+              ExpectSameBytes(inv.grad().data(), want.d_inv.data(),
+                              want.d_inv.size(), "d_inv " + what);
+              if (testing::Test::HasFailure()) return;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 // The gru_blend kernel (the blend inside GruTailBlend and GruStep) against
 // the composed z*h + (1-z)*c chain.
 TEST(FusedOpsTest, GruBlendMatchesComposedChain) {
@@ -1013,7 +1150,7 @@ struct DefIo {
 };
 using DefCall = void (*)(const simd::Kernels&, const DefIo&);
 
-/// The 17 kernels outside ExactKernels(). Any of them may carry a
+/// The 18 kernels outside ExactKernels(). Any of them may carry a
 /// hand-written AVX2 body (DESIGN.md §5f); the checks below hold each
 /// level to the definition in simd_elementwise.h either way.
 const std::vector<std::pair<const char*, DefCall>>& DefinedKernels() {
@@ -1045,6 +1182,11 @@ const std::vector<std::pair<const char*, DefCall>>& DefinedKernels() {
       {"sum", [](const K& k, const Io& io) {
          io.d[0] = k.sum(io.in[0], io.n);
        }},
+      {"dot_gather", [](const K& k, const Io& io) {
+         // Three gathered rows of width n (row 2 twice) onto d[0..2].
+         const int64_t idx[3] = {2, 0, 2};
+         k.dot_gather(io.in[0], io.in[1], idx, 3, io.n, io.d);
+       }},
       {"diffuse_rows", [](const K& k, const Io& io) {
          // n / 3 output rows of width 3, each mixing rows 2, 0 and 1 of
          // in[1] with its own three weights from in[0].
@@ -1055,7 +1197,7 @@ const std::vector<std::pair<const char*, DefCall>>& DefinedKernels() {
        }},
       {"matmul_rows", [](const K& k, const Io& io) {
          std::copy_n(io.in[2], io.n, io.out[0]);
-         k.matmul_rows(io.in[0], io.in[1], io.out[0], 1, 3, io.n);
+         k.matmul_rows(io.in[0], 3, 1, io.in[1], io.out[0], 1, 3, io.n);
        }},
       {"gru_blend", [](const K& k, const Io& io) {
          k.gru_blend(io.in[0], io.in[1], io.in[2], io.out[0], io.n);
@@ -1184,6 +1326,47 @@ TEST(SimdKernelTest, HandBodiesMatchTheirDefinitions) {
     for (int64_t i = j; i < 3 * n; i += 7) in[j][i] = edges[(i / 7) % e];
   }
   ExpectDefinedKernelsMatch(in, n, "n=65536");
+}
+
+// dot_gather against one dot per gathered row at each level, through the
+// AVX2 body's widened-row path (widths up to 64) and past it, with edge
+// values strewn through both operands.
+TEST(SimdKernelTest, DotGatherMatchesDotPerRow) {
+  std::vector<simd::Level> levels = {simd::Level::kScalar};
+  if (simd::Avx2Available()) levels.push_back(simd::Level::kAvx2);
+  const std::vector<float>& edges = EdgeValues();
+  const int64_t e = static_cast<int64_t>(edges.size());
+  const std::vector<int64_t> idx = {3, 0, 3, 1, 2};
+  const int64_t m = static_cast<int64_t>(idx.size());
+  for (simd::Level level : levels) {
+    const simd::Kernels& k = simd::KernelsFor(level);
+    for (int64_t c : {1, 2, 7, 8, 9, 15, 16, 17, 18, 31, 32, 33, 63, 64, 65,
+                      100}) {
+      for (int64_t shift = 0; shift < 3; ++shift) {
+        std::vector<float> x = RandomVec(c, 5000 + c + shift);
+        std::vector<float> src = RandomVec(4 * c, 5100 + c + shift);
+        if (shift > 0) {
+          for (int64_t i = shift; i < c; i += 5) x[i] = edges[(i + c) % e];
+          for (int64_t i = 0; i < 4 * c; i += 3 + shift) {
+            src[i] = edges[(i * 7 + shift) % e];
+          }
+        }
+        std::vector<double> got(m, 0.5), want(m, 0.5);
+        k.dot_gather(x.data(), src.data(), idx.data(), m, c, got.data());
+        for (int64_t j = 0; j < m; ++j) {
+          want[j] += k.dot(x.data(), src.data() + idx[j] * c, c);
+        }
+        for (int64_t j = 0; j < m; ++j) {
+          if (std::isnan(got[j]) && std::isnan(want[j])) continue;
+          ExpectSameDouble(got[j], want[j],
+                           std::string(simd::LevelName(level)) +
+                               " c=" + std::to_string(c) +
+                               " shift=" + std::to_string(shift) +
+                               " j=" + std::to_string(j));
+        }
+      }
+    }
+  }
 }
 
 /// Runs the one-input kernels with hand-written AVX2 bodies (the exp

@@ -1,13 +1,18 @@
 #include "tensor/tensor_ops.h"
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "autograd/ops.h"
+#include "tensor/simd.h"
+#include "utils/parallel.h"
 #include "utils/rng.h"
 
 namespace sagdfn::tensor {
@@ -329,6 +334,166 @@ TEST_P(BatchedMatMulProperty, MatchesLoopedMatMul) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BatchedMatMulProperty,
                          ::testing::Values(21, 22, 23));
+
+// -- Row broadcast ([B, N, O] op [O]) ----------------------------------------
+
+/// NaN, signed zeros, infinities, a denormal and finite values.
+const std::vector<float>& BroadcastSpecials() {
+  static const std::vector<float> values = {
+      std::numeric_limits<float>::quiet_NaN(),
+      0.0f,
+      -0.0f,
+      std::numeric_limits<float>::infinity(),
+      -std::numeric_limits<float>::infinity(),
+      1.5f,
+      -2.25f,
+      std::numeric_limits<float>::denorm_min(),
+      7.0f};
+  return values;
+}
+
+using BinaryOp = Tensor (*)(const Tensor&, const Tensor&);
+struct NamedOp {
+  const char* name;
+  BinaryOp op;
+  std::function<float(float, float)> scalar;
+};
+const std::vector<NamedOp>& BroadcastOps() {
+  static const std::vector<NamedOp> ops = {
+      {"Add", Add, std::plus<float>()},
+      {"Sub", Sub, std::minus<float>()},
+      {"Mul", Mul, std::multiplies<float>()},
+      {"Div", Div, std::divides<float>()}};
+  return ops;
+}
+
+/// out[i] = op(a[i], b[i mod |b|]), the row broadcast spelled out.
+Tensor RowBroadcastReference(const Tensor& a, const Tensor& b,
+                             const std::function<float(float, float)>& op) {
+  Tensor out(a.shape());
+  for (int64_t i = 0; i < a.size(); ++i) {
+    out.data()[i] = op(a.data()[i], b.data()[i % b.size()]);
+  }
+  return out;
+}
+
+void ExpectSameBytes(const Tensor& got, const Tensor& want,
+                     const std::string& what) {
+  ASSERT_TRUE(got.shape() == want.shape()) << what;
+  for (int64_t i = 0; i < got.size(); ++i) {
+    const uint32_t x = std::bit_cast<uint32_t>(got.data()[i]);
+    const uint32_t y = std::bit_cast<uint32_t>(want.data()[i]);
+    if (x != y) {
+      ADD_FAILURE() << what << " differs at i=" << i << ": " << got.data()[i]
+                    << " vs " << want.data()[i];
+      return;
+    }
+  }
+}
+
+/// Restores the SIMD level and pool size when a test exits.
+struct LevelAndPoolRestore {
+  simd::Level level = simd::ActiveLevel();
+  int64_t threads = utils::GetNumThreads();
+  ~LevelAndPoolRestore() {
+    simd::SetActiveLevel(level);
+    utils::SetNumThreads(threads);
+  }
+};
+
+std::vector<simd::Level> BroadcastLevels() {
+  std::vector<simd::Level> levels = {simd::Level::kScalar};
+  if (simd::Avx2Available()) levels.push_back(simd::Level::kAvx2);
+  return levels;
+}
+
+// When b's shape is a's trailing dims, each row of a goes through the vv
+// kernel with b. Its bytes must be the general odometer path's — reached
+// here by giving b leading 1-dims — for every ordered pair of NaN, +-0,
+// +-inf, denormal and finite operands, for [B, N, O] + [O], [N, O] + [O]
+// and [2, 3, 4] + [3, 4], at both levels and with the rows split over two
+// tasks.
+TEST(TensorOpsTest, RowBroadcastMatchesGeneralPath) {
+  const std::vector<float>& sp = BroadcastSpecials();
+  const int64_t ns = static_cast<int64_t>(sp.size());
+  struct Case {
+    Shape a, b;
+  };
+  const std::vector<Case> cases = {{Shape({3, ns, ns}), Shape({ns})},
+                                   {Shape({ns, ns}), Shape({ns})},
+                                   {Shape({2, 3, 4}), Shape({3, 4})},
+                                   {Shape({5, 37}), Shape({37})},
+                                   {Shape({8, 207, 32}), Shape({32})}};
+  LevelAndPoolRestore restore;
+  utils::SetNumThreads(2);
+  for (const Case& cs : cases) {
+    utils::Rng rng(static_cast<uint64_t>(cs.a.NumElements()));
+    Tensor a = Tensor::Normal(cs.a, rng);
+    Tensor b = Tensor::Normal(cs.b, rng);
+    const int64_t w = b.size();
+    // Row r, column c pairs a value sp[(r + c) % ns] with b's sp[c % ns]:
+    // every ordered pair in the [*, 9, 9] cases, specials strewn through
+    // the others.
+    for (int64_t i = 0; i < a.size(); ++i) {
+      const int64_t r = i / w, c = i % w;
+      if (w == ns || (i % 3 == 0)) a.data()[i] = sp[(r + c) % ns];
+    }
+    for (int64_t c = 0; c < w; c += (w == ns ? 1 : 2)) b.data()[c] = sp[c % ns];
+    std::vector<int64_t> ones(cs.a.ndim() - cs.b.ndim(), 1);
+    std::vector<int64_t> padded = ones;
+    padded.insert(padded.end(), cs.b.dims().begin(), cs.b.dims().end());
+    const Tensor b_general = b.Reshape(padded);
+    for (simd::Level level : BroadcastLevels()) {
+      simd::SetActiveLevel(level);
+      for (const NamedOp& op : BroadcastOps()) {
+        const std::string what = std::string(op.name) + " " +
+                                 cs.a.ToString() + " op " + cs.b.ToString() +
+                                 " at " + simd::LevelName(level);
+        const Tensor got = op.op(a, b);
+        ExpectSameBytes(got, op.op(a, b_general), what + " vs general path");
+        ExpectSameBytes(got, RowBroadcastReference(a, b, op.scalar),
+                        what + " vs reference");
+      }
+    }
+  }
+}
+
+// Broadcasts that are not b = a's trailing dims keep the general path:
+// [2, 3, 4] op [3, 1] (b broadcasts inside a row) and [3, 4] op [2, 3, 4]
+// (a is the smaller operand), against an index-by-index reference.
+TEST(TensorOpsTest, OtherBroadcastsKeepGeneralPathResults) {
+  const std::vector<float>& sp = BroadcastSpecials();
+  utils::Rng rng(77);
+  LevelAndPoolRestore restore;
+  for (simd::Level level : BroadcastLevels()) {
+    simd::SetActiveLevel(level);
+    Tensor a = Tensor::Normal(Shape({2, 3, 4}), rng);
+    Tensor col = Tensor::Normal(Shape({3, 1}), rng);
+    Tensor small = Tensor::Normal(Shape({3, 4}), rng);
+    for (int64_t i = 0; i < a.size(); i += 2) {
+      a.data()[i] = sp[(i / 2) % sp.size()];
+    }
+    col.data()[0] = sp[0];
+    col.data()[1] = sp[2];
+    for (int64_t i = 0; i < small.size(); i += 3) {
+      small.data()[i] = sp[(i / 3 + 3) % sp.size()];
+    }
+    for (const NamedOp& op : BroadcastOps()) {
+      const std::string what =
+          std::string(op.name) + " at " + simd::LevelName(level);
+      Tensor want_col(Shape({2, 3, 4}));
+      Tensor want_small(Shape({2, 3, 4}));
+      for (int64_t i = 0; i < a.size(); ++i) {
+        const int64_t row = (i / 4) % 3;
+        want_col.data()[i] = op.scalar(a.data()[i], col.data()[row]);
+        want_small.data()[i] = op.scalar(small.data()[i % 12], a.data()[i]);
+      }
+      ExpectSameBytes(op.op(a, col), want_col, what + " [2,3,4] op [3,1]");
+      ExpectSameBytes(op.op(small, a), want_small,
+                      what + " [3,4] op [2,3,4]");
+    }
+  }
+}
 
 }  // namespace
 }  // namespace sagdfn::tensor

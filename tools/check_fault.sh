@@ -7,10 +7,12 @@
 # tile over-read on a heap buffer fails here and not only on the
 # guard-page tests, and the SIMD kernel and tensor-op suites, whose
 # auto-vectorised exact kernels run their lanes and tails on heap
-# buffers of every length 1-17. Exercises the whole injected-fault matrix —
-# trainer sites (nan_loss / nan_grad / crash / io_fail / truncate_ckpt)
-# and serve sites (bad_candidate / nan_forecast / slow_batch / swap_race)
-# — with ASan watching the recovery paths: any leak, use-after-free, or
+# buffers of every length 1-17, and the autograd and gradient-check
+# suites, whose BatchedMatMul backward reads a's columns in place and
+# stages b^T and per-batch partials in arenas. Exercises the whole
+# injected-fault matrix — trainer sites (nan_loss / nan_grad / crash /
+# io_fail / truncate_ckpt) and serve sites (bad_candidate / nan_forecast /
+# slow_batch / swap_race) — with ASan watching the recovery paths: any leak, use-after-free, or
 # buffer overflow on a rollback/restore/rollback-swap path fails the
 # script.
 #
@@ -36,7 +38,7 @@ cmake --build "${BUILD_DIR}" -j "$(nproc)" \
   --target fault_injection_test serialization_test mmap_model_test \
   trainer_test serve_engine_test rollout_plan_test registry_test \
   tick_stream_test tenant_router_test row_kernel_test fast_gconv_test \
-  csr_test simd_test tensor_ops_test
+  csr_test simd_test tensor_ops_test autograd_test grad_check_test
 
 export ASAN_OPTIONS="halt_on_error=1 detect_leaks=1 ${ASAN_OPTIONS:-}"
 
@@ -74,6 +76,10 @@ echo "== row kernels and diffusion steps (ASan: multi-row tiles, masked tails on
 echo "== SIMD kernel tables and tensor ops (ASan: both levels, lanes and tails) =="
 "${BUILD_DIR}/tests/simd_test"
 "${BUILD_DIR}/tests/tensor_ops_test"
+
+echo "== autograd backwards and gradient checks (ASan: strided operand reads, arena-staged transposes and partials) =="
+"${BUILD_DIR}/tests/autograd_test"
+"${BUILD_DIR}/tests/grad_check_test"
 
 echo "== trainer checkpoint/resume suites (ASan) =="
 "${BUILD_DIR}/tests/trainer_test" \

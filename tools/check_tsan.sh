@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Builds the parallel-kernel and serving tests under ThreadSanitizer and
-# runs the thread-pool / determinism suites at 8 threads. Any data race
-# in the ParallelFor backend, the parallel tensor kernels, or the
+# runs the thread-pool / determinism suites at 8 threads, and the fused
+# diffusion-step and BatchedMatMul backward memcmp suites at pool sizes
+# 1, 2 and 8 (per-task arena scratch, scatter into shared gradients).
+# Any data race in the ParallelFor backend, the parallel tensor kernels, or the
 # inference engine's queue/worker/shutdown machinery fails the script.
 #
 # Usage: tools/check_tsan.sh [build-dir]   (default: build-tsan)
@@ -24,7 +26,8 @@ cmake -B "${BUILD_DIR}" -S "${REPO_ROOT}" \
   ${LAUNCHER_ARGS[@]+"${LAUNCHER_ARGS[@]}"}
 cmake --build "${BUILD_DIR}" -j "$(nproc)" \
   --target utils_test tensor_reference_test serve_engine_test \
-  rollout_plan_test registry_test tick_stream_test tenant_router_test
+  rollout_plan_test registry_test tick_stream_test tenant_router_test \
+  simd_test autograd_test
 
 # halt_on_error so the first race aborts with a non-zero exit code.
 export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
@@ -36,6 +39,11 @@ echo "== ThreadPool / ParallelFor tests (8 threads) =="
 echo "== Parallel kernel determinism tests (8 threads) =="
 "${BUILD_DIR}/tests/tensor_reference_test" \
   --gtest_filter='ThreadCountDeterminism.*:ScalarOpDifferential.*'
+
+echo "== Fused-op backwards against their reference loops (pool sizes 1, 2, 8) =="
+"${BUILD_DIR}/tests/simd_test" --gtest_filter='FusedOpsTest.*'
+"${BUILD_DIR}/tests/autograd_test" \
+  --gtest_filter='AutogradTest.BatchedMatMulBackwardMatchesTransposedProducts'
 
 echo "== Inference engine concurrency suite (workers, shutdown, destroy-under-load) =="
 "${BUILD_DIR}/tests/serve_engine_test"
