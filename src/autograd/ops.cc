@@ -42,15 +42,20 @@ Variable MakeOp(const char* name, Tensor value,
 
 namespace {
 
-/// Accumulates `g` into `node` after reducing over broadcast dims.
-void AccumulateReduced(const std::shared_ptr<Node>& node, const Tensor& g) {
+/// Accumulates `g` into `node` after reducing over broadcast dims. Takes
+/// `g` by value, as Accumulate below does.
+void AccumulateReduced(const std::shared_ptr<Node>& node, Tensor g) {
   if (!node->requires_grad) return;
-  node->AccumulateGrad(tensor::ReduceTo(g, node->value.shape()));
+  g = tensor::ReduceTo(g, node->value.shape());
+  node->AccumulateGrad(std::move(g));
 }
 
-void Accumulate(const std::shared_ptr<Node>& node, const Tensor& g) {
+/// Takes `g` by value: a temporary moves its storage into the node's
+/// gradient, while an lvalue (e.g. the incoming gradient passed on
+/// unchanged) arrives as a second handle and is cloned.
+void Accumulate(const std::shared_ptr<Node>& node, Tensor g) {
   if (!node->requires_grad) return;
-  node->AccumulateGrad(g);
+  node->AccumulateGrad(std::move(g));
 }
 
 }  // namespace
@@ -122,7 +127,7 @@ Variable Div(const Variable& a, const Variable& b) {
                   Tensor gb = tensor::Neg(tensor::Div(
                       tensor::Mul(g, na->value),
                       tensor::Mul(nb->value, nb->value)));
-                  AccumulateReduced(nb, gb);
+                  AccumulateReduced(nb, std::move(gb));
                 });
 }
 
@@ -152,11 +157,19 @@ Variable MatMul(const Variable& a, const Variable& b) {
   return MakeOp(
       "MatMul", tensor::MatMul(a.value(), b.value()), {a, b},
       [na, nb](const Tensor& g) {
+        // A batch of one through the batched backward products: the same
+        // row chains from zero as MatMul(g, b^T) and MatMul(a^T, g),
+        // without materializing either transpose.
+        const Tensor g3 = g.Reshape({1, g.dim(0), g.dim(1)});
         if (na->requires_grad) {
-          Accumulate(na, tensor::MatMul(g, tensor::Transpose(nb->value, 0, 1)));
+          Tensor ga = tensor::BatchedMatMulNT(g3, nb->value, false)
+                          .Reshape(na->value.shape().dims());
+          Accumulate(na, std::move(ga));
         }
         if (nb->requires_grad) {
-          Accumulate(nb, tensor::MatMul(tensor::Transpose(na->value, 0, 1), g));
+          Tensor gb = tensor::BatchedMatMulTN(na->value, g3, false)
+                          .Reshape(nb->value.shape().dims());
+          Accumulate(nb, std::move(gb));
         }
       });
 }
@@ -287,7 +300,7 @@ Variable Max(const Variable& a, int64_t axis, bool keepdim) {
             }
           }
         }
-        Accumulate(na, grad_in);
+        Accumulate(na, std::move(grad_in));
       });
 }
 
@@ -375,7 +388,7 @@ Variable Slice(const Variable& a, int64_t axis, int64_t start, int64_t end) {
         std::vector<int64_t> indices(end - start);
         for (int64_t i = start; i < end; ++i) indices[i - start] = i;
         tensor::IndexAddInto(grad_in, canon, indices, g);
-        Accumulate(na, grad_in);
+        Accumulate(na, std::move(grad_in));
       });
 }
 
@@ -390,7 +403,7 @@ Variable IndexSelect(const Variable& a, int64_t axis,
                  indices = std::move(indices)](const Tensor& g) {
                   Tensor grad_in = tensor::Tensor::Zeros(in_shape);
                   tensor::IndexAddInto(grad_in, canon, indices, g);
-                  Accumulate(na, grad_in);
+                  Accumulate(na, std::move(grad_in));
                 });
 }
 
@@ -481,9 +494,9 @@ Variable GruStep(const Variable& xi, const Variable& hh, const Variable& h) {
                                pdh + row * hd, hd);
           }
         });
-        Accumulate(nxi, dxi);
-        Accumulate(nhh, dhh);
-        Accumulate(nh, dh);
+        Accumulate(nxi, std::move(dxi));
+        Accumulate(nhh, std::move(dhh));
+        Accumulate(nh, std::move(dh));
       });
 }
 

@@ -10,16 +10,30 @@ namespace sagdfn::autograd {
 
 namespace internal {
 
-void Node::AccumulateGrad(const tensor::Tensor& g) {
+void Node::CheckGradShape(const tensor::Tensor& g) const {
   SAGDFN_CHECK(g.shape() == value.shape())
       << "gradient shape " << g.shape().ToString() << " vs value "
       << value.shape().ToString() << " in op " << op_name;
+}
+
+void Node::AccumulateGrad(const tensor::Tensor& g) {
+  CheckGradShape(g);
   if (!grad_defined) {
     grad = g.Clone();
     grad_defined = true;
     return;
   }
   tensor::simd::K().acc_add(grad.data(), g.data(), grad.size());
+}
+
+void Node::AccumulateGrad(tensor::Tensor&& g) {
+  if (grad_defined || !g.OwnsStorageAlone()) {
+    AccumulateGrad(static_cast<const tensor::Tensor&>(g));
+    return;
+  }
+  CheckGradShape(g);
+  grad = std::move(g);
+  grad_defined = true;
 }
 
 }  // namespace internal

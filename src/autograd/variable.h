@@ -26,6 +26,16 @@ struct Node {
 
   /// Adds `g` into this node's gradient buffer (allocating on first use).
   void AccumulateGrad(const tensor::Tensor& g);
+  /// As above, but on first use takes `g`'s storage over instead of
+  /// cloning it when `g` is its only handle (Tensor::OwnsStorageAlone).
+  /// An aliased `g` (a copy held elsewhere, a Reshape view of a live
+  /// tensor, an ownerless FromExternal tensor) is still cloned, so a
+  /// later accumulation into this gradient can never write into another
+  /// node's tensor.
+  void AccumulateGrad(tensor::Tensor&& g);
+
+ private:
+  void CheckGradShape(const tensor::Tensor& g) const;
 };
 
 }  // namespace internal

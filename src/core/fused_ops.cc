@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "tensor/simd.h"
 #include "tensor/tensor_ops.h"
@@ -24,8 +25,10 @@ using utils::ScratchArena;
 
 namespace {
 
-void Accumulate(const std::shared_ptr<Node>& node, const Tensor& g) {
-  if (node->requires_grad) node->AccumulateGrad(g);
+/// Takes `g` by value so a gradient built here moves into the node
+/// (Node::AccumulateGrad takes over sole-owned storage).
+void Accumulate(const std::shared_ptr<Node>& node, Tensor g) {
+  if (node->requires_grad) node->AccumulateGrad(std::move(g));
 }
 
 /// Row grain so each task carries roughly kElementwiseGrain elements.
@@ -201,7 +204,7 @@ ag::Variable OneStepFastGConv(const ag::Variable& a_s,
                           }
                         }
                       });
-          Accumulate(na, d_a);
+          Accumulate(na, std::move(d_a));
         }
 
         if (ninv->requires_grad) {
@@ -220,7 +223,7 @@ ag::Variable OneStepFastGConv(const ag::Variable& a_s,
               pdi[i] = static_cast<float>(acc / pinv[i]);
             }
           });
-          Accumulate(ninv, d_inv);
+          Accumulate(ninv, std::move(d_inv));
         }
 
         if (nt->requires_grad) {
@@ -253,7 +256,7 @@ ag::Variable OneStepFastGConv(const ag::Variable& a_s,
               }
             }
           });
-          Accumulate(nt, d_term);
+          Accumulate(nt, std::move(d_term));
         }
       });
 }
@@ -304,7 +307,7 @@ ag::Variable GruCandidateInput(const ag::Variable& gates,
                           sizeof(float) * c);
             }
           });
-          Accumulate(nx, dx);
+          Accumulate(nx, std::move(dx));
         }
         if (ng->requires_grad || nh->requires_grad) {
           const float* ph = nh->value.data();
@@ -324,8 +327,8 @@ ag::Variable GruCandidateInput(const ag::Variable& gates,
                                     pdh + row * hd, hd);
             }
           });
-          if (ng->requires_grad) Accumulate(ng, dgates);
-          if (nh->requires_grad) Accumulate(nh, dh);
+          if (ng->requires_grad) Accumulate(ng, std::move(dgates));
+          if (nh->requires_grad) Accumulate(nh, std::move(dh));
         }
       });
 }
@@ -381,9 +384,9 @@ ag::Variable GruTailBlend(const ag::Variable& gates, const ag::Variable& h,
                                pdh + row * hd, pdc + row * hd, hd);
           }
         });
-        Accumulate(ng, dgates);
-        Accumulate(nh, dh);
-        Accumulate(nc, dc);
+        Accumulate(ng, std::move(dgates));
+        Accumulate(nh, std::move(dh));
+        Accumulate(nc, std::move(dc));
       });
 }
 

@@ -11,6 +11,7 @@
 #include "core/sagdfn.h"
 #include "nn/serialization.h"
 #include "obs/telemetry.h"
+#include "tensor/tensor.h"
 #include "tensor/tensor_ops.h"
 #include "utils/check.h"
 #include "utils/fault.h"
@@ -560,6 +561,15 @@ TrainResult Trainer::Train() {
                        << " val_mae=" << val_mae;
     }
 
+    if (obs::Telemetry::CollectionEnabled()) {
+      const tensor::StorageBytes storage = tensor::StorageStats();
+      obs::Telemetry::Global().SetGauge(
+          "tensor.storage.retained_bytes",
+          static_cast<double>(storage.retained));
+      obs::Telemetry::Global().SetGauge(
+          "tensor.storage.high_water_bytes",
+          static_cast<double>(storage.high_water));
+    }
     obs::Telemetry::Global().Emit(
         obs::Event("train.epoch")
             .Str("model", model_->name())

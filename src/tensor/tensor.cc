@@ -1,7 +1,25 @@
 #include "tensor/tensor.h"
 
+#include <algorithm>
 #include <cstring>
+#include <mutex>
 #include <sstream>
+#include <unordered_map>
+
+// Under AddressSanitizer the recycler poisons retained buffers.
+#if defined(__SANITIZE_ADDRESS__)
+#define SAGDFN_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define SAGDFN_ASAN 1
+#endif
+#endif
+#ifdef SAGDFN_ASAN
+#include <sanitizer/asan_interface.h>
+#else
+#define ASAN_POISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
+#define ASAN_UNPOISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
+#endif
 
 #include "utils/check.h"
 
@@ -9,10 +27,104 @@ namespace sagdfn::tensor {
 
 namespace {
 
-// Heap storage: a shared vector whose data() backs ptr_. Kept as a
-// helper so every allocating path sets owner_/ptr_ the same way.
-std::shared_ptr<std::vector<float>> MakeStorage(int64_t n, float value) {
-  return std::make_shared<std::vector<float>>(static_cast<size_t>(n), value);
+// Process-wide recycler behind every zero-filled Tensor (DESIGN.md §5f,
+// "Tensor storage"). A buffer whose last Tensor lets go goes on the free
+// list for its exact element count, and the next allocation of that
+// count takes it back instead of asking malloc, so a training step that
+// repeats the previous step's shapes touches memory that is already
+// mapped. Retained plus live bytes never exceed the high-water of live
+// bytes: a miss that would cross it evicts retained buffers first. One
+// mutex guards the lists and counters; a buffer may be released on any
+// thread. Leaked, so tensors released during static destruction still
+// find it.
+class StorageRecycler {
+ public:
+  static StorageRecycler& Get() {
+    static StorageRecycler* recycler = new StorageRecycler;
+    return *recycler;
+  }
+
+  // A buffer of `n` floats, every one +0.0, recycled or not.
+  float* Acquire(int64_t n) {
+    const size_t bytes = static_cast<size_t>(n) * sizeof(float);
+    float* p = nullptr;
+    std::vector<float*> evicted;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      std::vector<float*>& list = free_[n];
+      if (!list.empty()) {
+        p = list.back();
+        list.pop_back();
+        retained_ -= bytes;
+      } else {
+        high_water_ = std::max(high_water_, live_ + bytes);
+        Evict(bytes, &evicted);
+      }
+      live_ += bytes;
+    }
+    for (float* q : evicted) ::operator delete(q);
+    if (p != nullptr) {
+      ASAN_UNPOISON_MEMORY_REGION(p, bytes);
+    } else {
+      p = static_cast<float*>(::operator new(bytes));
+    }
+    std::memset(p, 0, bytes);
+    return p;
+  }
+
+  void Release(float* p, int64_t n) {
+    const size_t bytes = static_cast<size_t>(n) * sizeof(float);
+    // Poisoned before it is listed: once listed, another thread may take
+    // it and unpoison it.
+    ASAN_POISON_MEMORY_REGION(p, bytes);
+    std::lock_guard<std::mutex> lock(mu_);
+    free_[n].push_back(p);
+    live_ -= bytes;
+    retained_ += bytes;
+  }
+
+  StorageBytes Stats() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return {static_cast<int64_t>(live_), static_cast<int64_t>(retained_),
+            static_cast<int64_t>(high_water_)};
+  }
+
+ private:
+  // Takes retained buffers off the lists (into `out`, freed outside the
+  // lock) until a new buffer of `bytes` fits under the high-water.
+  void Evict(size_t bytes, std::vector<float*>* out) {
+    for (auto& [count, list] : free_) {
+      const size_t each = static_cast<size_t>(count) * sizeof(float);
+      while (!list.empty()) {
+        if (retained_ + live_ + bytes <= high_water_) return;
+        ASAN_UNPOISON_MEMORY_REGION(list.back(), each);
+        out->push_back(list.back());
+        list.pop_back();
+        retained_ -= each;
+      }
+    }
+  }
+
+  std::mutex mu_;
+  std::unordered_map<int64_t, std::vector<float*>> free_;
+  size_t live_ = 0;
+  size_t retained_ = 0;
+  size_t high_water_ = 0;
+};
+
+// Zero-filled storage for `n` floats: sets `*data` and returns its
+// owner, which hands the buffer back to the recycler when the last
+// Tensor sharing it goes. Kept as one helper so every allocating path
+// sets owner_/ptr_ the same way. An empty tensor owns an empty vector
+// and has a null data().
+std::shared_ptr<void> MakeStorage(int64_t n, float** data) {
+  if (n == 0) {
+    *data = nullptr;
+    return std::make_shared<std::vector<float>>();
+  }
+  *data = StorageRecycler::Get().Acquire(n);
+  return std::shared_ptr<float>(
+      *data, [n](float* p) { StorageRecycler::Get().Release(p, n); });
 }
 
 }  // namespace
@@ -20,9 +132,7 @@ std::shared_ptr<std::vector<float>> MakeStorage(int64_t n, float value) {
 Tensor::Tensor() : Tensor(Shape({0})) {}
 
 Tensor::Tensor(Shape shape) : shape_(std::move(shape)) {
-  auto storage = MakeStorage(shape_.NumElements(), 0.0f);
-  ptr_ = storage->data();
-  owner_ = std::move(storage);
+  owner_ = MakeStorage(shape_.NumElements(), &ptr_);
 }
 
 Tensor Tensor::Zeros(Shape shape) { return Tensor(std::move(shape)); }
@@ -173,5 +283,7 @@ std::string Tensor::ToString(int64_t max_elements) const {
   os << "}";
   return os.str();
 }
+
+StorageBytes StorageStats() { return StorageRecycler::Get().Stats(); }
 
 }  // namespace sagdfn::tensor

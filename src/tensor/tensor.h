@@ -80,6 +80,12 @@ class Tensor {
     return owner_ == other.owner_ && ptr_ == other.ptr_;
   }
 
+  /// True if this handle is the only one keeping its storage alive: no
+  /// copy, Reshape view or other Tensor shares it. False for FromExternal
+  /// tensors without an owner. A caller holding the only handle may take
+  /// the storage over instead of copying it.
+  bool OwnsStorageAlone() const { return owner_ && owner_.use_count() == 1; }
+
   // -- Shape manipulation (storage-sharing where possible) ------------------
 
   /// Reinterprets the data with a new shape of equal element count. One
@@ -100,7 +106,8 @@ class Tensor {
   std::string ToString(int64_t max_elements = 32) const;
 
  private:
-  /// Keeps the backing storage alive. For heap tensors this owns a
+  /// Keeps the backing storage alive. For zero-filled tensors this owns
+  /// a recycled buffer (see StorageStats()); for FromVector tensors a
   /// std::vector<float>; for FromExternal views it owns whatever keeps
   /// the external memory valid (e.g. a mapped file handle). `ptr_`
   /// points at the first element inside that storage.
@@ -108,6 +115,23 @@ class Tensor {
   float* ptr_ = nullptr;
   Shape shape_;
 };
+
+/// Bytes held by the storage recycler behind every zero-filled Tensor
+/// (constructors, Zeros/Ones/Full/..., Clone and every op output).
+/// FromVector and FromExternal storage is not counted.
+struct StorageBytes {
+  /// In buffers some Tensor still holds.
+  int64_t live = 0;
+  /// In released buffers kept for reuse by the next allocation of the
+  /// same element count.
+  int64_t retained = 0;
+  /// Most `live` bytes ever held at once. live + retained never exceeds
+  /// it: an allocation that would cross it frees retained buffers first.
+  int64_t high_water = 0;
+};
+
+/// A snapshot of the recycler's counters (thread-safe).
+StorageBytes StorageStats();
 
 }  // namespace sagdfn::tensor
 

@@ -312,5 +312,105 @@ TEST(AutogradTest, BatchedMatMulBackwardMatchesTransposedProducts) {
   }
 }
 
+// MatMul's 2-D backward runs the batched backward products on a batch of
+// one; its gradients must be the bytes of the transposed-copy products
+// MatMul(g, b^T) and MatMul(a^T, g). Inner and outer widths 1-40, signed
+// zeros in every operand and an inf in the incoming gradient, at both
+// SIMD levels and pool sizes 1, 2 and 8.
+TEST(AutogradTest, MatMulBackwardMatchesTransposedProducts) {
+  namespace simd = tensor::simd;
+  std::vector<simd::Level> levels = {simd::Level::kScalar};
+  if (simd::Avx2Available()) levels.push_back(simd::Level::kAvx2);
+  struct Restore {
+    simd::Level level = simd::ActiveLevel();
+    int64_t threads = utils::GetNumThreads();
+    ~Restore() {
+      simd::SetActiveLevel(level);
+      utils::SetNumThreads(threads);
+    }
+  } restore;
+  for (int64_t w = 1; w <= 40; ++w) {
+    const int64_t k = w;
+    const int64_t n = 41 - w;
+    for (int64_t m : {1, 5, 37}) {
+      utils::Rng rng(static_cast<uint64_t>(w * 131 + m));
+      const Tensor a0 = WithSpecials(Shape({m, k}), rng, false);
+      const Tensor b0 = WithSpecials(Shape({k, n}), rng, false);
+      const Tensor g = WithSpecials(Shape({m, n}), rng, true);
+      for (simd::Level level : levels) {
+        simd::SetActiveLevel(level);
+        const Tensor want_a = tensor::MatMul(g, tensor::Transpose(b0, 0, 1));
+        const Tensor want_b = tensor::MatMul(tensor::Transpose(a0, 0, 1), g);
+        for (int64_t threads : {1, 2, 8}) {
+          utils::SetNumThreads(threads);
+          Variable a(a0.Clone(), true);
+          Variable b(b0.Clone(), true);
+          SumAll(Mul(MatMul(a, b), Variable(g))).Backward();
+          const std::string what = std::string(simd::LevelName(level)) +
+                                   " threads=" + std::to_string(threads) +
+                                   " m=" + std::to_string(m) +
+                                   " k=" + std::to_string(k) +
+                                   " n=" + std::to_string(n);
+          ExpectSameBytes(a.grad(), want_a, "grad a, " + what);
+          ExpectSameBytes(b.grad(), want_b, "grad b, " + what);
+          if (testing::Test::HasFailure()) return;
+        }
+      }
+    }
+  }
+}
+
+// A gradient that nothing else holds moves into the node: no clone.
+TEST(AutogradTest, SoleOwnedGradientIsMovedNotCloned) {
+  internal::Node node;
+  node.value = Tensor::Zeros(Shape({3, 5}));
+  Tensor g = Tensor::Full(Shape({3, 5}), 2.0f);
+  const float* storage = g.data();
+  node.AccumulateGrad(std::move(g));
+  ASSERT_TRUE(node.grad_defined);
+  EXPECT_EQ(node.grad.data(), storage);
+  EXPECT_EQ(node.grad[14], 2.0f);
+}
+
+// A gradient with a second handle is cloned, so accumulating into the
+// node's gradient leaves the other handle's values alone.
+TEST(AutogradTest, SharedGradientIsCloned) {
+  internal::Node node;
+  node.value = Tensor::Zeros(Shape({4}));
+  Tensor g = Tensor::Full(Shape({4}), 1.0f);
+  const Tensor kept = g;
+  node.AccumulateGrad(std::move(g));
+  EXPECT_NE(node.grad.data(), kept.data());
+  node.AccumulateGrad(Tensor::Full(Shape({4}), 5.0f));
+  EXPECT_EQ(node.grad[0], 6.0f);
+  EXPECT_EQ(kept[0], 1.0f);
+}
+
+// Add's backward hands one incoming gradient to both parents: each must
+// get its own copy, so a later accumulation into one leaves the other.
+TEST(AutogradTest, AddParentsGetSeparateGradients) {
+  Variable a(T({1, 2, 3}, {3}), true);
+  Variable b(T({4, 5, 6}, {3}), true);
+  SumAll(Add(a, b)).Backward();
+  EXPECT_FALSE(a.grad().SharesStorageWith(b.grad()));
+  SumAll(MulScalar(a, 3.0f)).Backward();
+  EXPECT_TRUE(AllClose(a.grad(), T({4, 4, 4}, {3})));
+  EXPECT_TRUE(AllClose(b.grad(), T({1, 1, 1}, {3})));
+}
+
+// Reshape's backward passes a view of its own gradient on: the parent
+// must copy it, so accumulating into the parent leaves the view's source.
+TEST(AutogradTest, ReshapeViewGradientIsCloned) {
+  Variable x(T({1, 2, 3, 4, 5, 6}, {2, 3}), true);
+  Variable y = Reshape(x, {6});
+  Variable w(T({1, 2, 3, 4, 5, 6}, {6}), false);
+  SumAll(Mul(y, w)).Backward();
+  const Tensor y_grad = y.grad();
+  EXPECT_FALSE(x.grad().Reshape({6}).SharesStorageWith(y_grad));
+  SumAll(MulScalar(x, 10.0f)).Backward();
+  EXPECT_TRUE(AllClose(x.grad(), T({11, 12, 13, 14, 15, 16}, {2, 3})));
+  EXPECT_TRUE(AllClose(y_grad, T({1, 2, 3, 4, 5, 6}, {6})));
+}
+
 }  // namespace
 }  // namespace sagdfn::autograd

@@ -12,6 +12,7 @@
 #include "data/time_series.h"
 #include "data/window_dataset.h"
 #include "tensor/tensor_ops.h"
+#include "test_support.h"
 
 namespace sagdfn::data {
 namespace {
@@ -271,7 +272,7 @@ TEST(RegistryTest, WindowSpecs) {
 
 TEST(CsvTest, RoundTrip) {
   TimeSeries series = TinySeries(30, 3);
-  const std::string path = ::testing::TempDir() + "/series_roundtrip.csv";
+  const std::string path = test_support::TempPath("series_roundtrip.csv");
   ASSERT_TRUE(WriteCsv(series, path).ok());
   auto loaded = ReadCsv(path, series.steps_per_day);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -281,7 +282,7 @@ TEST(CsvTest, RoundTrip) {
 
 TEST(CsvTest, MissingFileAndBadContent) {
   EXPECT_FALSE(ReadCsv("/nonexistent/file.csv", 24).ok());
-  const std::string path = ::testing::TempDir() + "/bad.csv";
+  const std::string path = test_support::TempPath("bad.csv");
   {
     std::ofstream out(path);
     out << "t,node_0\n1,2\n3\n";  // second row too short

@@ -11,6 +11,7 @@
 #include "data/window_dataset.h"
 #include "nn/serialization.h"
 #include "tensor/tensor_ops.h"
+#include "test_support.h"
 
 namespace sagdfn {
 namespace {
@@ -58,7 +59,7 @@ TrainOptions QuickOptions() {
 }
 
 std::string FreshDir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "/" + name;
+  const std::string dir = test_support::TempPath(name);
   std::filesystem::remove_all(dir);
   return dir;
 }

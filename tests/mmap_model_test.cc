@@ -20,6 +20,7 @@
 #include "serve/frozen_model.h"
 #include "tensor/tensor.h"
 #include "tensor/tensor_ops.h"
+#include "test_support.h"
 #include "utils/rng.h"
 #include "utils/status.h"
 
@@ -29,9 +30,7 @@ namespace {
 using tensor::Shape;
 using tensor::Tensor;
 
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
+using test_support::TempPath;
 
 bool SameBytes(const Tensor& a, const Tensor& b) {
   return a.shape() == b.shape() &&

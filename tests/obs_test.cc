@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "test_support.h"
 #include "utils/parallel.h"
 
 namespace sagdfn::obs {
@@ -27,9 +28,7 @@ class CollectionScope {
   bool previous_;
 };
 
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + name;
-}
+using test_support::TempPath;
 
 TEST(EventTest, SerializesOrderedFields) {
   Event e("unit.test");

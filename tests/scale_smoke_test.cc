@@ -20,6 +20,7 @@
 #include "graph/csr.h"
 #include "serve/frozen_model.h"
 #include "tensor/tensor.h"
+#include "test_support.h"
 #include "utils/rng.h"
 
 namespace sagdfn {
@@ -97,7 +98,7 @@ TEST(ScaleSmokeTest, TenThousandNodesTrainServeAndMmapRoundTrip) {
   // The mmap'd weight file reproduces the heap model's forecasts byte
   // for byte.
   const std::string path =
-      ::testing::TempDir() + "/scale_smoke_10k.sagm";
+      test_support::TempPath("scale_smoke_10k.sagm");
   ASSERT_TRUE(heap->Save(path).ok());
   std::unique_ptr<serve::FrozenModel> mapped;
   ASSERT_TRUE(

@@ -17,6 +17,7 @@
 #include "serve/frozen_model.h"
 #include "serve/registry.h"
 #include "tensor/tensor_ops.h"
+#include "test_support.h"
 #include "utils/fault.h"
 #include "utils/rng.h"
 
@@ -27,9 +28,7 @@ namespace ag = ::sagdfn::autograd;
 using tensor::Shape;
 using tensor::Tensor;
 
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
+using test_support::TempPath;
 
 std::string ReadFileBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);

@@ -55,6 +55,7 @@
 #include "serve/frozen_model.h"
 #include "serve/online_trainer.h"
 #include "tensor/tensor.h"
+#include "test_support.h"
 #include "utils/fault.h"
 #include "utils/rng.h"
 #include "utils/status.h"
@@ -65,9 +66,7 @@ namespace {
 using tensor::Shape;
 using tensor::Tensor;
 
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
+using test_support::TempPath;
 
 std::string FreshDir(const std::string& name) {
   const std::string dir = TempPath(name);

@@ -2,6 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <bit>
+#include <cstdint>
+#include <deque>
+#include <limits>
+#include <mutex>
+#include <thread>
+#include <vector>
+
 #include "utils/rng.h"
 
 namespace sagdfn::tensor {
@@ -106,6 +115,103 @@ TEST(TensorTest, ToStringTruncates) {
   std::string s = t.ToString(4);
   EXPECT_NE(s.find("..."), std::string::npos);
   EXPECT_NE(s.find("Tensor[100]"), std::string::npos);
+}
+
+// Every element of `t` is +0.0 (bit pattern 0: not -0.0, not NaN).
+bool AllPositiveZero(const Tensor& t) {
+  for (int64_t i = 0; i < t.size(); ++i) {
+    if (std::bit_cast<uint32_t>(t[i]) != 0u) return false;
+  }
+  return true;
+}
+
+void ExpectWithinHighWater(const char* when) {
+  const StorageBytes s = StorageStats();
+  EXPECT_LE(s.live + s.retained, s.high_water) << when;
+  EXPECT_GE(s.live, 0) << when;
+  EXPECT_GE(s.retained, 0) << when;
+}
+
+// A released buffer comes back for the next tensor of the same element
+// count, and comes back zero-filled whatever it last held.
+TEST(TensorStorageTest, RecycledBufferComesBackZeroFilled) {
+  constexpr int64_t kCount = 1237;  // no other test allocates this size
+  const float* first = nullptr;
+  {
+    Tensor t = Tensor::Full(Shape({kCount}),
+                            std::numeric_limits<float>::quiet_NaN());
+    first = t.data();
+  }
+  EXPECT_GT(StorageStats().retained, 0);
+  Tensor again(Shape({kCount}));
+  EXPECT_EQ(again.data(), first);
+  EXPECT_TRUE(AllPositiveZero(again));
+}
+
+// Retained plus live bytes never exceed the live high-water, after every
+// allocation and release of a scripted sequence with mixed sizes,
+// including growth past the previous high-water.
+TEST(TensorStorageTest, RetainedPlusLiveStaysUnderHighWater) {
+  const int64_t sizes[] = {1, 3, 64, 1000, 4099, 65536, 17, 300000};
+  std::vector<Tensor> live;
+  utils::Rng rng(7);
+  for (int step = 0; step < 400; ++step) {
+    const bool grow = live.empty() || rng.Uniform(0.0, 1.0) < 0.55;
+    if (grow) {
+      const int64_t n = sizes[(step * 5 + step / 7) % 8] * (1 + step / 200);
+      live.emplace_back(Shape({n}));
+      ASSERT_TRUE(AllPositiveZero(live.back())) << "step " << step;
+      live.back().Fill(static_cast<float>(step));
+      ExpectWithinHighWater("after an allocation");
+    } else {
+      const size_t victim =
+          static_cast<size_t>(rng.Uniform(0.0, 1.0) * live.size()) %
+          live.size();
+      live.erase(live.begin() + static_cast<int64_t>(victim));
+      ExpectWithinHighWater("after a release");
+    }
+    if (testing::Test::HasFailure()) return;
+  }
+  live.clear();
+  ExpectWithinHighWater("after releasing everything");
+}
+
+// Four threads allocate and release mixed sizes; a third of the tensors
+// are released on a thread other than the one that allocated them. Every
+// allocation reads all +0.0, and the footprint bound holds at the end.
+TEST(TensorStorageTest, ConcurrentAllocateAndCrossThreadRelease) {
+  constexpr int kThreads = 4;
+  constexpr int kIters = 300;
+  const int64_t sizes[] = {5, 64, 777, 4099};
+  std::mutex handoff_mu;
+  std::deque<Tensor> handoff;
+  std::atomic<int> dirty{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kIters; ++i) {
+        Tensor x(Shape({sizes[(t + i) % 4]}));
+        if (!AllPositiveZero(x)) dirty.fetch_add(1);
+        x.Fill(static_cast<float>(t * kIters + i) + 0.5f);
+        Tensor taken;
+        {
+          std::lock_guard<std::mutex> lock(handoff_mu);
+          if (i % 3 == 0) {
+            handoff.push_back(std::move(x));
+          } else if (!handoff.empty()) {
+            taken = std::move(handoff.front());
+            handoff.pop_front();
+          }
+        }
+        // `taken` (another thread's tensor, as often as not) and `x`
+        // release here, outside the handoff lock.
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  handoff.clear();
+  EXPECT_EQ(dirty.load(), 0);
+  ExpectWithinHighWater("after the threads joined");
 }
 
 }  // namespace

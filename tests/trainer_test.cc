@@ -8,7 +8,9 @@
 #include "core/sagdfn.h"
 #include "data/synthetic.h"
 #include "data/window_dataset.h"
+#include "obs/telemetry.h"
 #include "tensor/tensor_ops.h"
+#include "test_support.h"
 #include "utils/fault.h"
 
 namespace sagdfn::core {
@@ -62,6 +64,28 @@ TEST(TrainerTest, TrainingReducesLoss) {
   EXPECT_LT(result.epoch_train_loss.back(),
             result.epoch_train_loss.front());
   EXPECT_GT(result.total_seconds, 0.0);
+}
+
+// With collection on, each epoch end exports the tensor storage
+// recycler's retained and high-water bytes, and retained stays under the
+// high-water.
+TEST(TrainerTest, ExportsTensorStorageGaugesAtEpochEnd) {
+  struct Restore {
+    bool previous = obs::Telemetry::CollectionEnabled();
+    ~Restore() { obs::Telemetry::SetCollectionEnabled(previous); }
+  } restore;
+  obs::Telemetry::SetCollectionEnabled(true);
+  data::ForecastDataset dataset = TinyDataset();
+  SagdfnModel model(TinyModelConfig(dataset));
+  Trainer trainer(&model, &dataset, QuickOptions());
+  trainer.Train();
+  const obs::Telemetry& telemetry = obs::Telemetry::Global();
+  const double high_water =
+      telemetry.gauge("tensor.storage.high_water_bytes");
+  const double retained = telemetry.gauge("tensor.storage.retained_bytes");
+  EXPECT_GT(high_water, 0.0);
+  EXPECT_GT(retained, 0.0);
+  EXPECT_LE(retained, high_water);
 }
 
 TEST(TrainerTest, PredictShapesAndFiniteness) {
@@ -147,7 +171,7 @@ TEST(TrainerTest, HorizonMismatchDies) {
 }
 
 std::string FreshDir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "/" + name;
+  const std::string dir = test_support::TempPath(name);
   std::filesystem::remove_all(dir);
   return dir;
 }

@@ -10,6 +10,7 @@
 #include "data/synthetic.h"
 #include "nn/serialization.h"
 #include "tensor/tensor_ops.h"
+#include "test_support.h"
 
 namespace sagdfn {
 namespace {
@@ -140,7 +141,7 @@ TEST(IndexStateTest, SurvivesCheckpointRoundTrip) {
   }
   auto frozen_set = original.index_set();
 
-  const std::string path = ::testing::TempDir() + "/index_state.ckpt";
+  const std::string path = test_support::TempPath("index_state.ckpt");
   ASSERT_TRUE(nn::SaveModule(original, path).ok());
 
   core::SagdfnConfig other = config;
@@ -161,7 +162,7 @@ TEST(IndexStateTest, SurvivesCheckpointRoundTrip) {
 TEST(IndexStateTest, UnsampledStateRestoresAsEmpty) {
   core::SagdfnConfig config = TinyConfig();
   core::SagdfnModel fresh(config);  // never ran Forward
-  const std::string path = ::testing::TempDir() + "/fresh.ckpt";
+  const std::string path = test_support::TempPath("fresh.ckpt");
   ASSERT_TRUE(nn::SaveModule(fresh, path).ok());
   core::SagdfnModel restored(config);
   ASSERT_TRUE(nn::LoadModule(&restored, path).ok());

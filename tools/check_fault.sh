@@ -9,7 +9,10 @@
 # auto-vectorised exact kernels run their lanes and tails on heap
 # buffers of every length 1-17, and the autograd and gradient-check
 # suites, whose BatchedMatMul backward reads a's columns in place and
-# stages b^T and per-batch partials in arenas. Exercises the whole
+# stages b^T and per-batch partials in arenas, and the tensor suite,
+# whose storage-recycler tests run with released buffers poisoned until
+# reuse (a read through a dead tensor's pointer fails under ASan even
+# though its buffer stays allocated for reuse). Exercises the whole
 # injected-fault matrix — trainer sites (nan_loss / nan_grad / crash /
 # io_fail / truncate_ckpt) and serve sites (bad_candidate / nan_forecast /
 # slow_batch / swap_race) — with ASan watching the recovery paths: any leak, use-after-free, or
@@ -38,7 +41,8 @@ cmake --build "${BUILD_DIR}" -j "$(nproc)" \
   --target fault_injection_test serialization_test mmap_model_test \
   trainer_test serve_engine_test rollout_plan_test registry_test \
   tick_stream_test tenant_router_test row_kernel_test fast_gconv_test \
-  csr_test simd_test tensor_ops_test autograd_test grad_check_test
+  csr_test simd_test tensor_test tensor_ops_test autograd_test \
+  grad_check_test
 
 export ASAN_OPTIONS="halt_on_error=1 detect_leaks=1 ${ASAN_OPTIONS:-}"
 
@@ -73,8 +77,9 @@ echo "== row kernels and diffusion steps (ASan: multi-row tiles, masked tails on
 "${BUILD_DIR}/tests/fast_gconv_test"
 "${BUILD_DIR}/tests/csr_test"
 
-echo "== SIMD kernel tables and tensor ops (ASan: both levels, lanes and tails) =="
+echo "== SIMD kernel tables, tensors and tensor ops (ASan: both levels, lanes and tails, poisoned recycled storage) =="
 "${BUILD_DIR}/tests/simd_test"
+"${BUILD_DIR}/tests/tensor_test"
 "${BUILD_DIR}/tests/tensor_ops_test"
 
 echo "== autograd backwards and gradient checks (ASan: strided operand reads, arena-staged transposes and partials) =="

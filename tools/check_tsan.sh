@@ -2,7 +2,10 @@
 # Builds the parallel-kernel and serving tests under ThreadSanitizer and
 # runs the thread-pool / determinism suites at 8 threads, and the fused
 # diffusion-step and BatchedMatMul backward memcmp suites at pool sizes
-# 1, 2 and 8 (per-task arena scratch, scatter into shared gradients).
+# 1, 2 and 8 (per-task arena scratch, scatter into shared gradients),
+# and the tensor-storage recycler's multi-thread test (four threads
+# allocating, one mutex, buffers released on a thread other than the
+# one that allocated them).
 # Any data race in the ParallelFor backend, the parallel tensor kernels, or the
 # inference engine's queue/worker/shutdown machinery fails the script.
 #
@@ -27,7 +30,7 @@ cmake -B "${BUILD_DIR}" -S "${REPO_ROOT}" \
 cmake --build "${BUILD_DIR}" -j "$(nproc)" \
   --target utils_test tensor_reference_test serve_engine_test \
   rollout_plan_test registry_test tick_stream_test tenant_router_test \
-  simd_test autograd_test
+  simd_test autograd_test tensor_test
 
 # halt_on_error so the first race aborts with a non-zero exit code.
 export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
@@ -44,6 +47,10 @@ echo "== Fused-op backwards against their reference loops (pool sizes 1, 2, 8) =
 "${BUILD_DIR}/tests/simd_test" --gtest_filter='FusedOpsTest.*'
 "${BUILD_DIR}/tests/autograd_test" \
   --gtest_filter='AutogradTest.BatchedMatMulBackwardMatchesTransposedProducts'
+
+echo "== Tensor storage recycler (concurrent allocation, cross-thread release) =="
+"${BUILD_DIR}/tests/tensor_test" \
+  --gtest_filter='TensorStorageTest.ConcurrentAllocateAndCrossThreadRelease'
 
 echo "== Inference engine concurrency suite (workers, shutdown, destroy-under-load) =="
 "${BUILD_DIR}/tests/serve_engine_test"
