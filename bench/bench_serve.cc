@@ -495,7 +495,7 @@ StreamingScenario MakeStreamingScenario(int64_t total_ticks,
 }
 
 /// The production read path: ≥1k concurrent reader threads hammering
-/// one scenario's lock-free forecast cache while a single writer keeps
+/// one scenario's single-slot forecast cache while a single writer keeps
 /// ticking. Every read's latency is timed around ForecastCache::Read()
 /// alone; the cache is warm before the readers start, so the sample is
 /// the cache-HIT latency distribution (the acceptance bar: hit p99

@@ -8,12 +8,14 @@
 #include <algorithm>
 #include <iostream>
 #include <numeric>
+#include <vector>
 
 #include "core/sagdfn.h"
 #include "core/trainer.h"
 #include "data/synthetic.h"
 #include "data/window_dataset.h"
 #include "graph/adjacency.h"
+#include "graph/csr.h"
 #include "tensor/tensor_ops.h"
 #include "utils/string_util.h"
 #include "utils/table_printer.h"
@@ -30,7 +32,7 @@ int main() {
   traffic.spatial_rho = 0.9;
   traffic.noise_std = 1.0;
   traffic.seed = 29;
-  graph::SpatialGraph latent;
+  graph::SparseSpatialGraph latent;
   data::TimeSeries series = data::GenerateTraffic(traffic, &latent);
   data::ForecastDataset dataset(series, data::WindowSpec{12, 12});
 
@@ -72,34 +74,43 @@ int main() {
             << utils::FormatDouble(graph::Sparsity(slim) * 100, 1)
             << "% (alpha-entmax prunes weak links outright)\n\n";
 
-  // (c) Overlap with the ground-truth graph, against a random baseline.
-  tensor::Tensor learned = model.DenseAdjacency();
+  // (c) Overlap with the ground-truth graph, against a random baseline
+  // (uniform weights over all N columns).
+  const std::vector<int64_t>& index_set = model.index_set();
   const double overlap =
-      graph::TopKOverlap(learned, latent.adjacency, 4);
+      graph::TopKOverlapCsr(latent.adjacency, slim, index_set, 4);
   utils::Rng rng(99);
   tensor::Tensor random_adj = tensor::Tensor::Uniform(
       tensor::Shape({config.num_nodes, config.num_nodes}), rng);
+  std::vector<int64_t> all_nodes(config.num_nodes);
+  std::iota(all_nodes.begin(), all_nodes.end(), 0);
   const double random_overlap =
-      graph::TopKOverlap(random_adj, latent.adjacency, 4);
+      graph::TopKOverlapCsr(latent.adjacency, random_adj, all_nodes, 4);
   std::cout << "top-4 neighbor overlap with the latent graph: "
             << utils::FormatDouble(overlap, 3) << " (random baseline "
             << utils::FormatDouble(random_overlap, 3) << ")\n\n";
 
   // Show one sensor's strongest learned links vs its true neighbors.
   const int64_t sensor = 3;
-  std::vector<int64_t> order(config.num_nodes);
+  std::vector<int64_t> order(config.m);
   std::iota(order.begin(), order.end(), 0);
-  const float* row = learned.data() + sensor * config.num_nodes;
+  const float* row = slim.data() + sensor * config.m;
   std::partial_sort(order.begin(), order.begin() + 4, order.end(),
                     [row](int64_t a, int64_t b) { return row[a] > row[b]; });
+  const graph::CsrMatrix& truth = latent.adjacency;
+  auto true_weight = [&truth](int64_t i, int64_t j) {
+    for (int64_t e = truth.row_ptr[i]; e < truth.row_ptr[i + 1]; ++e) {
+      if (truth.col[e] == j) return truth.val[e];
+    }
+    return 0.0f;
+  };
   utils::TablePrinter table({"rank", "learned neighbor", "weight",
                              "true edge weight"});
   for (int64_t r = 0; r < 4; ++r) {
-    const int64_t nb = order[r];
+    const int64_t nb = index_set[order[r]];
     table.AddRow({std::to_string(r + 1), std::to_string(nb),
-                  utils::FormatDouble(row[nb], 4),
-                  utils::FormatDouble(
-                      latent.adjacency.At({sensor, nb}), 4)});
+                  utils::FormatDouble(row[order[r]], 4),
+                  utils::FormatDouble(true_weight(sensor, nb), 4)});
   }
   std::cout << "sensor " << sensor << " strongest learned links:\n"
             << table.ToString();

@@ -6,6 +6,14 @@
 #include "utils/check.h"
 
 namespace sagdfn::autograd {
+namespace {
+
+// Central-difference step.
+constexpr double kEpsilon = 1e-3;
+// Absolute slack for near-zero gradients.
+constexpr double kAbsoluteTolerance = 1e-3;
+
+}  // namespace
 
 bool CheckGradients(
     const std::function<Variable(const std::vector<Variable>&)>& fn,
@@ -39,14 +47,13 @@ bool CheckGradients(
         plus.push_back(inputs[vj].Clone());
         minus.push_back(inputs[vj].Clone());
       }
-      plus[vi][e] += static_cast<float>(options.epsilon);
-      minus[vi][e] -= static_cast<float>(options.epsilon);
-      const double numeric =
-          (eval(plus) - eval(minus)) / (2.0 * options.epsilon);
+      plus[vi][e] += static_cast<float>(kEpsilon);
+      minus[vi][e] -= static_cast<float>(kEpsilon);
+      const double numeric = (eval(plus) - eval(minus)) / (2.0 * kEpsilon);
       const double got = analytic[e];
       const double denom = std::max(1.0, std::fabs(numeric));
       if (std::fabs(got - numeric) / denom > options.tolerance &&
-          std::fabs(got - numeric) > options.absolute_tolerance) {
+          std::fabs(got - numeric) > kAbsoluteTolerance) {
         if (error != nullptr) {
           std::ostringstream os;
           os << "gradient mismatch at input " << vi << " element " << e

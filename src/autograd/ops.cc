@@ -260,50 +260,6 @@ Variable Mean(const Variable& a, int64_t axis, bool keepdim) {
   return MulScalar(Sum(a, axis, keepdim), 1.0f / n);
 }
 
-Variable Max(const Variable& a, int64_t axis, bool keepdim) {
-  auto na = a.node();
-  const Shape in_shape = a.shape();
-  const int64_t canon = in_shape.CanonicalAxis(axis);
-  Tensor out = tensor::Max(a.value(), axis, keepdim);
-  Tensor out_keep = keepdim ? out : tensor::Max(a.value(), axis, true);
-  return MakeOp(
-      "Max", out, {a},
-      [na, in_shape, canon, keepdim, out_keep](const Tensor& g) {
-        Tensor gk = g;
-        if (!keepdim) {
-          std::vector<int64_t> dims = in_shape.dims();
-          dims[canon] = 1;
-          gk = g.Reshape(dims);
-        }
-        // Route gradient to the (first) max element per slice.
-        Tensor grad_in = tensor::Tensor::Zeros(in_shape);
-        const auto strides = in_shape.Strides();
-        int64_t outer = 1, inner = 1;
-        for (int64_t i = 0; i < canon; ++i) outer *= in_shape.dims()[i];
-        for (int64_t i = canon + 1; i < in_shape.ndim(); ++i) {
-          inner *= in_shape.dims()[i];
-        }
-        const int64_t axis_size = in_shape.dims()[canon];
-        const float* pv = na->value.data();
-        const float* pm = out_keep.data();
-        const float* pg = gk.data();
-        float* pgi = grad_in.data();
-        for (int64_t o = 0; o < outer; ++o) {
-          for (int64_t i = 0; i < inner; ++i) {
-            const float max_v = pm[o * inner + i];
-            for (int64_t x = 0; x < axis_size; ++x) {
-              const int64_t off = (o * axis_size + x) * inner + i;
-              if (pv[off] == max_v) {
-                pgi[off] += pg[o * inner + i];
-                break;
-              }
-            }
-          }
-        }
-        Accumulate(na, std::move(grad_in));
-      });
-}
-
 Variable SumAll(const Variable& a) {
   auto na = a.node();
   const Shape in_shape = a.shape();

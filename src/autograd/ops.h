@@ -38,7 +38,6 @@ Variable Abs(const Variable& a);
 
 Variable Sum(const Variable& a, int64_t axis, bool keepdim = false);
 Variable Mean(const Variable& a, int64_t axis, bool keepdim = false);
-Variable Max(const Variable& a, int64_t axis, bool keepdim = false);
 Variable SumAll(const Variable& a);
 Variable MeanAll(const Variable& a);
 

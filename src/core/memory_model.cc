@@ -13,6 +13,9 @@ constexpr double kTapeCopies = 3.0;
 constexpr double kRecurrentBuffers = 12.0;
 // Adam keeps two moments per parameter in addition to the gradient.
 constexpr double kOptimizerCopies = 4.0;
+// GTS/STEP featurize the full training sequence per node; this is the
+// compressed per-node feature width their pairwise concat uses.
+constexpr double kSequenceFeature = 640.0;
 
 double RecurrentActivations(const MemoryParams& p) {
   // B x T x N x D hidden state per buffered activation (Example 1's
@@ -114,16 +117,13 @@ MemoryEstimate EstimateTrainingMemory(ModelFamily family,
       est.graph_bytes = b * t * n * n * kBytesPerFloat * kTapeCopies;
       break;
     case ModelFamily::kGts:
-    case ModelFamily::kStep: {
+    case ModelFamily::kStep:
       // Pairwise concatenated sequence features: O(N^2 d) with d the
       // compressed full-sequence feature width (paper Table I memory
       // O(N^2 + N^2 d)).
-      const double feat = static_cast<double>(p.sequence_feature);
-      est.graph_bytes =
-          (n * n * 2.0 * feat + n * n * d_emb) * kBytesPerFloat *
-          kTapeCopies;
+      est.graph_bytes = (n * n * 2.0 * kSequenceFeature + n * n * d_emb) *
+                        kBytesPerFloat * kTapeCopies;
       break;
-    }
     case ModelFamily::kD2stgnn:
       // Decoupled diffusion/inherent blocks with per-step spatial-temporal
       // attention: O(B T^2 N^2) activation-sized scores.
@@ -174,35 +174,6 @@ ComplexityFormula FormulaFor(ModelFamily family) {
       return {"O(E D)", "O(E)"};
   }
   return {"?", "?"};
-}
-
-double GraphComputeFlops(ModelFamily family, const MemoryParams& p) {
-  const double n = static_cast<double>(p.num_nodes);
-  const double d = static_cast<double>(p.embedding);
-  const double hidden = static_cast<double>(p.hidden);
-  const double m = static_cast<double>(p.m);
-  switch (family) {
-    case ModelFamily::kAgcrn:
-    case ModelFamily::kGraphWaveNet:
-    case ModelFamily::kMtgnn:
-      return n * n * d + n * n * hidden;
-    case ModelFamily::kGts:
-    case ModelFamily::kStep:
-      return n * n * d * d + n * n * hidden;
-    case ModelFamily::kSagdfn:
-      return n * m * d * d + n * m * hidden;
-    case ModelFamily::kGman:
-    case ModelFamily::kAstgcn:
-      return n * n * hidden * p.heads;
-    case ModelFamily::kD2stgnn:
-      return n * n * p.window * p.window * hidden;
-    case ModelFamily::kStgcn:
-    case ModelFamily::kStsgcn:
-      return n * n * hidden;
-    case ModelFamily::kDcrnn:
-      return n * 32.0 * hidden;
-  }
-  return 0.0;
 }
 
 }  // namespace sagdfn::core

@@ -38,9 +38,6 @@ struct MemoryParams {
   int64_t embedding = 100;     // d
   int64_t m = 100;             // M
   int64_t heads = 8;           // P
-  /// GTS/STEP featurize the full training sequence per node; this is the
-  /// compressed per-node feature width their pairwise concat uses.
-  int64_t sequence_feature = 640;
 };
 
 /// Byte-level decomposition of estimated training memory.
@@ -83,10 +80,6 @@ struct ComplexityFormula {
 /// Table I row for the four families the paper lists (AGCRN, GTS, STEP,
 /// SAGDFN); other families return their closest class.
 ComplexityFormula FormulaFor(ModelFamily family);
-
-/// Leading-order FLOP count of one graph-structure construction +
-/// convolution pass (the quantities behind Table I's computation column).
-double GraphComputeFlops(ModelFamily family, const MemoryParams& params);
 
 }  // namespace sagdfn::core
 

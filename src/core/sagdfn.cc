@@ -307,19 +307,4 @@ tensor::Tensor SagdfnModel::Predict(
       .value();
 }
 
-tensor::Tensor SagdfnModel::DenseAdjacency() {
-  tensor::Tensor slim = ComputeSlimAdjacency();
-  const int64_t n = config_.num_nodes;
-  const int64_t m = config_.m;
-  tensor::Tensor dense = tensor::Tensor::Zeros(tensor::Shape({n, n}));
-  const float* ps = slim.data();
-  float* pd = dense.data();
-  for (int64_t i = 0; i < n; ++i) {
-    for (int64_t j = 0; j < m; ++j) {
-      pd[i * n + index_set_[j]] = ps[i * m + j];
-    }
-  }
-  return dense;
-}
-
 }  // namespace sagdfn::core

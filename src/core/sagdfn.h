@@ -118,7 +118,9 @@ class SagdfnModel : public SeqModel {
   const autograd::Variable& embeddings() const { return embeddings_; }
 
   /// Computes the slim adjacency A_s [N, M] for the current embeddings
-  /// and index set (inference-time inspection; no tape).
+  /// and index set (inference-time inspection; no tape). Column j refers
+  /// to node index_set()[j]; graph::TopKOverlapCsr scores it against a
+  /// latent ground-truth graph without densifying either side.
   tensor::Tensor ComputeSlimAdjacency();
 
   /// Freezes the learned graph for serving: one exploration-free index
@@ -140,10 +142,6 @@ class SagdfnModel : public SeqModel {
   tensor::Tensor Predict(const tensor::Tensor& x,
                          const tensor::Tensor& future_tod,
                          const AdjacencySnapshot& snapshot) const;
-
-  /// Densifies the learned adjacency to [N, N] (zero outside columns I),
-  /// for comparison against a latent ground-truth graph.
-  tensor::Tensor DenseAdjacency();
 
   /// Encoder-decoder cell for `layer` (read by core/rollout_plan).
   const GConvGruCell& cell(int64_t layer) const { return *cells_.at(layer); }

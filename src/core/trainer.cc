@@ -86,10 +86,7 @@ Trainer::Trainer(SeqModel* model, const data::ForecastDataset* dataset,
   SAGDFN_CHECK_GT(options_.batch_size, 0);
   SAGDFN_CHECK_EQ(model_->horizon(), dataset_->spec().horizon);
   SAGDFN_CHECK_GE(options_.keep_last_k, 1);
-  SAGDFN_CHECK_GE(options_.max_consecutive_skips, 1);
   SAGDFN_CHECK_GE(options_.max_rollbacks, 0);
-  SAGDFN_CHECK_GT(options_.backoff_factor, 0.0);
-  SAGDFN_CHECK_LE(options_.backoff_factor, 1.0);
 }
 
 void Trainer::EnsureOptimizer() {
@@ -333,8 +330,8 @@ bool Trainer::TryRollback(TrainResult* result) {
   }
   // Compound the backoff across rollbacks: the restored checkpoint
   // carries the LR it was saved with, so halve whichever is smaller.
-  const double lr = std::min(lr_before, optimizer_->lr()) *
-                    options_.backoff_factor;
+  const double lr =
+      std::min(lr_before, optimizer_->lr()) * kRollbackLrBackoff;
   optimizer_->set_lr(lr);
   obs::Telemetry::Global().AddCounter("fault.rollbacks");
   obs::Telemetry::Global().Emit(obs::Event("fault.rollback")
@@ -432,14 +429,14 @@ Trainer::EpochOutcome Trainer::RunTrainEpoch(int64_t epoch,
           obs::Event("fault.skipped_batch")
               .Int("iteration", iteration_ - 1)
               .Int("consecutive", consecutive_skips_)
-              .Int("max_consecutive", options_.max_consecutive_skips));
+              .Int("max_consecutive", kMaxConsecutiveSkips));
       SAGDFN_LOG(Warning) << model_->name()
                           << ": non-finite loss/gradient at iteration "
                           << (iteration_ - 1) << ", skipping batch ("
                           << consecutive_skips_ << "/"
-                          << options_.max_consecutive_skips
+                          << kMaxConsecutiveSkips
                           << " consecutive)";
-      if (consecutive_skips_ >= options_.max_consecutive_skips) {
+      if (consecutive_skips_ >= kMaxConsecutiveSkips) {
         return EpochOutcome::kFaultStorm;
       }
       continue;

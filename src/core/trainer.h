@@ -15,6 +15,16 @@
 
 namespace sagdfn::core {
 
+/// Consecutive non-finite batches tolerated (each is skipped with its
+/// gradients zeroed) before the trainer rolls back to the last good
+/// checkpoint with a reduced learning rate.
+inline constexpr int64_t kMaxConsecutiveSkips = 3;
+
+/// Learning-rate multiplier applied at each rollback (bounded backoff:
+/// after TrainOptions::max_rollbacks the run fails rather than decaying
+/// forever).
+inline constexpr double kRollbackLrBackoff = 0.5;
+
 /// Training-loop knobs. The paper trains with Adam on L1 loss (Eq. 11);
 /// `max_train_batches_per_epoch` lets CPU benches subsample epochs while
 /// keeping the protocol.
@@ -46,16 +56,10 @@ struct TrainOptions {
   /// Epoch checkpoints kept on disk; older ones are deleted after each
   /// successful save.
   int64_t keep_last_k = 3;
-  /// Consecutive non-finite batches tolerated (each is skipped with its
-  /// gradients zeroed) before rolling back to the last good checkpoint
-  /// with a reduced learning rate.
-  int64_t max_consecutive_skips = 3;
-  /// Rollback + learning-rate-backoff attempts before Train() gives up
-  /// and reports a utils::Status error instead of looping.
+  /// Rollback + learning-rate-backoff attempts (kRollbackLrBackoff each)
+  /// before Train() gives up and reports a utils::Status error instead
+  /// of looping.
   int64_t max_rollbacks = 3;
-  /// Learning-rate multiplier applied at each rollback (bounded backoff:
-  /// after max_rollbacks the run fails rather than decaying forever).
-  double backoff_factor = 0.5;
 };
 
 /// What Train() reports (feeds the paper's Table X cost columns and the
@@ -139,7 +143,7 @@ class Trainer {
   void EnsureOptimizer();
 
   /// Runs one training epoch; appends the epoch loss on success. Returns
-  /// kFaultStorm when max_consecutive_skips non-finite batches hit.
+  /// kFaultStorm when kMaxConsecutiveSkips non-finite batches hit.
   EpochOutcome RunTrainEpoch(int64_t epoch, TrainResult* result);
 
   /// Rolls back to the last good checkpoint with a reduced learning

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "utils/check.h"
-#include "utils/rng.h"
 
 namespace sagdfn::data {
 namespace {
@@ -115,28 +114,26 @@ TimeSeries MakeScaleDataset(const std::string& name, DatasetScale scale,
                             graph::SparseSpatialGraph* latent_graph) {
   SAGDFN_CHECK(name == "traffic10k-sim" || name == "traffic100k-sim")
       << "unknown scale dataset: " << name;
-  return GenerateTrafficSparse(ScaleTrafficOptions(name, scale),
-                               latent_graph);
+  return GenerateTraffic(ScaleTrafficOptions(name, scale), latent_graph);
+}
+
+TrafficOptions TrafficDatasetOptions(const std::string& name,
+                                     DatasetScale scale) {
+  if (name == "metr-la-sim") return MetrLaOptions(scale);
+  if (name == "london2000-sim") return LondonOptions(scale);
+  if (name == "newyork2000-sim") return NewYorkOptions(scale);
+  SAGDFN_CHECK(false) << "unknown dataset: " << name;
+  return {};
 }
 
 TimeSeries MakeDataset(const std::string& name, DatasetScale scale,
-                       graph::SpatialGraph* latent_graph) {
-  if (name == "metr-la-sim") {
-    return GenerateTraffic(MetrLaOptions(scale), latent_graph);
-  }
-  if (name == "london2000-sim") {
-    return GenerateTraffic(LondonOptions(scale), latent_graph);
-  }
-  if (name == "newyork2000-sim") {
-    return GenerateTraffic(NewYorkOptions(scale), latent_graph);
-  }
+                       graph::SparseSpatialGraph* latent_graph) {
   if (name == "carpark1918-sim") {
     SAGDFN_CHECK(latent_graph == nullptr)
         << "carpark generator has cluster structure, not a spatial graph";
     return GenerateCarpark(CarparkOptionsFor(scale));
   }
-  SAGDFN_CHECK(false) << "unknown dataset: " << name;
-  return {};
+  return GenerateTraffic(TrafficDatasetOptions(name, scale), latent_graph);
 }
 
 DatasetInfo GetDatasetInfo(const std::string& name, DatasetScale scale) {
@@ -189,43 +186,6 @@ WindowSpec DefaultWindowSpec(const std::string& name) {
     spec.horizon = 12;
   }
   return spec;
-}
-
-TimeSeries ApplyDrift(const TimeSeries& series, const DriftOptions& options) {
-  const int64_t t_steps = series.num_steps();
-  const int64_t n = series.num_nodes();
-  SAGDFN_CHECK_GT(t_steps, 0);
-  SAGDFN_CHECK_GT(n, 0);
-
-  // Per-node gain/offset jitter drawn once, so the shift is a stable
-  // property of each node rather than extra noise.
-  utils::Rng rng(options.seed);
-  std::vector<float> gains(n);
-  std::vector<float> offsets(n);
-  for (int64_t i = 0; i < n; ++i) {
-    const double j = options.node_jitter;
-    gains[i] = static_cast<float>(options.gain * rng.Uniform(1.0 - j, 1.0 + j));
-    offsets[i] =
-        static_cast<float>(options.offset * rng.Uniform(1.0 - j, 1.0 + j));
-  }
-
-  TimeSeries out;
-  out.name = series.name + "-drift";
-  out.steps_per_day = series.steps_per_day;
-  out.values = tensor::Tensor::Zeros(series.values.shape());
-  const float* src = series.values.data();
-  float* dst = out.values.data();
-  constexpr double kTwoPi = 6.283185307179586;
-  for (int64_t t = 0; t < t_steps; ++t) {
-    const double tod = series.TimeOfDay(t);
-    const float ripple = static_cast<float>(
-        options.diurnal_amplitude *
-        std::sin(kTwoPi * (tod + options.diurnal_phase)));
-    for (int64_t i = 0; i < n; ++i) {
-      dst[t * n + i] = gains[i] * src[t * n + i] + offsets[i] + ripple;
-    }
-  }
-  return out;
 }
 
 }  // namespace sagdfn::data

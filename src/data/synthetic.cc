@@ -2,38 +2,44 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 #include <vector>
 
-#include "graph/adjacency.h"
+#include "graph/csr.h"
 #include "utils/check.h"
 #include "utils/rng.h"
 
 namespace sagdfn::data {
 namespace {
 
+// AR(1) persistence and innovation scale (logit units) of each carpark
+// cluster's correlated fluctuation.
+constexpr double kCarparkClusterRho = 0.9;
+constexpr double kCarparkClusterStd = 0.15;
+
 double GaussianBump(double t, double center, double width) {
   const double d = t - center;
   return std::exp(-0.5 * d * d / (width * width));
 }
 
-void CheckTrafficOptions(const TrafficOptions& options) {
+}  // namespace
+
+TimeSeries GenerateTraffic(const TrafficOptions& options,
+                           graph::SparseSpatialGraph* latent_graph) {
   SAGDFN_CHECK_GT(options.num_nodes, 0);
   SAGDFN_CHECK_GT(options.num_days, 0);
   SAGDFN_CHECK_GT(options.steps_per_day, 0);
   SAGDFN_CHECK_GE(options.spatial_rho, 0.0);
   SAGDFN_CHECK_LT(options.spatial_rho, 1.0);
-}
-
-// Shared traffic core: evolves the AR(1) congestion field over the
-// row-normalized latent transition matrix `p` (CSR) and renders speeds.
-// Both the dense and the sparse generator funnel through this, so they
-// agree bit for bit whenever their latent graphs do. `rng` arrives
-// having drawn exactly the graph coordinates.
-TimeSeries TrafficFromTransition(const TrafficOptions& options,
-                                 utils::Rng& rng,
-                                 const graph::CsrMatrix& p) {
   const int64_t n = options.num_nodes;
   const int64_t total = options.num_days * options.steps_per_day;
+
+  utils::Rng rng(options.seed);
+  graph::SparseSpatialGraph g = graph::RandomGeometricSparse(
+      n, options.radius, options.kernel_sigma, rng);
+  // Random-walk transition matrix of the latent graph: the field step
+  // walks its nonzeros, O(E) per step.
+  const graph::CsrMatrix p = graph::RowNormalizeCsr(g.adjacency);
 
   // Per-sensor regime.
   std::vector<double> base(n);
@@ -65,9 +71,10 @@ TimeSeries TrafficFromTransition(const TrafficOptions& options,
         static_cast<double>(t % options.steps_per_day) /
         options.steps_per_day;
     const bool weekend = ((t / options.steps_per_day) % 7) >= 5;
-    const double day_scale = weekend ? options.weekend_factor : 1.0;
+    const double day_scale = weekend ? kWeekendRushFactor : 1.0;
 
-    // Latent field step: w <- rho * P w + innovations (+ shocks).
+    // Latent field step: w <- rho * P w + innovations (+ shocks). An
+    // isolated node (empty row) keeps its own state.
     for (int64_t i = 0; i < n; ++i) {
       double diffused = 0.0;
       const int64_t row_begin = p.row_ptr[i];
@@ -98,34 +105,6 @@ TimeSeries TrafficFromTransition(const TrafficOptions& options,
     }
   }
 
-  return series;
-}
-
-}  // namespace
-
-TimeSeries GenerateTraffic(const TrafficOptions& options,
-                           graph::SpatialGraph* latent_graph) {
-  CheckTrafficOptions(options);
-  utils::Rng rng(options.seed);
-  graph::SpatialGraph g = graph::RandomGeometric(
-      options.num_nodes, options.radius, options.kernel_sigma, rng);
-  // Random-walk transition matrix of the latent graph, in CSR so the
-  // field step is O(E) instead of O(N^2).
-  graph::CsrMatrix p =
-      graph::CsrFromDense(graph::RowNormalize(g.adjacency));
-  TimeSeries series = TrafficFromTransition(options, rng, p);
-  if (latent_graph != nullptr) *latent_graph = std::move(g);
-  return series;
-}
-
-TimeSeries GenerateTrafficSparse(const TrafficOptions& options,
-                                 graph::SparseSpatialGraph* latent_graph) {
-  CheckTrafficOptions(options);
-  utils::Rng rng(options.seed);
-  graph::SparseSpatialGraph g = graph::RandomGeometricSparse(
-      options.num_nodes, options.radius, options.kernel_sigma, rng);
-  graph::CsrMatrix p = graph::RowNormalizeCsr(g.adjacency);
-  TimeSeries series = TrafficFromTransition(options, rng, p);
   if (latent_graph != nullptr) *latent_graph = std::move(g);
   return series;
 }
@@ -134,8 +113,6 @@ TimeSeries GenerateCarpark(const CarparkOptions& options,
                            std::vector<int64_t>* cluster_of) {
   SAGDFN_CHECK_GT(options.num_nodes, 0);
   SAGDFN_CHECK_GT(options.num_clusters, 0);
-  SAGDFN_CHECK_GE(options.cluster_rho, 0.0);
-  SAGDFN_CHECK_LT(options.cluster_rho, 1.0);
 
   utils::Rng rng(options.seed);
   const int64_t n = options.num_nodes;
@@ -152,7 +129,7 @@ TimeSeries GenerateCarpark(const CarparkOptions& options,
   std::vector<double> offset(n);
   for (int64_t i = 0; i < n; ++i) {
     capacity[i] = static_cast<double>(
-        rng.UniformInt(options.min_capacity, options.max_capacity + 1));
+        rng.UniformInt(kCarparkMinCapacity, kCarparkMaxCapacity + 1));
     offset[i] = rng.Uniform(-0.4, 0.4);
   }
 
@@ -176,8 +153,8 @@ TimeSeries GenerateCarpark(const CarparkOptions& options,
         GaussianBump(tod, 26.0 / 24.0, 4.0 / 24.0);  // wraps past midnight
 
     for (int64_t c = 0; c < k; ++c) {
-      cluster_state[c] = options.cluster_rho * cluster_state[c] +
-                         rng.Normal(0.0, options.cluster_std);
+      cluster_state[c] = kCarparkClusterRho * cluster_state[c] +
+                         rng.Normal(0.0, kCarparkClusterStd);
     }
 
     for (int64_t i = 0; i < n; ++i) {

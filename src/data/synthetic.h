@@ -10,8 +10,11 @@
 
 namespace sagdfn::data {
 
+/// Weekday rush-hour dips are scaled by this factor on weekends.
+inline constexpr double kWeekendRushFactor = 0.35;
+
 /// Parameters of the synthetic traffic-speed generator (the METR-LA /
-/// London2000 / NewYork2000 stand-in).
+/// London2000 / NewYork2000 stand-in, and the 10k/100k scale tier).
 ///
 /// The generator draws a latent random-geometric road graph, then evolves
 /// speeds as: free-flow base per sensor, minus rush-hour dips (with
@@ -36,28 +39,23 @@ struct TrafficOptions {
   /// Congestion shock probability per node per step, and magnitude (mph).
   double event_rate = 0.0008;
   double event_magnitude = 6.0;
-  /// Weekend rush attenuation in [0, 1].
-  double weekend_factor = 0.35;
   uint64_t seed = 1;
 };
 
 /// Generates a traffic-speed series; optionally exposes the latent graph
-/// so tests can verify that learned adjacencies recover it.
-TimeSeries GenerateTraffic(const TrafficOptions& options,
-                           graph::SpatialGraph* latent_graph = nullptr);
-
-/// The >= 10k-node regime of the traffic generator: identical model,
-/// but the latent graph is built and kept sparse (CSR), so memory and
-/// time are O(N * degree + N * steps) instead of the dense O(N^2).
-/// Bit-identical to GenerateTraffic for the same options at any size
-/// where the dense generator fits — same rng draw order, same latent
-/// transition weights, same field arithmetic — so tests can pin the
-/// sparse path against the dense one at small N. The latent graph comes
-/// back in CSR over global node ids; graph-recovery metrics go through
-/// graph::TopKOverlapCsr.
-TimeSeries GenerateTrafficSparse(
+/// so tests can verify that learned adjacencies recover it. The latent
+/// graph is built and kept sparse (CSR over global node ids), so memory
+/// and time are O(N * degree + N * steps) at every size, from the
+/// 24-node test graphs to the 100k-node scale tier; graph-recovery
+/// metrics go through graph::TopKOverlapCsr.
+TimeSeries GenerateTraffic(
     const TrafficOptions& options,
     graph::SparseSpatialGraph* latent_graph = nullptr);
+
+/// Capacity range of a simulated carpark (lots); no generated value
+/// exceeds the maximum.
+inline constexpr int64_t kCarparkMinCapacity = 80;
+inline constexpr int64_t kCarparkMaxCapacity = 600;
 
 /// Parameters of the synthetic carpark-availability generator (the
 /// CARPARK1918 stand-in): available-lot counts with capacity saturation,
@@ -69,12 +67,6 @@ struct CarparkOptions {
   int64_t num_days = 8;
   int64_t steps_per_day = 288;
   int64_t num_clusters = 24;
-  /// Capacity range (lots).
-  int64_t min_capacity = 80;
-  int64_t max_capacity = 600;
-  /// Cluster AR(1) persistence and innovation scale (logit units).
-  double cluster_rho = 0.9;
-  double cluster_std = 0.15;
   /// Per-carpark observation noise (lots).
   double noise_std = 3.0;
   uint64_t seed = 2;

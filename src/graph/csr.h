@@ -75,9 +75,9 @@ NodeShards ComputeNodeShards(int64_t num_nodes, int64_t bytes_per_row,
 /// (CSR, over global node ids) and a learned slim adjacency whose columns
 /// are global ids via `index_set` (col j of `slim` refers to node
 /// index_set[j]). For each row, the learned top-k slim entries are mapped
-/// to global ids and compared against the latent row's top-k by weight.
-/// This is the scale-safe counterpart of TopKOverlap (which needs dense
-/// N x N inputs).
+/// to global ids and compared against the latent row's top-k by weight
+/// (ties broken by the lower id). This is the one graph-recovery metric:
+/// it never densifies either side, so it runs at every N.
 double TopKOverlapCsr(const CsrMatrix& latent, const tensor::Tensor& slim,
                       const std::vector<int64_t>& index_set, int64_t k);
 

@@ -3,44 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <numeric>
 #include <utility>
 
 #include "utils/check.h"
 
 namespace sagdfn::graph {
-
-SpatialGraph RandomGeometric(int64_t num_nodes, double radius, double sigma,
-                             utils::Rng& rng) {
-  SAGDFN_CHECK_GT(num_nodes, 0);
-  SAGDFN_CHECK_GT(radius, 0.0);
-  SAGDFN_CHECK_GT(sigma, 0.0);
-  SpatialGraph g;
-  g.num_nodes = num_nodes;
-  g.x.resize(num_nodes);
-  g.y.resize(num_nodes);
-  for (int64_t i = 0; i < num_nodes; ++i) {
-    g.x[i] = rng.Uniform();
-    g.y[i] = rng.Uniform();
-  }
-  g.adjacency = tensor::Tensor::Zeros(tensor::Shape({num_nodes, num_nodes}));
-  float* a = g.adjacency.data();
-  const double r2 = radius * radius;
-  const double inv_s2 = 1.0 / (sigma * sigma);
-  for (int64_t i = 0; i < num_nodes; ++i) {
-    for (int64_t j = i + 1; j < num_nodes; ++j) {
-      const double dx = g.x[i] - g.x[j];
-      const double dy = g.y[i] - g.y[j];
-      const double d2 = dx * dx + dy * dy;
-      if (d2 <= r2) {
-        const float w = static_cast<float>(std::exp(-d2 * inv_s2));
-        a[i * num_nodes + j] = w;
-        a[j * num_nodes + i] = w;
-      }
-    }
-  }
-  return g;
-}
 
 SparseSpatialGraph RandomGeometricSparse(int64_t num_nodes, double radius,
                                          double sigma, utils::Rng& rng) {
@@ -52,7 +19,6 @@ SparseSpatialGraph RandomGeometricSparse(int64_t num_nodes, double radius,
   g.num_nodes = num_nodes;
   g.x.resize(num_nodes);
   g.y.resize(num_nodes);
-  // Same draw order as RandomGeometric: x then y per node, nothing else.
   for (int64_t i = 0; i < num_nodes; ++i) {
     g.x[i] = rng.Uniform();
     g.y[i] = rng.Uniform();
@@ -85,14 +51,14 @@ SparseSpatialGraph RandomGeometricSparse(int64_t num_nodes, double radius,
       for (int64_t by = std::max<int64_t>(0, cy - 1); by <= by_end; ++by) {
         for (int32_t j : buckets[bx * cells + by]) {
           if (j == i) continue;
-          // (x_i - x_j)^2 == (x_j - x_i)^2 bitwise, so this matches the
-          // dense j > i scan for both edge directions.
+          // (x_i - x_j)^2 == (x_j - x_i)^2 bitwise, so both edge
+          // directions get the same weight.
           const double dx = g.x[i] - g.x[j];
           const double dy = g.y[i] - g.y[j];
           const double d2 = dx * dx + dy * dy;
-          if (d2 <= r2) {
-            row.emplace_back(j, static_cast<float>(std::exp(-d2 * inv_s2)));
-          }
+          if (d2 > r2) continue;
+          const float w = static_cast<float>(std::exp(-d2 * inv_s2));
+          if (w != 0.0f) row.emplace_back(j, w);
         }
       }
     }
@@ -102,91 +68,6 @@ SparseSpatialGraph RandomGeometricSparse(int64_t num_nodes, double radius,
       adj.val.push_back(w);
     }
     adj.row_ptr[i + 1] = static_cast<int64_t>(adj.col.size());
-  }
-  return g;
-}
-
-SpatialGraph ErdosRenyi(int64_t num_nodes, double p, utils::Rng& rng) {
-  SAGDFN_CHECK_GT(num_nodes, 0);
-  SAGDFN_CHECK_GE(p, 0.0);
-  SAGDFN_CHECK_LE(p, 1.0);
-  SpatialGraph g;
-  g.num_nodes = num_nodes;
-  g.adjacency = tensor::Tensor::Zeros(tensor::Shape({num_nodes, num_nodes}));
-  float* a = g.adjacency.data();
-  for (int64_t i = 0; i < num_nodes; ++i) {
-    for (int64_t j = i + 1; j < num_nodes; ++j) {
-      if (rng.Bernoulli(p)) {
-        const float w = static_cast<float>(rng.Uniform(0.5, 1.5));
-        a[i * num_nodes + j] = w;
-        a[j * num_nodes + i] = w;
-      }
-    }
-  }
-  return g;
-}
-
-SpatialGraph StochasticBlockModel(int64_t num_nodes, int64_t num_blocks,
-                                  double p_in, double p_out,
-                                  utils::Rng& rng,
-                                  std::vector<int64_t>* block_of) {
-  SAGDFN_CHECK_GT(num_nodes, 0);
-  SAGDFN_CHECK_GT(num_blocks, 0);
-  SpatialGraph g;
-  g.num_nodes = num_nodes;
-  g.adjacency = tensor::Tensor::Zeros(tensor::Shape({num_nodes, num_nodes}));
-  std::vector<int64_t> blocks(num_nodes);
-  for (int64_t i = 0; i < num_nodes; ++i) blocks[i] = i % num_blocks;
-  rng.Shuffle(blocks);
-  float* a = g.adjacency.data();
-  for (int64_t i = 0; i < num_nodes; ++i) {
-    for (int64_t j = i + 1; j < num_nodes; ++j) {
-      const double p = blocks[i] == blocks[j] ? p_in : p_out;
-      if (rng.Bernoulli(p)) {
-        const float w = static_cast<float>(rng.Uniform(0.5, 1.5));
-        a[i * num_nodes + j] = w;
-        a[j * num_nodes + i] = w;
-      }
-    }
-  }
-  if (block_of != nullptr) *block_of = std::move(blocks);
-  return g;
-}
-
-SpatialGraph KnnFromPoints(const std::vector<double>& x,
-                           const std::vector<double>& y, int64_t k,
-                           double sigma) {
-  SAGDFN_CHECK_EQ(x.size(), y.size());
-  const int64_t n = static_cast<int64_t>(x.size());
-  SAGDFN_CHECK_GT(n, 1);
-  SAGDFN_CHECK_GT(k, 0);
-  SAGDFN_CHECK_GT(sigma, 0.0);
-  SpatialGraph g;
-  g.num_nodes = n;
-  g.x = x;
-  g.y = y;
-  g.adjacency = tensor::Tensor::Zeros(tensor::Shape({n, n}));
-  float* a = g.adjacency.data();
-  const double inv_s2 = 1.0 / (sigma * sigma);
-  std::vector<int64_t> order(n);
-  std::vector<double> d2(n);
-  const int64_t keep = std::min(k, n - 1);
-  for (int64_t i = 0; i < n; ++i) {
-    for (int64_t j = 0; j < n; ++j) {
-      const double dx = x[i] - x[j];
-      const double dy = y[i] - y[j];
-      d2[j] = dx * dx + dy * dy;
-    }
-    d2[i] = std::numeric_limits<double>::infinity();
-    std::iota(order.begin(), order.end(), 0);
-    std::partial_sort(order.begin(), order.begin() + keep, order.end(),
-                      [&](int64_t p, int64_t q) { return d2[p] < d2[q]; });
-    for (int64_t j = 0; j < keep; ++j) {
-      const int64_t nb = order[j];
-      const float w = static_cast<float>(std::exp(-d2[nb] * inv_s2));
-      a[i * n + nb] = std::max(a[i * n + nb], w);
-      a[nb * n + i] = std::max(a[nb * n + i], w);
-    }
   }
   return g;
 }

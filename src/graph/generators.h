@@ -5,32 +5,14 @@
 #include <vector>
 
 #include "graph/csr.h"
-#include "tensor/tensor.h"
 #include "utils/rng.h"
 
 namespace sagdfn::graph {
 
-/// A spatial graph with dense weighted adjacency and optional 2-D node
-/// coordinates (used by the synthetic dataset generators as the latent
-/// "road network").
-struct SpatialGraph {
-  int64_t num_nodes = 0;
-  /// [N, N] weighted adjacency; zero diagonal.
-  tensor::Tensor adjacency;
-  /// Node positions in the unit square; empty when not geometric.
-  std::vector<double> x;
-  std::vector<double> y;
-};
-
-/// Random geometric graph: nodes uniform in the unit square; edge weight
-/// w_ij = exp(-dist^2 / sigma^2) when dist <= radius (the METR-LA sensor
-/// graph construction), else 0.
-SpatialGraph RandomGeometric(int64_t num_nodes, double radius, double sigma,
-                             utils::Rng& rng);
-
-/// A spatial graph stored sparsely — the N >= 10k regime, where a dense
-/// [N, N] adjacency tensor (400 MB at N=10k, 40 GB at N=100k) is not an
-/// option but the geometric graph itself has only ~degree * N edges.
+/// The latent "road network" of the synthetic traffic datasets, stored
+/// sparsely: a dense [N, N] adjacency (400 MB at N=10k, 40 GB at
+/// N=100k) is not an option at the scale tier, and the geometric graph
+/// itself has only ~degree * N edges at every size.
 struct SparseSpatialGraph {
   int64_t num_nodes = 0;
   /// Symmetric weighted adjacency, zero diagonal, columns ascending.
@@ -40,35 +22,17 @@ struct SparseSpatialGraph {
   std::vector<double> y;
 };
 
-/// Sparse random geometric graph, bit-compatible with RandomGeometric:
-/// coordinates come from the same rng draws in the same order (the edge
-/// scan draws nothing), and each edge weight is the identical float
-/// expression, so at any N where the dense graph fits,
-/// RandomGeometricSparse(...).adjacency == CsrFromDense(
-/// RandomGeometric(...).adjacency) entry for entry. Edge construction
-/// uses a uniform grid with cell width >= radius (all neighbors lie in
-/// the 3x3 surrounding cells), so it runs in O(N * degree) time and
-/// memory instead of the dense O(N^2) pair scan.
+/// Random geometric graph: nodes uniform in the unit square (x then y
+/// per node, nothing else drawn from `rng`); edge weight
+/// w_ij = float(exp(-dist^2 / sigma^2)) when dist <= radius (the
+/// METR-LA sensor graph construction). Weights that round to 0.0f are
+/// not stored, so the CSR holds exactly the nonzero entries of the dense
+/// construction. Edge construction uses a uniform grid with cell width
+/// >= radius (all neighbors lie in the 3x3 surrounding cells), so it
+/// runs in O(N * degree) time and memory instead of an O(N^2) pair scan.
+/// The tests pin it against a dense pair-scan reference.
 SparseSpatialGraph RandomGeometricSparse(int64_t num_nodes, double radius,
                                          double sigma, utils::Rng& rng);
-
-/// Erdős–Rényi graph with edge probability p and Uniform(0.5, 1.5) edge
-/// weights. Symmetric, zero diagonal.
-SpatialGraph ErdosRenyi(int64_t num_nodes, double p, utils::Rng& rng);
-
-/// Stochastic block model: `num_blocks` equal communities; edge probability
-/// p_in within a block, p_out across blocks. Returns also a latent block id
-/// per node via `block_of`.
-SpatialGraph StochasticBlockModel(int64_t num_nodes, int64_t num_blocks,
-                                  double p_in, double p_out,
-                                  utils::Rng& rng,
-                                  std::vector<int64_t>* block_of = nullptr);
-
-/// k-nearest-neighbor graph from explicit coordinates with Gaussian kernel
-/// weights.
-SpatialGraph KnnFromPoints(const std::vector<double>& x,
-                           const std::vector<double>& y, int64_t k,
-                           double sigma);
 
 }  // namespace sagdfn::graph
 

@@ -19,27 +19,4 @@ autograd::Variable Apply(Activation act, const autograd::Variable& x) {
   return x;
 }
 
-Activation ActivationFromName(const std::string& name) {
-  if (name == "identity") return Activation::kIdentity;
-  if (name == "relu") return Activation::kRelu;
-  if (name == "tanh") return Activation::kTanh;
-  if (name == "sigmoid") return Activation::kSigmoid;
-  SAGDFN_CHECK(false) << "unknown activation: " << name;
-  return Activation::kIdentity;
-}
-
-const char* ActivationName(Activation act) {
-  switch (act) {
-    case Activation::kIdentity:
-      return "identity";
-    case Activation::kRelu:
-      return "relu";
-    case Activation::kTanh:
-      return "tanh";
-    case Activation::kSigmoid:
-      return "sigmoid";
-  }
-  return "?";
-}
-
 }  // namespace sagdfn::nn

@@ -16,12 +16,6 @@ enum class Activation {
 /// Applies the selected activation.
 autograd::Variable Apply(Activation act, const autograd::Variable& x);
 
-/// Parses "relu" / "tanh" / "sigmoid" / "identity" (fatal on unknown).
-Activation ActivationFromName(const std::string& name);
-
-/// Name for logging/serialization.
-const char* ActivationName(Activation act);
-
 }  // namespace sagdfn::nn
 
 #endif  // SAGDFN_NN_ACTIVATION_H_

@@ -16,33 +16,32 @@ using tensor::Tensor;
 
 std::shared_ptr<const TickForecast> ForecastCache::Read() const {
   reads_.fetch_add(1, std::memory_order_relaxed);
-#if defined(SAGDFN_FORECAST_CACHE_ATOMIC_SLOT)
-  std::shared_ptr<const TickForecast> f = slot_.load(std::memory_order_acquire);
-#else
-  std::shared_ptr<const TickForecast> f = std::atomic_load(&slot_);
-#endif
+  std::shared_ptr<const TickForecast> f;
+  {
+    std::lock_guard<std::mutex> lock(slot_mu_);
+    f = slot_;
+  }
   if (f != nullptr) hits_.fetch_add(1, std::memory_order_relaxed);
   return f;
 }
 
 void ForecastCache::Publish(std::shared_ptr<const TickForecast> forecast) {
   SAGDFN_CHECK(forecast != nullptr);
-#if defined(SAGDFN_FORECAST_CACHE_ATOMIC_SLOT)
-  slot_.store(std::move(forecast), std::memory_order_release);
-#else
-  std::atomic_store(&slot_, std::shared_ptr<const TickForecast>(
-                                std::move(forecast)));
-#endif
+  {
+    // The old forecast leaves in `forecast` and is released unlocked.
+    std::lock_guard<std::mutex> lock(slot_mu_);
+    slot_.swap(forecast);
+  }
   publishes_.fetch_add(1, std::memory_order_relaxed);
   obs::Telemetry::Global().AddCounter("serve.cache.publishes");
 }
 
 void ForecastCache::Invalidate() {
-#if defined(SAGDFN_FORECAST_CACHE_ATOMIC_SLOT)
-  slot_.store(nullptr, std::memory_order_release);
-#else
-  std::atomic_store(&slot_, std::shared_ptr<const TickForecast>());
-#endif
+  std::shared_ptr<const TickForecast> old;
+  {
+    std::lock_guard<std::mutex> lock(slot_mu_);
+    slot_.swap(old);
+  }
   invalidations_.fetch_add(1, std::memory_order_relaxed);
   obs::Telemetry::Global().AddCounter("serve.cache.invalidations");
 }

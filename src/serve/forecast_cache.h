@@ -6,7 +6,6 @@
 #include <deque>
 #include <memory>
 #include <mutex>
-#include <version>
 
 #include "serve/engine.h"
 #include "serve/frozen_model.h"
@@ -32,16 +31,18 @@ struct TickForecast {
   bool incremental = false;
 };
 
-/// Lock-free single-slot forecast cache for one scenario.
+/// Single-slot forecast cache for one scenario.
 ///
 /// The production access pattern for forecasting is millions of readers
 /// of ONE distinct per-tick forecast per scenario: a tick's forecast is
 /// computed once by the scenario's writer (TickStreamer) and then only
-/// read until the next tick. So the cache is a single atomic
-/// shared_ptr slot: Read() is a lock-free atomic load (plus refcount) —
-/// memory speed, no mutex, no writer starvation — and readers never
-/// observe a torn or stale-for-a-new-window value because Publish()
-/// replaces the whole immutable TickForecast in one atomic store.
+/// read until the next tick. So the cache is a single shared_ptr slot
+/// behind a mutex that is held only to copy or swap the pointer: Read()
+/// is a lock, a refcount increment and an unlock, with no allocation and
+/// no work done under the lock, and readers never observe a torn or
+/// stale-for-a-new-window value because Publish() replaces the whole
+/// immutable TickForecast at once. Every build, sanitized or not, runs
+/// this one protocol.
 ///
 /// Invalidation rules (enforced by the writer):
 ///   - new tick arrives       → Publish() replaces the slot (readers in
@@ -62,17 +63,18 @@ class ForecastCache {
   ForecastCache(const ForecastCache&) = delete;
   ForecastCache& operator=(const ForecastCache&) = delete;
 
-  /// Lock-free: the current forecast, or nullptr when the slot is empty
+  /// The current forecast, or nullptr when the slot is empty
   /// (pre-warmup, or invalidated by a model swap and not yet
   /// republished). Callers fall back to the engine path on nullptr.
   std::shared_ptr<const TickForecast> Read() const;
 
-  /// Writer side: atomically replaces the slot. `forecast` must be
-  /// non-null (use Invalidate() to clear).
+  /// Writer side: replaces the slot. `forecast` must be non-null (use
+  /// Invalidate() to clear). The previous forecast is released after the
+  /// lock is dropped.
   void Publish(std::shared_ptr<const TickForecast> forecast);
 
-  /// Writer side: atomically clears the slot (model swap, scenario
-  /// teardown). Readers holding the old forecast keep it alive.
+  /// Writer side: clears the slot (model swap, scenario teardown).
+  /// Readers holding the old forecast keep it alive.
   void Invalidate();
 
   struct Stats {
@@ -84,28 +86,8 @@ class ForecastCache {
   Stats stats() const;
 
  private:
-// Under ThreadSanitizer, force the atomic_load/atomic_store free-function
-// path: libstdc++'s _Sp_atomic guards its plain pointer with a lock bit
-// whose reader-side unlock is a RELAXED fetch_sub, a protocol TSan cannot
-// see a happens-before edge through (correct on hardware, reported as a
-// race). The free functions use ordinary TSan-instrumented mutexes, so
-// TSan still fully checks the cache's publish/read protocol.
-#if defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define SAGDFN_FORECAST_CACHE_TSAN 1
-#endif
-#elif defined(__SANITIZE_THREAD__)
-#define SAGDFN_FORECAST_CACHE_TSAN 1
-#endif
-#if defined(__cpp_lib_atomic_shared_ptr) && \
-    !defined(SAGDFN_FORECAST_CACHE_TSAN)
-#define SAGDFN_FORECAST_CACHE_ATOMIC_SLOT 1
-  std::atomic<std::shared_ptr<const TickForecast>> slot_;
-#else
-  /// Fallback (pre-C++20 library, or TSan builds): the
-  /// atomic_load/atomic_store free functions on shared_ptr.
-  std::shared_ptr<const TickForecast> slot_;
-#endif
+  mutable std::mutex slot_mu_;
+  std::shared_ptr<const TickForecast> slot_;  // guarded by slot_mu_
   mutable std::atomic<int64_t> reads_{0};
   mutable std::atomic<int64_t> hits_{0};
   std::atomic<int64_t> publishes_{0};

@@ -69,18 +69,15 @@ int64_t OnlineTrainer::RoundFloor(const TenantState& state) const {
   // slice is the binding constraint, so the buffer needs ~10x the window
   // (+10 to absorb the floor() in the split arithmetic).
   const int64_t window = state.window.history + state.window.horizon;
-  return std::max<int64_t>(options_.min_buffered_frames, 10 * window + 10);
+  return 10 * window + 10;
 }
 
 int64_t OnlineTrainer::RingCap(const TenantState& state) const {
-  const int64_t floor = RoundFloor(state);
-  int64_t cap = options_.max_buffered_frames;
-  if (cap <= 0) cap = 8 * (state.window.history + state.window.horizon);
-  cap = std::max(cap, floor);
-  // Round up to whole days so trimming (whole days off the front) can
-  // always get back under the cap without breaking day alignment.
+  // The round floor rounded up to whole days, so trimming (whole days
+  // off the front) can always get back under the cap without breaking
+  // day alignment.
   const int64_t spd = state.steps_per_day;
-  return ((cap + spd - 1) / spd) * spd;
+  return ((RoundFloor(state) + spd - 1) / spd) * spd;
 }
 
 utils::Status OnlineTrainer::Observe(const std::string& tenant,

@@ -30,17 +30,6 @@ struct OnlineTrainerOptions {
   /// Directory where candidate checkpoints are written (one file per
   /// round, "<tenant>-online-<round>.ckpt"). Must be writable.
   std::string candidate_dir;
-  /// A round needs at least this many buffered frames; 0 derives the
-  /// floor from the tenant's window spec (10 * (history + horizon) + 10:
-  /// the buffer becomes a chronological 70/10/20 ForecastDataset, and
-  /// the 10% validation slice must still hold one full window).
-  int64_t min_buffered_frames = 0;
-  /// Ring bound on each tenant's buffer. Oldest frames are dropped in
-  /// whole-day multiples so the buffer's time origin stays day-aligned
-  /// (time-of-day covariates are derived from frame position). 0 derives
-  /// 8 * (history + horizon), clamped up to the round floor and rounded
-  /// up to whole days.
-  int64_t max_buffered_frames = 0;
   /// Background cadence of the fine-tune thread started by Start().
   int64_t interval_ms = 200;
 };
@@ -75,6 +64,14 @@ struct OnlineTenantStats {
 /// truncate_ckpt) either leaves no candidate or a torn temp file the
 /// registry loader gate rejects; the round reports an error and the
 /// frame buffer survives for the retry.
+///
+/// Buffer sizing follows from the tenant's window spec. A round needs
+/// 10 * (history + horizon) + 10 buffered frames: the buffer becomes a
+/// chronological 70/10/20 ForecastDataset, and the 10% validation slice
+/// must still hold one full window. Each tenant's buffer is a ring of
+/// that floor rounded up to whole days; oldest frames are dropped a whole
+/// day at a time, so the buffer's time origin stays day-aligned
+/// (time-of-day covariates are derived from frame position).
 ///
 /// Threading: Observe() may be called from any thread (e.g. the tick
 /// ingest path); FineTuneOnce serializes per trainer. Start() spawns one

@@ -127,7 +127,7 @@ class TenantRouter {
                                              const tensor::Tensor& frame,
                                              const tensor::Tensor& future_tod);
 
-  /// Lock-free read of `tenant`'s cached tick forecast (nullptr when
+  /// Read of `tenant`'s cached tick forecast (nullptr when
   /// unknown, non-streaming, warming up, or invalidated by a swap).
   std::shared_ptr<const TickForecast> ReadCached(
       const std::string& tenant) const;

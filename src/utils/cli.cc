@@ -27,10 +27,6 @@ CommandLine::CommandLine(int argc, char** argv) {
   }
 }
 
-bool CommandLine::Has(const std::string& name) const {
-  return flags_.count(name) > 0;
-}
-
 std::string CommandLine::GetString(const std::string& name,
                                    const std::string& fallback) const {
   auto it = flags_.find(name);

@@ -16,9 +16,6 @@ class CommandLine {
   /// Parses argv (skipping argv[0]).
   CommandLine(int argc, char** argv);
 
-  /// True if the flag was present (with or without a value).
-  bool Has(const std::string& name) const;
-
   /// Returns the string value or `fallback` if absent.
   std::string GetString(const std::string& name,
                         const std::string& fallback) const;

@@ -26,6 +26,4 @@ int64_t ReadStatusKb(const char* key) {
 
 int64_t PeakRssBytes() { return ReadStatusKb("VmHWM:") * 1024; }
 
-int64_t CurrentRssBytes() { return ReadStatusKb("VmRSS:") * 1024; }
-
 }  // namespace sagdfn::utils

@@ -9,10 +9,6 @@ namespace sagdfn::utils {
 /// /proc/self/status VmHWM), or 0 if unavailable.
 int64_t PeakRssBytes();
 
-/// Returns the current resident set size in bytes (VmRSS), or 0 if
-/// unavailable.
-int64_t CurrentRssBytes();
-
 }  // namespace sagdfn::utils
 
 #endif  // SAGDFN_UTILS_MEMORY_INFO_H_

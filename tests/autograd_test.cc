@@ -180,12 +180,6 @@ TEST(AutogradTest, ExpandBackwardReduces) {
   EXPECT_TRUE(AllClose(a.grad(), T({3, 3}, {2})));
 }
 
-TEST(AutogradTest, MaxBackwardRoutesToArgmax) {
-  Variable a(T({1, 5, 3}, {3}), true);
-  SumAll(Max(a, 0)).Backward();
-  EXPECT_TRUE(AllClose(a.grad(), T({0, 1, 0}, {3})));
-}
-
 TEST(AutogradTest, TransposeReshapeBackward) {
   Variable a(T({1, 2, 3, 4, 5, 6}, {2, 3}), true);
   Variable t = Transpose(a, 0, 1);           // [3, 2]

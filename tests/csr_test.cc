@@ -1,9 +1,10 @@
 // Differential coverage for the CSR diffusion kernel against the dense
 // slim kernel: the scale-tier contract is byte equality, not closeness
 // — the CSR step must memcmp-match the dense step at awkward node counts
-// (odd, prime, shard-boundary-straddling), and the sparse generators
-// must reproduce the dense generators bit for bit at any size where both
-// fit.
+// (odd, prime, shard-boundary-straddling), and the sparse latent-graph
+// generator and the traffic series built on it must reproduce the dense
+// pair-scan reference (tests/test_support.h) bit for bit at any size
+// where the dense graph fits.
 #include "graph/csr.h"
 
 #include <gtest/gtest.h>
@@ -12,10 +13,12 @@
 #include <vector>
 
 #include "core/fused_ops.h"
+#include "data/registry.h"
 #include "data/synthetic.h"
 #include "graph/adjacency.h"
 #include "graph/generators.h"
 #include "tensor/tensor_ops.h"
+#include "test_support.h"
 #include "utils/rng.h"
 
 namespace sagdfn::graph {
@@ -23,6 +26,8 @@ namespace {
 
 using tensor::Shape;
 using tensor::Tensor;
+using test_support::RandomGeometric;
+using test_support::SpatialGraph;
 
 bool SameBytes(const Tensor& a, const Tensor& b) {
   return a.shape() == b.shape() &&
@@ -117,47 +122,88 @@ TEST(CsrKernelTest, ForwardMatchesDenseAtAwkwardSizes) {
   }
 }
 
+// Graph shapes for the parity tests. The last two have radius >= 20
+// sigma: most in-radius pairs get a weight that rounds to 0.0f, which
+// the sparse generator must not store (the dense reference holds them
+// as plain zeros). At 24 nodes (seed 9) one node has in-radius
+// neighbors but no nonzero weight, so its transition row must stay
+// empty for the field step to keep its own state.
+struct GraphShape {
+  int64_t nodes;
+  double radius;
+  double sigma;
+};
+constexpr GraphShape kShapes[] = {{200, 0.15, 0.1}, {100, 0.5, 0.02},
+                                  {24, 0.5, 0.025}};
+
 TEST(SparseGeneratorTest, RandomGeometricSparseMatchesDense) {
-  utils::Rng rng_dense(7), rng_sparse(7);
-  SpatialGraph dense = RandomGeometric(200, 0.15, 0.1, rng_dense);
-  SparseSpatialGraph sparse =
-      RandomGeometricSparse(200, 0.15, 0.1, rng_sparse);
-  EXPECT_EQ(sparse.x, dense.x);
-  EXPECT_EQ(sparse.y, dense.y);
-  CsrMatrix want = CsrFromDense(dense.adjacency);
-  ValidateCsr(sparse.adjacency);
-  EXPECT_EQ(sparse.adjacency.row_ptr, want.row_ptr);
-  EXPECT_EQ(sparse.adjacency.col, want.col);
-  EXPECT_EQ(sparse.adjacency.val, want.val);
-  EXPECT_GT(sparse.adjacency.nnz(), 0);
-  // The two rngs must also leave off at the same point.
-  EXPECT_EQ(rng_sparse.Uniform(), rng_dense.Uniform());
+  for (const GraphShape& shape : kShapes) {
+    SCOPED_TRACE(shape.nodes);
+    utils::Rng rng_dense(7), rng_sparse(7);
+    SpatialGraph dense =
+        RandomGeometric(shape.nodes, shape.radius, shape.sigma, rng_dense);
+    SparseSpatialGraph sparse = RandomGeometricSparse(
+        shape.nodes, shape.radius, shape.sigma, rng_sparse);
+    EXPECT_EQ(sparse.x, dense.x);
+    EXPECT_EQ(sparse.y, dense.y);
+    CsrMatrix want = CsrFromDense(dense.adjacency);
+    ValidateCsr(sparse.adjacency);
+    EXPECT_EQ(sparse.adjacency.row_ptr, want.row_ptr);
+    EXPECT_EQ(sparse.adjacency.col, want.col);
+    EXPECT_EQ(sparse.adjacency.val, want.val);
+    EXPECT_GT(sparse.adjacency.nnz(), 0);
+    // The two rngs must also leave off at the same point.
+    EXPECT_EQ(rng_sparse.Uniform(), rng_dense.Uniform());
+  }
 }
 
 TEST(SparseGeneratorTest, TrafficSparseMatchesDense) {
-  data::TrafficOptions options;
-  options.num_nodes = 80;
-  options.num_days = 2;
-  options.steps_per_day = 48;
-  options.radius = 0.2;
-  options.kernel_sigma = 0.14;
-  options.seed = 9;
+  for (const GraphShape& shape : kShapes) {
+    SCOPED_TRACE(shape.nodes);
+    data::TrafficOptions options;
+    options.num_nodes = shape.nodes;
+    options.num_days = 2;
+    options.steps_per_day = 48;
+    options.radius = shape.radius;
+    options.kernel_sigma = shape.sigma;
+    options.seed = 9;
 
-  SpatialGraph latent_dense;
-  SparseSpatialGraph latent_sparse;
-  data::TimeSeries dense = data::GenerateTraffic(options, &latent_dense);
-  data::TimeSeries sparse =
-      data::GenerateTrafficSparse(options, &latent_sparse);
-  EXPECT_TRUE(SameBytes(sparse.values, dense.values));
-  CsrMatrix want = CsrFromDense(latent_dense.adjacency);
-  EXPECT_EQ(latent_sparse.adjacency.col, want.col);
-  EXPECT_EQ(latent_sparse.adjacency.val, want.val);
+    SpatialGraph latent_dense;
+    SparseSpatialGraph latent_sparse;
+    data::TimeSeries dense =
+        test_support::GenerateTrafficDense(options, &latent_dense);
+    data::TimeSeries sparse = data::GenerateTraffic(options, &latent_sparse);
+    EXPECT_TRUE(SameBytes(sparse.values, dense.values));
+    CsrMatrix want = CsrFromDense(latent_dense.adjacency);
+    EXPECT_EQ(latent_sparse.adjacency.col, want.col);
+    EXPECT_EQ(latent_sparse.adjacency.val, want.val);
+  }
+}
+
+// Every registered traffic dataset is the series the dense reference
+// generates from the same options, byte for byte.
+TEST(SparseGeneratorTest, RegisteredDatasetsMatchDenseReference) {
+  const std::pair<const char*, data::DatasetScale> kCases[] = {
+      {"metr-la-sim", data::DatasetScale::kQuick},
+      {"london2000-sim", data::DatasetScale::kQuick},
+      {"newyork2000-sim", data::DatasetScale::kQuick},
+      {"metr-la-sim", data::DatasetScale::kFull}};
+  for (const auto& [name, scale] : kCases) {
+    SCOPED_TRACE(name);
+    SparseSpatialGraph latent;
+    data::TimeSeries got = data::MakeDataset(name, scale, &latent);
+    data::TimeSeries want = test_support::GenerateTrafficDense(
+        data::TrafficDatasetOptions(name, scale));
+    EXPECT_EQ(got.name, want.name);
+    EXPECT_EQ(got.steps_per_day, want.steps_per_day);
+    EXPECT_TRUE(SameBytes(got.values, want.values));
+    EXPECT_GT(latent.adjacency.nnz(), 0);
+  }
 }
 
 TEST(TopKOverlapCsrTest, PerfectAndDisjointRecovery) {
   utils::Rng rng(11);
-  SpatialGraph g = RandomGeometric(40, 0.3, 0.2, rng);
-  CsrMatrix latent = CsrFromDense(g.adjacency);
+  CsrMatrix latent = RandomGeometricSparse(40, 0.3, 0.2, rng).adjacency;
   ASSERT_GT(latent.nnz(), 0);
   // The latent graph "learned" perfectly: overlap is exactly 1.
   EXPECT_DOUBLE_EQ(
@@ -166,6 +212,38 @@ TEST(TopKOverlapCsrTest, PerfectAndDisjointRecovery) {
   const double none =
       TopKOverlapCsr(latent, Tensor::Zeros(Shape({40, 40})), Iota(40), 5);
   EXPECT_LT(none, 0.5);
+}
+
+// A learned adjacency scored against itself recovers every row: dense
+// [N, N] weights as the latent CSR, and as a slim matrix over all N
+// columns (the identity index set).
+TEST(TopKOverlapCsrTest, SelfOverlapIsOne) {
+  utils::Rng rng(2);
+  Tensor a = Tensor::Uniform(Shape({10, 10}), rng);
+  EXPECT_DOUBLE_EQ(TopKOverlapCsr(CsrFromDense(a), a, Iota(10), 3), 1.0);
+}
+
+// Slim columns map to global ids through the index set: a slim matrix
+// whose column j holds the latent weight of node index_set[j] recovers
+// the latent top-k exactly when every latent top-k neighbor is in I.
+TEST(TopKOverlapCsrTest, MapsSlimColumnsThroughIndexSet) {
+  // Node i's neighbors are i+1 and i+2 (mod 6), weights 0.9 and 0.5.
+  Tensor dense = Tensor::Zeros(Shape({6, 6}));
+  for (int64_t i = 0; i < 6; ++i) {
+    dense.At({i, (i + 1) % 6}) = 0.9f;
+    dense.At({i, (i + 2) % 6}) = 0.5f;
+  }
+  const CsrMatrix latent = CsrFromDense(dense);
+  const std::vector<int64_t> index_set = {5, 4, 3, 2, 1, 0};
+  Tensor slim = Tensor::Zeros(Shape({6, 6}));
+  for (int64_t i = 0; i < 6; ++i) {
+    for (int64_t j = 0; j < 6; ++j) {
+      slim.At({i, j}) = dense.At({i, index_set[j]});
+    }
+  }
+  EXPECT_DOUBLE_EQ(TopKOverlapCsr(latent, slim, index_set, 2), 1.0);
+  // Read without the mapping, the same slim matrix recovers less.
+  EXPECT_LT(TopKOverlapCsr(latent, slim, Iota(6), 2), 1.0);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include "data/synthetic.h"
 #include "data/time_series.h"
 #include "data/window_dataset.h"
+#include "graph/csr.h"
 #include "tensor/tensor_ops.h"
 #include "test_support.h"
 
@@ -129,7 +130,7 @@ TEST(SyntheticTest, TrafficShapeAndRange) {
   options.num_nodes = 20;
   options.num_days = 2;
   options.steps_per_day = 48;
-  graph::SpatialGraph latent;
+  graph::SparseSpatialGraph latent;
   TimeSeries series = GenerateTraffic(options, &latent);
   EXPECT_EQ(series.num_steps(), 96);
   EXPECT_EQ(series.num_nodes(), 20);
@@ -180,8 +181,9 @@ TEST(SyntheticTest, NeighborsCorrelateMoreThanStrangers) {
   options.num_days = 6;
   options.steps_per_day = 96;
   options.noise_std = 0.5;
-  graph::SpatialGraph latent;
+  graph::SparseSpatialGraph latent;
   TimeSeries series = GenerateTraffic(options, &latent);
+  const Tensor adjacency = graph::CsrToDense(latent.adjacency);
 
   // Compare mean |corr| of connected vs unconnected pairs on residuals
   // (subtract per-slot mean to remove the shared daily pattern).
@@ -207,7 +209,7 @@ TEST(SyntheticTest, NeighborsCorrelateMoreThanStrangers) {
   int64_t nc = 0, nu = 0;
   for (int64_t i = 0; i < n; ++i) {
     for (int64_t j = i + 1; j < n; ++j) {
-      if (latent.adjacency.At({i, j}) > 0.0f) {
+      if (adjacency.At({i, j}) > 0.0f) {
         connected += corr(i, j);
         ++nc;
       } else {
@@ -233,7 +235,7 @@ TEST(SyntheticTest, CarparkRespectsCapacity) {
   EXPECT_EQ(clusters.size(), 30u);
   EXPECT_GE(tensor::MinAll(series.values), 0.0f);
   EXPECT_LE(tensor::MaxAll(series.values),
-            static_cast<float>(options.max_capacity));
+            static_cast<float>(kCarparkMaxCapacity));
   // Values are integer lot counts.
   for (int64_t i = 0; i < series.values.size(); ++i) {
     const float v = series.values[i];

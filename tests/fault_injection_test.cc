@@ -170,7 +170,7 @@ TEST_F(FaultInjectionTest, FaultStormRollsBackAndHalvesLearningRate) {
   EXPECT_EQ(result.epochs_run, 2);
   ASSERT_NE(trainer.optimizer(), nullptr);
   EXPECT_DOUBLE_EQ(trainer.optimizer()->lr(),
-                   options.learning_rate * options.backoff_factor);
+                   options.learning_rate * core::kRollbackLrBackoff);
   EXPECT_FALSE(tensor::HasNonFinite(trainer.Predict(data::Split::kTest)));
 }
 

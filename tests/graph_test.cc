@@ -2,6 +2,7 @@
 
 #include "graph/adjacency.h"
 #include "graph/correlation.h"
+#include "graph/csr.h"
 #include "graph/generators.h"
 #include "tensor/tensor_ops.h"
 #include "utils/rng.h"
@@ -24,15 +25,6 @@ TEST(AdjacencyTest, RowDegreesAndNormalize) {
   EXPECT_FALSE(tensor::HasNonFinite(norm));
 }
 
-TEST(AdjacencyTest, SymmetricNormalizeEigenBound) {
-  utils::Rng rng(1);
-  SpatialGraph g = ErdosRenyi(20, 0.3, rng);
-  Tensor sym = SymmetricNormalize(g.adjacency);
-  // All entries finite and bounded by 1.
-  EXPECT_FALSE(tensor::HasNonFinite(sym));
-  EXPECT_LE(tensor::MaxAll(sym), 1.0f + 1e-5f);
-}
-
 TEST(AdjacencyTest, TopKPerRowKeepsLargest) {
   Tensor a = Tensor::FromVector({5, 1, 3, 2, 8, 4}, Shape({2, 3}));
   Tensor top = TopKPerRow(a, 2);
@@ -53,17 +45,12 @@ TEST(AdjacencyTest, ThresholdAndSparsity) {
   EXPECT_DOUBLE_EQ(Sparsity(t), 0.5);
 }
 
-TEST(AdjacencyTest, TopKOverlapSelfIsOne) {
-  utils::Rng rng(2);
-  Tensor a = Tensor::Uniform(Shape({10, 10}), rng);
-  EXPECT_DOUBLE_EQ(TopKOverlap(a, a, 3), 1.0);
-}
-
 TEST(GeneratorsTest, RandomGeometricSymmetricZeroDiag) {
   utils::Rng rng(3);
-  SpatialGraph g = RandomGeometric(30, 0.3, 0.2, rng);
+  SparseSpatialGraph g = RandomGeometricSparse(30, 0.3, 0.2, rng);
   EXPECT_EQ(g.num_nodes, 30);
-  const Tensor& a = g.adjacency;
+  ValidateCsr(g.adjacency);
+  const Tensor a = CsrToDense(g.adjacency);
   for (int64_t i = 0; i < 30; ++i) {
     EXPECT_FLOAT_EQ(a.At({i, i}), 0.0f);
     for (int64_t j = 0; j < 30; ++j) {
@@ -79,63 +66,10 @@ TEST(GeneratorsTest, RandomGeometricSymmetricZeroDiag) {
 TEST(GeneratorsTest, GeometricRadiusControlsDensity) {
   utils::Rng rng1(4);
   utils::Rng rng2(4);
-  SpatialGraph sparse = RandomGeometric(50, 0.05, 0.05, rng1);
-  SpatialGraph dense = RandomGeometric(50, 0.5, 0.3, rng2);
-  EXPECT_GT(Sparsity(sparse.adjacency), Sparsity(dense.adjacency));
-}
-
-TEST(GeneratorsTest, ErdosRenyiProbabilityExtremes) {
-  utils::Rng rng(5);
-  SpatialGraph none = ErdosRenyi(20, 0.0, rng);
-  EXPECT_DOUBLE_EQ(Sparsity(none.adjacency), 1.0);
-  SpatialGraph all = ErdosRenyi(20, 1.0, rng);
-  // Only the diagonal is zero.
-  EXPECT_NEAR(Sparsity(all.adjacency), 20.0 / 400.0, 1e-9);
-}
-
-TEST(GeneratorsTest, SbmDenserWithinBlocks) {
-  utils::Rng rng(6);
-  std::vector<int64_t> blocks;
-  SpatialGraph g = StochasticBlockModel(60, 3, 0.8, 0.02, rng, &blocks);
-  ASSERT_EQ(blocks.size(), 60u);
-  int64_t in_edges = 0;
-  int64_t in_pairs = 0;
-  int64_t out_edges = 0;
-  int64_t out_pairs = 0;
-  for (int64_t i = 0; i < 60; ++i) {
-    for (int64_t j = i + 1; j < 60; ++j) {
-      const bool has_edge = g.adjacency.At({i, j}) > 0.0f;
-      if (blocks[i] == blocks[j]) {
-        ++in_pairs;
-        in_edges += has_edge;
-      } else {
-        ++out_pairs;
-        out_edges += has_edge;
-      }
-    }
-  }
-  const double in_rate = static_cast<double>(in_edges) / in_pairs;
-  const double out_rate = static_cast<double>(out_edges) / out_pairs;
-  EXPECT_GT(in_rate, 5 * out_rate);
-}
-
-TEST(GeneratorsTest, KnnDegreesAtLeastK) {
-  std::vector<double> x;
-  std::vector<double> y;
-  utils::Rng rng(7);
-  for (int i = 0; i < 40; ++i) {
-    x.push_back(rng.Uniform());
-    y.push_back(rng.Uniform());
-  }
-  SpatialGraph g = KnnFromPoints(x, y, 5, 0.2);
-  // Every node has at least k neighbors (symmetrization can add more).
-  for (int64_t i = 0; i < 40; ++i) {
-    int64_t degree = 0;
-    for (int64_t j = 0; j < 40; ++j) {
-      if (g.adjacency.At({i, j}) > 0.0f) ++degree;
-    }
-    EXPECT_GE(degree, 5);
-  }
+  SparseSpatialGraph sparse = RandomGeometricSparse(50, 0.05, 0.05, rng1);
+  SparseSpatialGraph dense = RandomGeometricSparse(50, 0.5, 0.3, rng2);
+  EXPECT_GT(Sparsity(CsrToDense(sparse.adjacency)),
+            Sparsity(CsrToDense(dense.adjacency)));
 }
 
 TEST(CorrelationTest, RecoversCorrelatedPairs) {
@@ -173,8 +107,13 @@ class GeometricProperty : public ::testing::TestWithParam<int64_t> {};
 
 TEST_P(GeometricProperty, Invariants) {
   utils::Rng rng(100 + GetParam());
-  SpatialGraph g = RandomGeometric(GetParam(), 0.25, 0.15, rng);
-  const Tensor& a = g.adjacency;
+  SparseSpatialGraph g = RandomGeometricSparse(GetParam(), 0.25, 0.15, rng);
+  ValidateCsr(g.adjacency);
+  for (float w : g.adjacency.val) {
+    EXPECT_GT(w, 0.0f);
+    EXPECT_LE(w, 1.0f);
+  }
+  const Tensor a = CsrToDense(g.adjacency);
   for (int64_t i = 0; i < g.num_nodes; ++i) {
     EXPECT_FLOAT_EQ(a.At({i, i}), 0.0f);
     for (int64_t j = i + 1; j < g.num_nodes; ++j) {

@@ -131,14 +131,6 @@ TEST(MemoryModelTest, FormulasMatchPaperTable1) {
   EXPECT_EQ(FormulaFor(ModelFamily::kSagdfn).memory, "O(N M + N M d)");
 }
 
-TEST(MemoryModelTest, FlopsRatioMatchesNOverM) {
-  // Table I: SAGDFN reduces the N^2 terms to N M, i.e. by N / M.
-  const MemoryParams p = PaperParams(2000);
-  const double dense = GraphComputeFlops(ModelFamily::kGts, p);
-  const double slim = GraphComputeFlops(ModelFamily::kSagdfn, p);
-  EXPECT_NEAR(dense / slim, static_cast<double>(p.num_nodes) / p.m, 1.0);
-}
-
 // Property: every family's estimate is monotone in N.
 class MemoryMonotoneProperty
     : public ::testing::TestWithParam<ModelFamily> {};

@@ -158,11 +158,5 @@ TEST(InitTest, XavierUniformBounds) {
   EXPECT_NEAR(tensor::MeanAll(w).Item(), 0.0f, 0.01f);
 }
 
-TEST(InitTest, ActivationNames) {
-  EXPECT_EQ(ActivationFromName("relu"), Activation::kRelu);
-  EXPECT_EQ(ActivationFromName("tanh"), Activation::kTanh);
-  EXPECT_STREQ(ActivationName(Activation::kSigmoid), "sigmoid");
-}
-
 }  // namespace
 }  // namespace sagdfn::nn

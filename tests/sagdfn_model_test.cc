@@ -132,24 +132,18 @@ TEST(SagdfnModelTest, AblationVariantsRun) {
   }
 }
 
-TEST(SagdfnModelTest, SlimAndDenseAdjacency) {
+TEST(SagdfnModelTest, SlimAdjacencyColumnsAreIndexSet) {
   SagdfnModel model(TinyConfig());
   Inputs in = MakeInputs(model.config(), 1);
   model.Forward(in.x, in.future_tod, 0);
   Tensor slim = model.ComputeSlimAdjacency();
   EXPECT_EQ(slim.shape(), Shape({10, 5}));
-  Tensor dense = model.DenseAdjacency();
-  EXPECT_EQ(dense.shape(), Shape({10, 10}));
-  // Dense version has nonzeros only in the index-set columns.
+  // Column j is node index_set()[j]: M distinct node ids in [0, N).
   std::set<int64_t> columns(model.index_set().begin(),
                             model.index_set().end());
-  for (int64_t i = 0; i < 10; ++i) {
-    for (int64_t j = 0; j < 10; ++j) {
-      if (columns.count(j) == 0) {
-        EXPECT_FLOAT_EQ(dense.At({i, j}), 0.0f);
-      }
-    }
-  }
+  EXPECT_EQ(columns.size(), 5u);
+  EXPECT_GE(*columns.begin(), 0);
+  EXPECT_LT(*columns.rbegin(), 10);
 }
 
 TEST(SagdfnModelTest, ParameterCountMatchesConfigScaling) {

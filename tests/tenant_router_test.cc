@@ -661,7 +661,7 @@ TEST_F(TenantTest, FineTunedCandidatePassesGateAndImprovesDriftedMae) {
 
   // The world drifts. Held-out windows come from the drifted test split,
   // scaled with the DEPLOYMENT's scaler (the serving space).
-  const data::TimeSeries drifted = data::ApplyDrift(base, data::DriftOptions{});
+  const data::TimeSeries drifted = test_support::ApplyDrift(base);
   const data::ForecastDataset drift_dataset(drifted, spec,
                                             base_dataset.scaler());
   const data::Batch eval =

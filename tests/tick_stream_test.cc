@@ -1,4 +1,4 @@
-// Streaming tick-loop tests (src/serve/forecast_cache): the lock-free
+// Streaming tick-loop tests (src/serve/forecast_cache): the single-slot
 // per-scenario forecast cache and the TickStreamer writer.
 //
 // The claims under test:

@@ -174,14 +174,10 @@ TEST(CliTest, EqualsFormAndBooleanValues) {
   CommandLine cli(3, const_cast<char**>(argv));
   EXPECT_FALSE(cli.GetBool("flag", true));
   EXPECT_TRUE(cli.GetBool("other", false));
-  EXPECT_TRUE(cli.Has("flag"));
-  EXPECT_FALSE(cli.Has("nothere"));
 }
 
 TEST(MemoryInfoTest, ReportsPlausibleRss) {
-  const int64_t rss = CurrentRssBytes();
-  EXPECT_GT(rss, 1 << 20);  // more than 1 MiB
-  EXPECT_GE(PeakRssBytes(), rss);
+  EXPECT_GT(PeakRssBytes(), 1 << 20);  // more than 1 MiB
 }
 
 // -- Thread pool -------------------------------------------------------------

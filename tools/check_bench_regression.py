@@ -35,7 +35,7 @@ dropped by more than --threshold percent. It additionally checks — on
 the FRESH run alone, so it holds at any reader count — that every
 serve.cached_reads.* scenario's p99 read latency is within
 --max-cached-read-ratio (default 5) times the serve.unbatched p50: a
-cache hit is one atomic shared_ptr load and must stay in the same
+cache hit is one short-locked shared_ptr copy and must stay in the same
 order of magnitude as a single uncontended request, not drift toward
 recomputation cost. A second fresh-run-only criterion bounds the
 multi-tenant router's fairness: every serve.tenant.multi.* scenario's
@@ -189,8 +189,8 @@ def check_serve_latency(fresh, baseline, threshold_pct):
 def check_cached_read_ratio(fresh, max_ratio):
     """Fresh-run-only criterion: cached-read p99 vs unbatched p50.
 
-    The lock-free cache's whole point is that a hit costs an atomic
-    load, not a model replay; this bounds the hit path at max_ratio x
+    The cache's whole point is that a hit costs a pointer copy, not a
+    model replay; this bounds the hit path at max_ratio x
     the single-request p50 regardless of reader count.
     """
     failures = []

@@ -61,7 +61,7 @@ echo "== Rollout-plan replay suite (concurrent plan replay, plan cache) =="
 echo "== Hot-swap registry suite (swap-under-load, probation rollback from worker threads) =="
 "${BUILD_DIR}/tests/registry_test"
 
-echo "== Streaming tick loop (lock-free forecast cache: concurrent readers vs tick writer, swap invalidation) =="
+echo "== Streaming tick loop (single-slot forecast cache: concurrent readers vs tick writer, swap invalidation) =="
 "${BUILD_DIR}/tests/tick_stream_test"
 
 echo "== Multi-tenant router suite (per-tenant byte equality under concurrent load, online fine-tune sweeps) =="
