@@ -702,10 +702,8 @@ void BM_ScopedTimerEnabled(benchmark::State& state) {
     benchmark::ClobberMemory();
   }
   obs::Telemetry::SetCollectionEnabled(prev);
-#if !defined(SAGDFN_DISABLE_TELEMETRY)
   SAGDFN_CHECK_GT(
       obs::Telemetry::Global().timer("bench.overhead.enabled").count, 0);
-#endif
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ScopedTimerEnabled);

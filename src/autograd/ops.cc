@@ -465,12 +465,4 @@ Variable MseLoss(const Variable& pred, const Variable& target) {
   return MeanAll(Mul(diff, diff));
 }
 
-Variable MaskedL1Loss(const Variable& pred, const Variable& target,
-                      const Tensor& mask) {
-  float mask_mean = tensor::MeanAll(mask).Item();
-  SAGDFN_CHECK_GT(mask_mean, 0.0f) << "all-zero mask in MaskedL1Loss";
-  Variable masked = Mul(Abs(Sub(pred, target)), Variable(mask));
-  return MulScalar(MeanAll(masked), 1.0f / mask_mean);
-}
-
 }  // namespace sagdfn::autograd

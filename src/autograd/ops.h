@@ -73,11 +73,6 @@ Variable L1Loss(const Variable& pred, const Variable& target);
 /// mean((pred - target)^2).
 Variable MseLoss(const Variable& pred, const Variable& target);
 
-/// Masked mean(|pred - target| * mask) / mean(mask): ignores entries with
-/// mask 0 (the standard treatment of missing sensor readings).
-Variable MaskedL1Loss(const Variable& pred, const Variable& target,
-                      const tensor::Tensor& mask);
-
 namespace internal {
 
 /// Builds an op node. `backward` receives the output gradient and must

@@ -144,7 +144,7 @@ tensor::Tensor ArForecaster::Predict(const data::ForecastDataset& dataset,
   const int64_t n = dataset.num_nodes();
   const int64_t p = order_;
   const int64_t dim = p + 1;
-  const int64_t c = dataset.num_input_channels();
+  const int64_t c = data::kInputChannels;
   const data::StandardScaler& scaler = dataset.scaler();
 
   return PredictWindows(
@@ -228,7 +228,7 @@ tensor::Tensor VarForecaster::Predict(const data::ForecastDataset& dataset,
   const int64_t n = dataset.num_nodes();
   const int64_t p = order_;
   const int64_t dim = n * p + 1;
-  const int64_t c = dataset.num_input_channels();
+  const int64_t c = data::kInputChannels;
   const data::StandardScaler& scaler = dataset.scaler();
 
   return PredictWindows(
@@ -335,7 +335,7 @@ tensor::Tensor SvrForecaster::Predict(const data::ForecastDataset& dataset,
   const int64_t h = dataset.spec().history;
   const int64_t n = dataset.num_nodes();
   const int64_t dim = h + 1;
-  const int64_t c = dataset.num_input_channels();
+  const int64_t c = data::kInputChannels;
   const data::StandardScaler& scaler = dataset.scaler();
 
   return PredictWindows(

@@ -165,6 +165,7 @@ ag::Variable DenseStgnn::Forward(const tensor::Tensor& x,
   const int64_t c = x.dim(3);
   SAGDFN_CHECK_EQ(h, config_.history);
   SAGDFN_CHECK_EQ(n, config_.num_nodes);
+  SAGDFN_CHECK_EQ(c, config_.input_dim);
   const int64_t f = config_.horizon;
 
   ag::Variable a = Adjacency();
@@ -179,8 +180,6 @@ ag::Variable DenseStgnn::Forward(const tensor::Tensor& x,
   }
 
   ag::Variable dec_input = step;
-  ag::Variable extra_covariates;  // day-of-week etc., carried forward
-  if (c > 2) extra_covariates = ag::Slice(step, 2, 2, c).Detach();
   std::vector<ag::Variable> predictions;
   predictions.reserve(f);
   const float* ft = future_tod.data();
@@ -202,12 +201,7 @@ ag::Variable DenseStgnn::Forward(const tensor::Tensor& x,
         value = ag::Variable(
             tensor::Slice(*teacher, 1, t, t + 1).Reshape({b, n, 1}));
       }
-      if (c > 2) {
-        dec_input = ag::Concat(
-            {value, ag::Variable(tod), extra_covariates}, 2);
-      } else {
-        dec_input = ag::Concat({value, ag::Variable(tod)}, 2);
-      }
+      dec_input = ag::Concat({value, ag::Variable(tod)}, 2);
     }
   }
   return ag::Stack(predictions, 1);

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/seq_model.h"
+#include "data/window_dataset.h"
 #include "nn/linear.h"
 #include "nn/mlp.h"
 #include "utils/rng.h"
@@ -38,7 +39,8 @@ struct DenseStgnnConfig {
   int64_t num_nodes = 0;
   int64_t history = 12;
   int64_t horizon = 12;
-  int64_t input_dim = 2;
+  /// Input channels: the reading and its time of day (data::Batch::x).
+  static constexpr int64_t input_dim = data::kInputChannels;
   int64_t hidden_dim = 32;
   int64_t embedding_dim = 8;
   int64_t diffusion_steps = 2;

@@ -24,7 +24,6 @@ std::unique_ptr<Forecaster> MakeDenseStgnn(const std::string& name,
         config.num_nodes = dataset.num_nodes();
         config.history = dataset.spec().history;
         config.horizon = dataset.spec().horizon;
-        config.input_dim = dataset.num_input_channels();
         config.hidden_dim = sizing.hidden;
         config.embedding_dim = sizing.embedding;
         config.diffusion_steps = diffusion_steps;
@@ -69,7 +68,6 @@ core::SagdfnConfig BaseSagdfnConfig(const ModelSizing& sizing,
   config.alpha = sizing.alpha;
   config.history = dataset.spec().history;
   config.horizon = dataset.spec().horizon;
-  config.input_dim = dataset.num_input_channels();
   config.convergence_iters = sizing.convergence_iters;
   config.seed = sizing.seed;
   return config;
@@ -100,9 +98,8 @@ std::unique_ptr<Forecaster> MakeForecaster(const std::string& name,
     return std::make_unique<NeuralForecaster>(
         name, [sizing](const data::ForecastDataset& dataset) {
           return std::make_unique<RnnSeq2Seq>(
-              RnnSeq2Seq::CellType::kLstm, dataset.num_input_channels(),
-              sizing.hidden, dataset.spec().history,
-              dataset.spec().horizon, sizing.seed);
+              RnnSeq2Seq::CellType::kLstm, sizing.hidden,
+              dataset.spec().history, dataset.spec().horizon, sizing.seed);
         });
   }
   if (name == "DCRNN") {

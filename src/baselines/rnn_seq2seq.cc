@@ -1,6 +1,7 @@
 #include "baselines/rnn_seq2seq.h"
 
 #include "autograd/ops.h"
+#include "data/window_dataset.h"
 #include "tensor/tensor_ops.h"
 #include "utils/check.h"
 #include "utils/rng.h"
@@ -9,21 +10,21 @@ namespace sagdfn::baselines {
 
 namespace ag = ::sagdfn::autograd;
 
-RnnSeq2Seq::RnnSeq2Seq(CellType cell_type, int64_t input_dim,
-                       int64_t hidden_dim, int64_t history, int64_t horizon,
-                       uint64_t seed)
+RnnSeq2Seq::RnnSeq2Seq(CellType cell_type, int64_t hidden_dim,
+                       int64_t history, int64_t horizon, uint64_t seed)
     : cell_type_(cell_type),
-      input_dim_(input_dim),
       hidden_dim_(hidden_dim),
       history_(history),
       horizon_(horizon),
       teacher_rng_(seed + 1) {
   utils::Rng rng(seed);
   if (cell_type_ == CellType::kLstm) {
-    lstm_ = std::make_unique<nn::LstmCell>(input_dim, hidden_dim, rng);
+    lstm_ = std::make_unique<nn::LstmCell>(data::kInputChannels, hidden_dim,
+                                           rng);
     RegisterModule("cell", lstm_.get());
   } else {
-    gru_ = std::make_unique<nn::GruCell>(input_dim, hidden_dim, rng);
+    gru_ = std::make_unique<nn::GruCell>(data::kInputChannels, hidden_dim,
+                                         rng);
     RegisterModule("cell", gru_.get());
   }
   output_proj_ = std::make_unique<nn::Linear>(hidden_dim, 1, rng);
@@ -42,7 +43,7 @@ ag::Variable RnnSeq2Seq::Forward(const tensor::Tensor& x,
   const int64_t n = x.dim(2);
   const int64_t c = x.dim(3);
   SAGDFN_CHECK_EQ(h, history_);
-  SAGDFN_CHECK_EQ(c, input_dim_);
+  SAGDFN_CHECK_EQ(c, data::kInputChannels);
   const int64_t f = horizon_;
   const int64_t flat = b * n;
 
@@ -71,8 +72,6 @@ ag::Variable RnnSeq2Seq::Forward(const tensor::Tensor& x,
   }
 
   ag::Variable dec_input = step;
-  ag::Variable extra_covariates;  // day-of-week etc., carried forward
-  if (c > 2) extra_covariates = ag::Slice(step, 1, 2, c).Detach();
   std::vector<ag::Variable> predictions;
   predictions.reserve(f);
   const float* ft = future_tod.data();
@@ -99,12 +98,7 @@ ag::Variable RnnSeq2Seq::Forward(const tensor::Tensor& x,
         value = ag::Variable(
             tensor::Slice(*teacher, 1, t, t + 1).Reshape({flat, 1}));
       }
-      if (c > 2) {
-        dec_input = ag::Concat(
-            {value, ag::Variable(tod), extra_covariates}, 1);
-      } else {
-        dec_input = ag::Concat({value, ag::Variable(tod)}, 1);
-      }
+      dec_input = ag::Concat({value, ag::Variable(tod)}, 1);
     }
   }
   return ag::Stack(predictions, 1);  // [B, f, N]

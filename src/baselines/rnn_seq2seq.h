@@ -20,8 +20,8 @@ class RnnSeq2Seq : public core::SeqModel {
  public:
   enum class CellType { kLstm, kGru };
 
-  RnnSeq2Seq(CellType cell_type, int64_t input_dim, int64_t hidden_dim,
-             int64_t history, int64_t horizon, uint64_t seed);
+  RnnSeq2Seq(CellType cell_type, int64_t hidden_dim, int64_t history,
+             int64_t horizon, uint64_t seed);
 
   autograd::Variable Forward(const tensor::Tensor& x,
                              const tensor::Tensor& future_tod,
@@ -47,7 +47,6 @@ class RnnSeq2Seq : public core::SeqModel {
 
  private:
   CellType cell_type_;
-  int64_t input_dim_;
   int64_t hidden_dim_;
   int64_t history_;
   int64_t horizon_;

@@ -42,7 +42,6 @@ RolloutPlan::RolloutPlan(const SagdfnModel& model,
   n_ = cfg.num_nodes;
   c_ = cfg.input_dim;
   hd_ = cfg.hidden_dim;
-  layers_ = cfg.num_layers;
   // An incremental plan encodes exactly one new frame per replay; its
   // hidden state comes from the previous tick instead of a zero init.
   history_ = kind == PlanKind::kIncremental ? 1 : cfg.history;
@@ -58,7 +57,6 @@ RolloutPlan::RolloutPlan(const SagdfnModel& model,
   const int64_t n = n_;
   const int64_t c = c_;
   const int64_t hd = hd_;
-  const int64_t layers = layers_;
   const int64_t history = history_;
   const int64_t horizon = horizon_;
 
@@ -70,18 +68,17 @@ RolloutPlan::RolloutPlan(const SagdfnModel& model,
   const float* pinv = pin(snapshot.inv_deg);
   auto idx = std::make_shared<const std::vector<int64_t>>(snapshot.index_set);
 
-  // Scratch slab layout. Buffers are reused across timesteps and layers;
-  // xh / term_a / term_b are sized for the widest layer input and packed
-  // tightly at each layer's own width.
-  const int64_t max_in = std::max<int64_t>(c, hd) + hd;
+  // Scratch slab layout. Buffers are reused across timesteps; xh,
+  // term_a and term_b hold the cell's [input | h] rows, in_w wide.
+  const int64_t in_w = c + hd;
   // Offsets are in floats per row: a replay over ctx.rows live rows finds
   // region X at slab + off_X * ctx.rows, so a batch below capacity packs
   // into the front of the slab exactly as a plan of its own size would.
-  const int64_t off_h = 0;                     // layers * hd
-  const int64_t off_xh = off_h + layers * hd;  // max_in
-  const int64_t off_ta = off_xh + max_in;      // max_in
-  const int64_t off_tb = off_ta + max_in;      // max_in
-  const int64_t off_mm = off_tb + max_in;      // 2hd
+  const int64_t off_h = 0;                     // hd
+  const int64_t off_xh = off_h + hd;           // in_w
+  const int64_t off_ta = off_xh + in_w;        // in_w
+  const int64_t off_tb = off_ta + in_w;        // in_w
+  const int64_t off_mm = off_tb + in_w;        // 2hd
   const int64_t off_g = off_mm + 2 * hd;       // 2hd
   const int64_t off_cand = off_g + 2 * hd;     // hd
   const int64_t off_pred = off_cand + hd;      // 1
@@ -109,7 +106,7 @@ RolloutPlan::RolloutPlan(const SagdfnModel& model,
   // The diffusion gather reads arbitrary rows of its input, so it is a
   // barrier: the pending segment is flushed before it and it gets its
   // own instruction. Those gathers are the ONLY barriers in the rollout,
-  // so segments span layer and timestep boundaries.
+  // so segments span timestep boundaries.
   using RowOp = std::function<void(const RunCtx&, int64_t, int64_t)>;
   struct Segment {
     std::vector<RowOp> ops;
@@ -144,10 +141,10 @@ RolloutPlan::RolloutPlan(const SagdfnModel& model,
     });
   };
 
-  // Where a cell step reads its layer input from.
-  enum class Src { kHistory, kDecoder, kHiddenBelow };
+  // Where a cell step reads its input from.
+  enum class Src { kHistory, kDecoder };
 
-  // One FastGraphConv application: src (rows x in_w, packed) -> dst
+  // One FastGraphConv application: xh (rows x in_w, packed) -> dst
   // (rows x out_w). Mirrors FastGraphConv::Forward exactly: W_0 matmul,
   // then per diffusion step a fused graph-diffusion (barrier), a W_j
   // matmul into mm scratch and an in-place accumulate, then the bias
@@ -156,19 +153,18 @@ RolloutPlan::RolloutPlan(const SagdfnModel& model,
   // the dense slim kernel, which is byte-identical to the eager path's
   // CSR gather.
   auto emit_conv = [&](const std::string& tag, const FastGraphConv& conv,
-                       int64_t in_w, int64_t out_w, int64_t off_src,
-                       int64_t off_dst) {
+                       int64_t out_w, int64_t off_dst) {
     SAGDFN_CHECK_EQ(conv.in_dim(), in_w);
     SAGDFN_CHECK_EQ(conv.out_dim(), out_w);
     const auto& ws = conv.weights();
     const float* w0 = pin(ws[0].value());
     emit_row(tag + ".mm0", 2 * in_w * out_w,
              [=](const RunCtx& ctx, int64_t r0, int64_t r1) {
-               tensor::MatMulRowsInto(ctx.slab + off_src * ctx.rows, w0,
+               tensor::MatMulRowsInto(ctx.slab + off_xh * ctx.rows, w0,
                                       ctx.slab + off_dst * ctx.rows, r0, r1,
                                       in_w, out_w);
              });
-    int64_t off_term = off_src;
+    int64_t off_term = off_xh;
     for (int64_t j = 1; j < conv.diffusion_steps(); ++j) {
       const int64_t off_next = (j % 2 == 1) ? off_ta : off_tb;
       flush();
@@ -203,49 +199,32 @@ RolloutPlan::RolloutPlan(const SagdfnModel& model,
              });
   };
 
-  // One GConvGruCell application for (timestep label `step`, layer l),
-  // updating h[l] in place. Mirrors GConvGruCell::Forward; per-row
-  // kernels match the *Into helpers in core/fused_ops.cc.
-  auto emit_cell = [&](const std::string& step, int64_t l, Src src,
-                       int64_t t) {
-    const int64_t in_l = (l == 0) ? c : hd;
-    const int64_t in_w = in_l + hd;
-    const int64_t off_hl = off_h + l * hd;
-    const std::string tag = step + ".l" + std::to_string(l);
-
+  // One GConvGruCell application for timestep label `tag`, updating h
+  // in place. Mirrors GConvGruCell::Forward; per-row kernels match the
+  // *Into helpers in core/fused_ops.cc.
+  const GConvGruCell& cell = model.cell();
+  auto emit_cell = [&](const std::string& tag, Src src, int64_t t) {
     // Stage [input | h] rows into the packed xh buffer.
     emit_row(tag + ".xh", in_w,
              [=](const RunCtx& ctx, int64_t r0, int64_t r1) {
                float* xh = ctx.slab + off_xh * ctx.rows;
-               const float* hb = ctx.slab + off_hl * ctx.rows;
+               const float* hb = ctx.slab + off_h * ctx.rows;
                for (int64_t r = r0; r < r1; ++r) {
                  float* row = xh + r * in_w;
-                 switch (src) {
-                   case Src::kHistory: {
-                     const int64_t bi = r / n;
-                     const int64_t i = r - bi * n;
-                     std::memcpy(row,
-                                 ctx.x + ((bi * history + t) * n + i) * c,
-                                 sizeof(float) * c);
-                     break;
-                   }
-                   case Src::kDecoder:
-                     std::memcpy(row, ctx.slab + off_dec * ctx.rows + r * c,
-                                 sizeof(float) * c);
-                     break;
-                   case Src::kHiddenBelow:
-                     std::memcpy(row,
-                                 ctx.slab + (off_h + (l - 1) * hd) * ctx.rows +
-                                     r * hd,
-                                 sizeof(float) * hd);
-                     break;
+                 if (src == Src::kHistory) {
+                   const int64_t bi = r / n;
+                   const int64_t i = r - bi * n;
+                   std::memcpy(row, ctx.x + ((bi * history + t) * n + i) * c,
+                               sizeof(float) * c);
+                 } else {
+                   std::memcpy(row, ctx.slab + off_dec * ctx.rows + r * c,
+                               sizeof(float) * c);
                  }
-                 std::memcpy(row + in_l, hb + r * hd, sizeof(float) * hd);
+                 std::memcpy(row + c, hb + r * hd, sizeof(float) * hd);
                }
              });
 
-    const GConvGruCell& cell = model.cell(l);
-    emit_conv(tag + ".gate", cell.gate_conv(), in_w, 2 * hd, off_xh, off_g);
+    emit_conv(tag + ".gate", cell.gate_conv(), 2 * hd, off_g);
 
     // Overwrite the h tail of xh with r*h: xh becomes [input | r*h], the
     // candidate conv input (the x head is already staged). Same per-row
@@ -254,17 +233,15 @@ RolloutPlan::RolloutPlan(const SagdfnModel& model,
              [=](const RunCtx& ctx, int64_t r0, int64_t r1) {
                const simd::Kernels& kern = simd::K();
                const float* g = ctx.slab + off_g * ctx.rows;
-               const float* hb = ctx.slab + off_hl * ctx.rows;
+               const float* hb = ctx.slab + off_h * ctx.rows;
                float* xh = ctx.slab + off_xh * ctx.rows;
                for (int64_t r = r0; r < r1; ++r) {
                  kern.sigmoid_mul(g + r * 2 * hd, hb + r * hd,
-                                  xh + r * in_w + in_l, /*r_out=*/nullptr,
-                                  hd);
+                                  xh + r * in_w + c, /*r_out=*/nullptr, hd);
                }
              });
 
-    emit_conv(tag + ".cand", cell.candidate_conv(), in_w, hd, off_xh,
-              off_cand);
+    emit_conv(tag + ".cand", cell.candidate_conv(), hd, off_cand);
 
     // In-place GRU tail: h = z*h + (1-z)*tanh(candidate). Same per-row
     // kernel as GruTailBlendInto (gru_tail supports out == h).
@@ -273,7 +250,7 @@ RolloutPlan::RolloutPlan(const SagdfnModel& model,
                const simd::Kernels& kern = simd::K();
                const float* g = ctx.slab + off_g * ctx.rows;
                const float* cp = ctx.slab + off_cand * ctx.rows;
-               float* hb = ctx.slab + off_hl * ctx.rows;
+               float* hb = ctx.slab + off_h * ctx.rows;
                for (int64_t r = r0; r < r1; ++r) {
                  kern.gru_tail(g + r * 2 * hd + hd, hb + r * hd, cp + r * hd,
                                hb + r * hd, /*z_out=*/nullptr,
@@ -287,65 +264,45 @@ RolloutPlan::RolloutPlan(const SagdfnModel& model,
     // byte-for-byte into the slab's hidden region, which has the state's
     // layout. Row-local, so it fuses into the first segment like init_h
     // does.
-    emit_row("load_h", layers * hd,
-             [=](const RunCtx& ctx, int64_t r0, int64_t r1) {
-               for (int64_t l = 0; l < layers; ++l) {
-                 std::memcpy(ctx.slab + (off_h + l * hd) * ctx.rows + r0 * hd,
-                             ctx.h_in + l * ctx.rows * hd + r0 * hd,
-                             sizeof(float) * (r1 - r0) * hd);
-               }
-             });
+    emit_row("load_h", hd, [=](const RunCtx& ctx, int64_t r0, int64_t r1) {
+      std::memcpy(ctx.slab + off_h * ctx.rows + r0 * hd, ctx.h_in + r0 * hd,
+                  sizeof(float) * (r1 - r0) * hd);
+    });
   } else {
-    emit_row("init_h", layers * hd,
-             [=](const RunCtx& ctx, int64_t r0, int64_t r1) {
-               for (int64_t l = 0; l < layers; ++l) {
-                 std::memset(ctx.slab + (off_h + l * hd) * ctx.rows + r0 * hd,
-                             0, sizeof(float) * (r1 - r0) * hd);
-               }
-             });
+    emit_row("init_h", hd, [=](const RunCtx& ctx, int64_t r0, int64_t r1) {
+      std::memset(ctx.slab + off_h * ctx.rows + r0 * hd, 0,
+                  sizeof(float) * (r1 - r0) * hd);
+    });
   }
 
-  const int64_t encode_steps = history_;
-  for (int64_t t = 0; t < encode_steps; ++t) {
-    const std::string step = "enc.t" + std::to_string(t);
-    for (int64_t l = 0; l < layers; ++l) {
-      emit_cell(step, l, l == 0 ? Src::kHistory : Src::kHiddenBelow, t);
-    }
+  for (int64_t t = 0; t < history; ++t) {
+    emit_cell("enc.t" + std::to_string(t), Src::kHistory, t);
   }
 
   // Encoder-prefix resume point: export the post-encoder hidden state
   // before the decoder mutates it. Skipped per call when ctx.h_out is
   // null; row-local, so it rides in whatever segment is pending.
-  emit_row("save_h", layers * hd,
-           [=](const RunCtx& ctx, int64_t r0, int64_t r1) {
-             if (ctx.h_out == nullptr) return;
-             for (int64_t l = 0; l < layers; ++l) {
-               std::memcpy(ctx.h_out + l * ctx.rows * hd + r0 * hd,
-                           ctx.slab + (off_h + l * hd) * ctx.rows + r0 * hd,
-                           sizeof(float) * (r1 - r0) * hd);
-             }
-           });
+  emit_row("save_h", hd, [=](const RunCtx& ctx, int64_t r0, int64_t r1) {
+    if (ctx.h_out == nullptr) return;
+    std::memcpy(ctx.h_out + r0 * hd, ctx.slab + off_h * ctx.rows + r0 * hd,
+                sizeof(float) * (r1 - r0) * hd);
+  });
 
   const nn::Linear& proj = model.output_projection();
   const float* wp = pin(proj.weight().value());
   const bool proj_bias = proj.has_bias();
   const float proj_bias_v =
       proj_bias ? proj.bias().value().data()[0] : 0.0f;
-  const int64_t off_hlast = off_h + (layers - 1) * hd;
 
   for (int64_t t = 0; t < horizon; ++t) {
     const std::string step = "dec.t" + std::to_string(t);
-    for (int64_t l = 0; l < layers; ++l) {
-      // The first decoder input is the last observation (all channels),
-      // read straight from x; later steps consume the staged dec buffer.
-      const Src src = (l > 0) ? Src::kHiddenBelow
-                              : (t == 0 ? Src::kHistory : Src::kDecoder);
-      emit_cell(step, l, src, history - 1);
-    }
+    // The first decoder input is the last observation, read straight
+    // from x; later steps consume the staged dec buffer.
+    emit_cell(step, t == 0 ? Src::kHistory : Src::kDecoder, history - 1);
     emit_row(step + ".proj", 2 * hd,
              [=](const RunCtx& ctx, int64_t r0, int64_t r1) {
                float* pred = ctx.slab + off_pred * ctx.rows;
-               tensor::MatMulRowsInto(ctx.slab + off_hlast * ctx.rows, wp, pred,
+               tensor::MatMulRowsInto(ctx.slab + off_h * ctx.rows, wp, pred,
                                       r0, r1, hd, 1);
                if (proj_bias) {
                  simd::K().add_s(pred + r0, proj_bias_v, pred + r0, r1 - r0);
@@ -360,22 +317,16 @@ RolloutPlan::RolloutPlan(const SagdfnModel& model,
                }
              });
     if (t + 1 < horizon) {
-      // Next decoder input rows: [prediction, tod of step t, carried
-      // covariates from the last observation] (matches the eager
-      // decoder's Concat).
+      // Next decoder input rows: [prediction, tod of step t] (matches
+      // the eager decoder's Concat).
       emit_row(step + ".next", c,
                [=](const RunCtx& ctx, int64_t r0, int64_t r1) {
                  float* dec = ctx.slab + off_dec * ctx.rows;
                  const float* pred = ctx.slab + off_pred * ctx.rows;
                  for (int64_t r = r0; r < r1; ++r) {
-                   const int64_t bi = r / n;
-                   const int64_t i = r - bi * n;
                    float* row = dec + r * c;
                    row[0] = pred[r];
-                   row[1] = ctx.ft[bi * horizon + t];
-                   const float* last =
-                       ctx.x + ((bi * history + history - 1) * n + i) * c;
-                   for (int64_t ch = 2; ch < c; ++ch) row[ch] = last[ch];
+                   row[1] = ctx.ft[(r / n) * horizon + t];
                  }
                });
     }

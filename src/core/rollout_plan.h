@@ -32,7 +32,7 @@ enum class PlanKind { kFull, kIncremental };
 /// rollout.
 ///
 /// SagdfnModel::Predict walks the autograd op layer every call: each of
-/// the ~(h + f) * L cell steps rebuilds the same Concat/conv/blend
+/// the h + f cell steps rebuilds the same Concat/conv/blend
 /// sequence, allocating a fresh output tensor per op and re-deriving
 /// every shape. For a frozen model none of that can change between
 /// requests, so the plan resolves it once at construction:
@@ -43,7 +43,7 @@ enum class PlanKind { kFull, kIncremental };
 ///   - row-local stages are fused into segments: everything between two
 ///     graph-diffusion gathers (the only stages that read other rows)
 ///     runs as ONE ParallelFor whose tasks execute the whole chain over
-///     their row range, spanning layer and timestep boundaries — a
+///     their row range, spanning timestep boundaries — a
 ///     handful of pool dispatches per replay instead of one per op;
 ///   - all intermediates live in one scratch slab, sized at build time
 ///     and bump-allocated from the calling thread's ScratchArena per
@@ -101,9 +101,9 @@ class RolloutPlan {
   /// kIncremental.
   int64_t encoded_steps() const { return history_; }
   /// Floats in the carried encoder state of a `live_batch`-row replay:
-  /// layers * live_batch * N * hidden, layer-major, then row.
+  /// live_batch * N * hidden, row-major.
   int64_t state_floats(int64_t live_batch) const {
-    return layers_ * live_batch * n_ * hd_;
+    return live_batch * n_ * hd_;
   }
   /// The same at full capacity: state_floats(batch()).
   int64_t state_floats() const { return state_floats(batch_); }
@@ -140,7 +140,6 @@ class RolloutPlan {
   int64_t n_ = 0;        // nodes
   int64_t c_ = 0;        // input channels
   int64_t hd_ = 0;       // hidden dim
-  int64_t layers_ = 0;
   int64_t history_ = 0;
   int64_t horizon_ = 0;
   int64_t slab_floats_ = 0;

@@ -37,14 +37,10 @@ SagdfnModel::SagdfnModel(const SagdfnConfig& config)
   attention_ = std::make_unique<SparseSpatialAttention>(ssma, rng_);
   RegisterModule("attention", attention_.get());
 
-  SAGDFN_CHECK_GE(config_.num_layers, 1);
-  for (int64_t layer = 0; layer < config_.num_layers; ++layer) {
-    const int64_t in_dim =
-        layer == 0 ? config_.input_dim : config_.hidden_dim;
-    cells_.push_back(std::make_unique<GConvGruCell>(
-        in_dim, config_.hidden_dim, config_.diffusion_steps, rng_));
-    RegisterModule("cell" + std::to_string(layer), cells_.back().get());
-  }
+  cell_ = std::make_unique<GConvGruCell>(
+      config_.input_dim, config_.hidden_dim, config_.diffusion_steps, rng_);
+  // "cell0" is the name existing weight files carry for this cell.
+  RegisterModule("cell0", cell_.get());
 
   output_proj_ = std::make_unique<nn::Linear>(config_.hidden_dim, 1, rng_);
   RegisterModule("output_proj", output_proj_.get());
@@ -196,49 +192,29 @@ ag::Variable SagdfnModel::Rollout(
   SAGDFN_CHECK(teacher == nullptr || sampling_rng != nullptr)
       << "scheduled sampling needs an RNG";
 
-  // Encoder over the h history steps; each layer consumes the previous
-  // layer's state sequence.
+  // Encoder over the h history steps.
   ag::Variable x_var{x};
-  std::vector<ag::Variable> hidden(config_.num_layers);
-  for (int64_t layer = 0; layer < config_.num_layers; ++layer) {
-    hidden[layer] = cells_[layer]->InitialState(b, n);
-  }
+  ag::Variable hidden = cell_->InitialState(b, n);
   ag::Variable step;
   {
     SAGDFN_SCOPED_TIMER("sagdfn.encoder");
     for (int64_t t = 0; t < h; ++t) {
       step = ag::Reshape(ag::Slice(x_var, 1, t, t + 1), {b, n, c});
-      ag::Variable layer_input = step;
-      for (int64_t layer = 0; layer < config_.num_layers; ++layer) {
-        hidden[layer] = cells_[layer]->Forward(a_s, index_set,
-                                               layer_input, hidden[layer],
-                                               &inv_deg);
-        layer_input = hidden[layer];
-      }
+      hidden = cell_->Forward(a_s, index_set, step, hidden, &inv_deg);
     }
   }
 
-  // Decoder: first input is X_{t0} (the last observation, covariates
-  // included); afterwards the previous prediction plus the known
-  // time-of-day of the step being consumed. Covariate channels beyond
-  // time-of-day (e.g. day-of-week) are carried forward from the last
-  // observation — they change at most once within a horizon window.
+  // Decoder: first input is X_{t0} (the last observation); afterwards
+  // the previous prediction plus the known time-of-day of the step being
+  // consumed.
   ag::Variable dec_input = step;
-  ag::Variable extra_covariates;
-  if (c > 2) extra_covariates = ag::Slice(step, 2, 2, c).Detach();
   std::vector<ag::Variable> predictions;
   predictions.reserve(f);
   SAGDFN_SCOPED_TIMER("sagdfn.decoder");
   for (int64_t t = 0; t < f; ++t) {
-    ag::Variable layer_input = dec_input;
-    for (int64_t layer = 0; layer < config_.num_layers; ++layer) {
-      hidden[layer] = cells_[layer]->Forward(a_s, index_set, layer_input,
-                                             hidden[layer], &inv_deg);
-      layer_input = hidden[layer];
-    }
-    ag::Variable pred = output_proj_->Forward(ag::Reshape(
-        hidden[config_.num_layers - 1],
-        {b * n, config_.hidden_dim}));  // [B*N, 1]
+    hidden = cell_->Forward(a_s, index_set, dec_input, hidden, &inv_deg);
+    ag::Variable pred = output_proj_->Forward(
+        ag::Reshape(hidden, {b * n, config_.hidden_dim}));  // [B*N, 1]
     pred = ag::Reshape(pred, {b, n});
     predictions.push_back(pred);
     if (t + 1 < f) {
@@ -258,12 +234,7 @@ ag::Variable SagdfnModel::Rollout(
         value = ag::Variable(
             tensor::Slice(*teacher, 1, t, t + 1).Reshape({b, n, 1}));
       }
-      if (c > 2) {
-        dec_input = ag::Concat(
-            {value, ag::Variable(tod), extra_covariates}, 2);
-      } else {
-        dec_input = ag::Concat({value, ag::Variable(tod)}, 2);
-      }
+      dec_input = ag::Concat({value, ag::Variable(tod)}, 2);
     }
   }
   return ag::Stack(predictions, 1);  // [B, f, N]

@@ -9,6 +9,7 @@
 #include "core/seq_model.h"
 #include "core/sns.h"
 #include "core/ssma.h"
+#include "data/window_dataset.h"
 #include "graph/csr.h"
 #include "nn/linear.h"
 
@@ -55,14 +56,11 @@ struct SagdfnConfig {
   int64_t diffusion_steps = 3;
   /// Entmax alpha in [1.0, 2.5].
   float alpha = 1.5f;
-  /// Stacked OneStepFastGConv layers in the encoder-decoder (the paper
-  /// uses 1; deeper stacks feed each layer's state sequence upward).
-  int64_t num_layers = 1;
   /// History h and horizon f.
   int64_t history = 12;
   int64_t horizon = 12;
-  /// Input channels (reading + time-of-day).
-  int64_t input_dim = 2;
+  /// Input channels: the reading and its time of day (data::Batch::x).
+  static constexpr int64_t input_dim = data::kInputChannels;
   /// Convergence iteration r: neighbor sampling explores while the global
   /// training iteration is below r, then the index set freezes to the
   /// top-M significant nodes.
@@ -118,9 +116,14 @@ class SagdfnModel : public SeqModel {
   const autograd::Variable& embeddings() const { return embeddings_; }
 
   /// Computes the slim adjacency A_s [N, M] for the current embeddings
-  /// and index set (inference-time inspection; no tape). Column j refers
-  /// to node index_set()[j]; graph::TopKOverlapCsr scores it against a
-  /// latent ground-truth graph without densifying either side.
+  /// without a tape. The index set is refreshed as a forward pass at
+  /// iteration 0 would refresh it, in whatever mode the model is in: in
+  /// training mode an unfrozen set is redrawn with exploration (which
+  /// advances the sampler's RNG), so two calls can score differently;
+  /// in eval mode an existing set is kept. Snapshot() gives the
+  /// exploration-free view serving uses. Column j refers to node
+  /// index_set()[j]; graph::TopKOverlapCsr scores it against a latent
+  /// ground-truth graph without densifying either side.
   tensor::Tensor ComputeSlimAdjacency();
 
   /// Freezes the learned graph for serving: one exploration-free index
@@ -143,8 +146,8 @@ class SagdfnModel : public SeqModel {
                          const tensor::Tensor& future_tod,
                          const AdjacencySnapshot& snapshot) const;
 
-  /// Encoder-decoder cell for `layer` (read by core/rollout_plan).
-  const GConvGruCell& cell(int64_t layer) const { return *cells_.at(layer); }
+  /// The encoder-decoder cell (read by core/rollout_plan).
+  const GConvGruCell& cell() const { return *cell_; }
 
   /// The H -> 1 output projection (read by core/rollout_plan).
   const nn::Linear& output_projection() const { return *output_proj_; }
@@ -177,7 +180,7 @@ class SagdfnModel : public SeqModel {
   autograd::Variable embeddings_;  // E: [N, d]
   std::unique_ptr<SignificantNeighborSampler> sampler_;
   std::unique_ptr<SparseSpatialAttention> attention_;
-  std::vector<std::unique_ptr<GConvGruCell>> cells_;  // num_layers deep
+  std::unique_ptr<GConvGruCell> cell_;
   std::unique_ptr<nn::Linear> output_proj_;  // H -> 1 (W_x)
   std::vector<int64_t> index_set_;
   bool frozen_ = false;

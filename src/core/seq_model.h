@@ -18,7 +18,8 @@ namespace sagdfn::core {
 /// run through identical training/eval machinery.
 class SeqModel : public nn::Module {
  public:
-  /// `x`: [B, h, N, C] scaled inputs with covariates; `future_tod`:
+  /// `x`: [B, h, N, C] scaled readings and their time of day
+  /// (C = data::kInputChannels); `future_tod`:
   /// [B, f] time-of-day of the target steps. `iteration` is the global
   /// training step (models with curricula, like SAGDFN's neighbor
   /// sampling, key off it; ignored by most). Returns scaled predictions

@@ -377,19 +377,7 @@ Trainer::EpochOutcome Trainer::RunTrainEpoch(int64_t epoch,
     ag::Variable pred = model_->Forward(batch.x, batch.future_tod,
                                         iteration_, &batch.y_scaled,
                                         teacher_prob);
-    ag::Variable loss;
-    if (options_.mask_missing) {
-      // Mask entries whose raw reading is 0 (missing sensor data).
-      tensor::Tensor mask(batch.y.shape());
-      const float* truth = batch.y.data();
-      float* pm = mask.data();
-      for (int64_t e = 0; e < mask.size(); ++e) {
-        pm[e] = truth[e] != 0.0f ? 1.0f : 0.0f;
-      }
-      loss = ag::MaskedL1Loss(pred, ag::Variable(batch.y_scaled), mask);
-    } else {
-      loss = ag::L1Loss(pred, ag::Variable(batch.y_scaled));
-    }
+    ag::Variable loss = ag::L1Loss(pred, ag::Variable(batch.y_scaled));
 
     if (injector.Fire(utils::FaultSite::kLoss, iteration_)) {
       loss.mutable_value().data()[0] =

@@ -39,9 +39,6 @@ struct TrainOptions {
   int64_t max_eval_batches = 0;
   /// Early stopping patience in epochs (0 disables).
   int64_t patience = 0;
-  /// Excludes missing readings (raw value 0, the METR-LA convention) from
-  /// the training loss, matching the masked evaluation metrics.
-  bool mask_missing = false;
   bool verbose = false;
   uint64_t seed = 123;
 

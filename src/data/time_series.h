@@ -26,9 +26,6 @@ struct TimeSeries {
   double TimeOfDay(int64_t t) const {
     return static_cast<double>(t % steps_per_day) / steps_per_day;
   }
-
-  /// Day-of-week index in [0, 7) for step `t` (day 0 is a Monday).
-  int64_t DayOfWeek(int64_t t) const { return (t / steps_per_day) % 7; }
 };
 
 /// Restricts a series to its first `num_nodes` sensors (used for the

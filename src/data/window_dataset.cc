@@ -89,9 +89,9 @@ Batch ForecastDataset::GetBatchAt(Split split,
   const int64_t f = spec_.horizon;
   const int64_t n = series_.num_nodes();
 
-  const int64_t channels = num_input_channels();
+  const int64_t c = kInputChannels;
   Batch batch;
-  batch.x = tensor::Tensor::Zeros(tensor::Shape({b, h, n, channels}));
+  batch.x = tensor::Tensor::Zeros(tensor::Shape({b, h, n, c}));
   batch.y = tensor::Tensor::Zeros(tensor::Shape({b, f, n}));
   batch.y_scaled = tensor::Tensor::Zeros(tensor::Shape({b, f, n}));
   batch.future_tod = tensor::Tensor::Zeros(tensor::Shape({b, f}));
@@ -109,13 +109,10 @@ Batch ForecastDataset::GetBatchAt(Split split,
     for (int64_t t = 0; t < h; ++t) {
       const int64_t ts = t0 + t;
       const float tod = static_cast<float>(series_.TimeOfDay(ts));
-      const float dow =
-          static_cast<float>(series_.DayOfWeek(ts)) / 7.0f;
       for (int64_t i = 0; i < n; ++i) {
-        const int64_t base = ((bi * h + t) * n + i) * channels;
+        const int64_t base = ((bi * h + t) * n + i) * c;
         px[base] = scaled[ts * n + i];
         px[base + 1] = tod;
-        if (channels > 2) px[base + 2] = dow;
       }
     }
     for (int64_t t = 0; t < f; ++t) {

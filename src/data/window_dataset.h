@@ -13,20 +13,20 @@ namespace sagdfn::data {
 /// Which chronological partition a window belongs to.
 enum class Split { kTrain, kValidation, kTest };
 
-/// History/horizon lengths (h and f in the paper) plus covariate options.
+/// Input channels of every window: the z-scored reading and its
+/// time-of-day fraction (the paper's inputs).
+inline constexpr int64_t kInputChannels = 2;
+
+/// History/horizon lengths (h and f in the paper).
 struct WindowSpec {
   int64_t history = 12;
   int64_t horizon = 12;
-  /// Adds a day-of-week fraction channel (Definition 3 mentions both
-  /// time-of-day and day-of-week covariates).
-  bool include_day_of_week = false;
 };
 
 /// One minibatch of forecasting samples.
 struct Batch {
-  /// Scaled inputs with covariates: [B, h, N, C] where channel 0 is the
-  /// z-scored reading, channel 1 the time-of-day fraction, and (when
-  /// enabled) channel 2 the day-of-week fraction.
+  /// Scaled inputs: [B, h, N, kInputChannels] where channel 0 is the
+  /// z-scored reading and channel 1 the time-of-day fraction.
   tensor::Tensor x;
   /// Targets in the original (unscaled) units: [B, f, N].
   tensor::Tensor y;
@@ -85,12 +85,6 @@ class ForecastDataset {
 
   /// Scaled (z-scored) full series [T, N].
   const tensor::Tensor& scaled_values() const { return scaled_values_; }
-
-  /// Number of input channels (reading + time-of-day
-  /// [+ day-of-week when enabled]).
-  int64_t num_input_channels() const {
-    return spec_.include_day_of_week ? 3 : 2;
-  }
 
  private:
   /// First time index of split windows and count of windows in the split.

@@ -1,6 +1,7 @@
 #include "graph/adjacency.h"
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 #include <vector>
 
@@ -19,7 +20,13 @@ tensor::Tensor RowNormalize(const tensor::Tensor& adjacency) {
     for (int64_t j = 0; j < m; ++j) row_sum += p[i * m + j];
     if (row_sum <= 0.0) continue;
     const float inv = static_cast<float>(1.0 / row_sum);
-    for (int64_t j = 0; j < m; ++j) p[i * m + j] *= inv;
+    for (int64_t j = 0; j < m; ++j) {
+      // A row sum below 1 / FLT_MAX has no finite float reciprocal (and
+      // 0 * inf is NaN); such a row divides in double instead.
+      p[i * m + j] = std::isfinite(inv)
+                         ? p[i * m + j] * inv
+                         : static_cast<float>(p[i * m + j] / row_sum);
+    }
   }
   return out;
 }

@@ -8,7 +8,10 @@
 namespace sagdfn::graph {
 
 /// Row-normalizes `adjacency` so each non-empty row sums to 1 (random-walk
-/// transition matrix). Zero rows stay zero.
+/// transition matrix). Zero rows stay zero. Each value is scaled by
+/// float(1.0 / row_sum), or divided by the row sum in double when that
+/// reciprocal is not finite (a row sum below 1 / FLT_MAX), so every row
+/// stays finite.
 tensor::Tensor RowNormalize(const tensor::Tensor& adjacency);
 
 /// Keeps the `k` largest entries per row and zeroes the rest.

@@ -1,6 +1,7 @@
 #include "graph/csr.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "utils/check.h"
 
@@ -79,7 +80,11 @@ CsrMatrix RowNormalizeCsr(const CsrMatrix& csr) {
     if (row_sum <= 0.0) continue;
     const float inv = static_cast<float>(1.0 / row_sum);
     for (int64_t e = csr.row_ptr[i]; e < csr.row_ptr[i + 1]; ++e) {
-      out.val[e] *= inv;
+      // A row sum below 1 / FLT_MAX has no finite float reciprocal; such
+      // a row divides in double instead (same rule as RowNormalize).
+      out.val[e] = std::isfinite(inv)
+                       ? out.val[e] * inv
+                       : static_cast<float>(out.val[e] / row_sum);
     }
   }
   return out;

@@ -48,7 +48,9 @@ void ValidateCsr(const CsrMatrix& csr);
 /// the row sum accumulates the stored values in column order in double —
 /// identical to the dense double accumulation, since adding the skipped
 /// exact zeros changes nothing — and each value is scaled by the same
-/// float(1.0 / row_sum). Rows with a non-positive sum are left untouched.
+/// float(1.0 / row_sum), or divided by the row sum in double when that
+/// reciprocal is not finite. Rows with a non-positive sum are left
+/// untouched.
 CsrMatrix RowNormalizeCsr(const CsrMatrix& csr);
 
 /// Cache-aware partition of [0, num_nodes) into contiguous node blocks.

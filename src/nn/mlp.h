@@ -20,8 +20,6 @@ class Mlp : public Module {
 
   autograd::Variable Forward(const autograd::Variable& x) const;
 
-  int64_t num_layers() const { return static_cast<int64_t>(layers_.size()); }
-
  private:
   Activation act_;
   std::vector<std::unique_ptr<Linear>> layers_;

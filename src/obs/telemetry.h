@@ -95,9 +95,7 @@ class TimerSite {
 /// is configured — via the SAGDFN_TELEMETRY environment variable (read at
 /// first Global() access) or Configure() — or explicitly via
 /// SetCollectionEnabled(true) (benches use this to collect a cost
-/// breakdown without streaming events). Defining SAGDFN_DISABLE_TELEMETRY
-/// at compile time turns SAGDFN_SCOPED_TIMER into a no-op token-for-token,
-/// removing even the atomic load.
+/// breakdown without streaming events).
 ///
 /// Events are appended to the sink as one JSON object per line (JSONL) and
 /// flushed per record; the schema is documented in DESIGN.md §5e.
@@ -212,18 +210,12 @@ class ScopedTimer {
 
 /// Times the enclosing scope under `name` (a string literal). One static
 /// TimerSite per call site; ~one relaxed atomic load when collection is
-/// off. Compiles away entirely under -DSAGDFN_DISABLE_TELEMETRY.
-#if defined(SAGDFN_DISABLE_TELEMETRY)
-#define SAGDFN_SCOPED_TIMER(name) \
-  do {                            \
-  } while (false)
-#else
+/// off.
 #define SAGDFN_SCOPED_TIMER(name)                                       \
   static ::sagdfn::obs::TimerSite SAGDFN_OBS_CONCAT(sagdfn_obs_site_,   \
                                                     __LINE__){name};    \
   ::sagdfn::obs::ScopedTimer SAGDFN_OBS_CONCAT(sagdfn_obs_timer_,       \
                                                __LINE__)(              \
       SAGDFN_OBS_CONCAT(sagdfn_obs_site_, __LINE__))
-#endif
 
 #endif  // SAGDFN_OBS_TELEMETRY_H_

@@ -27,7 +27,7 @@ double SecondsSince(Clock::time_point start) {
 bool RequestCompatible(const core::SagdfnConfig& a,
                        const core::SagdfnConfig& b) {
   return a.history == b.history && a.num_nodes == b.num_nodes &&
-         a.input_dim == b.input_dim && a.horizon == b.horizon;
+         a.horizon == b.horizon;
 }
 
 }  // namespace

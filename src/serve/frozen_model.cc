@@ -21,7 +21,8 @@ constexpr char kFrozenIndexSet[] = "__frozen:index_set";
 constexpr char kFrozenConfig[] = "__frozen:config";
 
 // Shape-determining config fields; a weight file only loads against a
-// config that agrees on all of them.
+// config that agrees on all of them. The layer-count slot (always 1) and
+// the input-channel slot keep the 12-word layout weight files carry.
 std::vector<uint64_t> ConfigFingerprint(const core::SagdfnConfig& c) {
   return {static_cast<uint64_t>(c.num_nodes),
           static_cast<uint64_t>(c.embedding_dim),
@@ -31,7 +32,7 @@ std::vector<uint64_t> ConfigFingerprint(const core::SagdfnConfig& c) {
           static_cast<uint64_t>(c.heads),
           static_cast<uint64_t>(c.ffn_hidden),
           static_cast<uint64_t>(c.diffusion_steps),
-          static_cast<uint64_t>(c.num_layers),
+          uint64_t{1},
           static_cast<uint64_t>(c.history),
           static_cast<uint64_t>(c.horizon),
           static_cast<uint64_t>(c.input_dim)};

@@ -564,11 +564,6 @@ Tensor SumAll(const Tensor& a) {
   return Tensor::Scalar(static_cast<float>(total));
 }
 
-Tensor MeanAll(const Tensor& a) {
-  SAGDFN_CHECK_GT(a.size(), 0);
-  return Tensor::Scalar(SumAll(a).Item() / a.size());
-}
-
 // Both fold with `best > x ? best : x` (`<` for MinAll), which takes x
 // when either is NaN, and stop at the first NaN they hold: a NaN at any
 // position is the result.

@@ -77,9 +77,8 @@ Tensor Sum(const Tensor& a, int64_t axis, bool keepdim = false);
 Tensor Mean(const Tensor& a, int64_t axis, bool keepdim = false);
 Tensor Max(const Tensor& a, int64_t axis, bool keepdim = false);
 
-/// Full reductions to a rank-0 scalar tensor.
+/// Full reduction to a rank-0 scalar tensor.
 Tensor SumAll(const Tensor& a);
-Tensor MeanAll(const Tensor& a);
 float MaxAll(const Tensor& a);
 float MinAll(const Tensor& a);
 

@@ -162,16 +162,6 @@ TEST(AutogradTest, MseLossValue) {
   EXPECT_FLOAT_EQ(MseLoss(pred, target).value().Item(), 2.5f);  // (1+4)/2
 }
 
-TEST(AutogradTest, MaskedL1IgnoresMaskedEntries) {
-  Variable pred(T({1, 100}, {2}), true);
-  Variable target(T({2, 0}, {2}), false);
-  tensor::Tensor mask = T({1, 0}, {2});
-  Variable loss = MaskedL1Loss(pred, target, mask);
-  EXPECT_FLOAT_EQ(loss.value().Item(), 1.0f);
-  loss.Backward();
-  EXPECT_FLOAT_EQ(pred.grad()[1], 0.0f);
-}
-
 TEST(AutogradTest, ExpandBackwardReduces) {
   Variable a(T({1, 2}, {2}), true);
   Variable e = Expand(a, Shape({3, 2}));

@@ -148,7 +148,7 @@ TEST(SvrForecasterTest, BeatsZeroPredictor) {
 }
 
 TEST(RnnSeq2SeqTest, ForwardShape) {
-  RnnSeq2Seq model(RnnSeq2Seq::CellType::kLstm, 2, 8, 6, 3, 7);
+  RnnSeq2Seq model(RnnSeq2Seq::CellType::kLstm, 8, 6, 3, 7);
   utils::Rng rng(8);
   Tensor x = Tensor::Normal(Shape({2, 6, 5, 2}), rng);
   Tensor tod = Tensor::Zeros(Shape({2, 3}));

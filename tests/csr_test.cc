@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <vector>
 
@@ -62,13 +63,18 @@ TEST(CsrMatrixTest, DenseRoundTrip) {
 }
 
 TEST(CsrMatrixTest, RowNormalizeMatchesDensePath) {
-  utils::Rng rng(2);
-  SpatialGraph g = RandomGeometric(60, 0.25, 0.18, rng);
-  CsrMatrix a = RowNormalizeCsr(CsrFromDense(g.adjacency));
-  CsrMatrix b = CsrFromDense(RowNormalize(g.adjacency));
-  EXPECT_EQ(a.row_ptr, b.row_ptr);
-  EXPECT_EQ(a.col, b.col);
-  EXPECT_EQ(a.val, b.val);  // exact float equality is the contract
+  // The second graph has a row whose only weight is ~1e-44: its row sum
+  // has no finite float reciprocal.
+  utils::Rng rng_a(2), rng_b(9);
+  for (const SpatialGraph& g : {RandomGeometric(60, 0.25, 0.18, rng_a),
+                                RandomGeometric(24, 0.5, 0.02, rng_b)}) {
+    CsrMatrix a = RowNormalizeCsr(CsrFromDense(g.adjacency));
+    CsrMatrix b = CsrFromDense(RowNormalize(g.adjacency));
+    EXPECT_EQ(a.row_ptr, b.row_ptr);
+    EXPECT_EQ(a.col, b.col);
+    EXPECT_EQ(a.val, b.val);  // exact float equality is the contract
+    for (float v : a.val) EXPECT_TRUE(std::isfinite(v)) << v;
+  }
 }
 
 TEST(NodeShardsTest, PartitionInvariants) {
@@ -122,19 +128,22 @@ TEST(CsrKernelTest, ForwardMatchesDenseAtAwkwardSizes) {
   }
 }
 
-// Graph shapes for the parity tests. The last two have radius >= 20
+// Graph shapes for the parity tests. The last three have radius >= 20
 // sigma: most in-radius pairs get a weight that rounds to 0.0f, which
 // the sparse generator must not store (the dense reference holds them
-// as plain zeros). At 24 nodes (seed 9) one node has in-radius
-// neighbors but no nonzero weight, so its transition row must stay
-// empty for the field step to keep its own state.
+// as plain zeros). At 24 nodes (seed 9) and sigma 0.025 one node has
+// in-radius neighbors but no nonzero weight, so its transition row must
+// stay empty for the field step to keep its own state; at sigma 0.02
+// one row holds a single denormal weight (~1e-44), whose row sum has no
+// finite float reciprocal, and both normalizers must still give it a
+// finite row.
 struct GraphShape {
   int64_t nodes;
   double radius;
   double sigma;
 };
 constexpr GraphShape kShapes[] = {{200, 0.15, 0.1}, {100, 0.5, 0.02},
-                                  {24, 0.5, 0.025}};
+                                  {24, 0.5, 0.025}, {24, 0.5, 0.02}};
 
 TEST(SparseGeneratorTest, RandomGeometricSparseMatchesDense) {
   for (const GraphShape& shape : kShapes) {
@@ -174,6 +183,7 @@ TEST(SparseGeneratorTest, TrafficSparseMatchesDense) {
         test_support::GenerateTrafficDense(options, &latent_dense);
     data::TimeSeries sparse = data::GenerateTraffic(options, &latent_sparse);
     EXPECT_TRUE(SameBytes(sparse.values, dense.values));
+    EXPECT_FALSE(tensor::HasNonFinite(sparse.values));
     CsrMatrix want = CsrFromDense(latent_dense.adjacency);
     EXPECT_EQ(latent_sparse.adjacency.col, want.col);
     EXPECT_EQ(latent_sparse.adjacency.val, want.val);

@@ -40,8 +40,6 @@ TEST(TimeSeriesTest, CovariateHelpers) {
   EXPECT_DOUBLE_EQ(s.TimeOfDay(0), 0.0);
   EXPECT_DOUBLE_EQ(s.TimeOfDay(12), 0.5);
   EXPECT_DOUBLE_EQ(s.TimeOfDay(24), 0.0);
-  EXPECT_EQ(s.DayOfWeek(0), 0);
-  EXPECT_EQ(s.DayOfWeek(25), 1);
 }
 
 TEST(TimeSeriesTest, SliceAndSelectNodes) {
@@ -59,7 +57,7 @@ TEST(ScalerTest, RoundTrip) {
   Tensor data = Tensor::FromVector({1, 2, 3, 4, 5, 6}, Shape({3, 2}));
   scaler.Fit(data);
   Tensor scaled = scaler.Transform(data);
-  EXPECT_NEAR(tensor::MeanAll(scaled).Item(), 0.0f, 1e-5f);
+  EXPECT_NEAR(tensor::SumAll(scaled).Item() / scaled.size(), 0.0f, 1e-5f);
   Tensor back = scaler.InverseTransform(scaled);
   EXPECT_TRUE(tensor::AllClose(back, data, 1e-4f, 1e-4f));
 }

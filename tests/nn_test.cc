@@ -56,7 +56,6 @@ TEST(LinearTest, GradientFlowsToParameters) {
 TEST(MlpTest, ForwardAndParamCount) {
   utils::Rng rng(5);
   Mlp mlp({4, 8, 2}, Activation::kRelu, rng);
-  EXPECT_EQ(mlp.num_layers(), 2);
   EXPECT_EQ(mlp.ParameterCount(), (4 * 8 + 8) + (8 * 2 + 2));
   ag::Variable y = mlp.Forward(ag::Variable(Tensor::Ones(Shape({3, 4}))));
   EXPECT_EQ(y.shape(), Shape({3, 2}));
@@ -155,7 +154,7 @@ TEST(InitTest, XavierUniformBounds) {
   const float bound = std::sqrt(6.0f / 200.0f);
   EXPECT_LE(tensor::MaxAll(w), bound);
   EXPECT_GE(tensor::MinAll(w), -bound);
-  EXPECT_NEAR(tensor::MeanAll(w).Item(), 0.0f, 0.01f);
+  EXPECT_NEAR(tensor::SumAll(w).Item() / w.size(), 0.0f, 0.01f);
 }
 
 }  // namespace

@@ -91,13 +91,9 @@ TEST(TelemetryTest, ScopedTimerRecordsWhenEnabled) {
   }
   const TimerStats after =
       Telemetry::Global().timer("obs_test.enabled_scope");
-#if defined(SAGDFN_DISABLE_TELEMETRY)
-  EXPECT_EQ(after.count, before.count);
-#else
   EXPECT_EQ(after.count, before.count + 5);
   EXPECT_GE(after.total_seconds, before.total_seconds);
   EXPECT_GE(after.max_seconds, after.min_seconds);
-#endif
 }
 
 TEST(TelemetryTest, ScopedTimerIsSilentWhenDisabled) {
@@ -149,9 +145,7 @@ TEST(TelemetryTest, TimerRecordingIsThreadSafe) {
   utils::SetNumThreads(previous);
   const TimerStats after =
       Telemetry::Global().timer("obs_test.parallel_scope");
-#if !defined(SAGDFN_DISABLE_TELEMETRY)
   EXPECT_EQ(after.count, before.count + 64);
-#endif
 }
 
 TEST(TelemetryTest, ConfigureWritesJsonlRecords) {

@@ -3,8 +3,7 @@
 //
 //   - replay is memcmp-identical to the eager autograd walk (the fused
 //     row segments and MatMulRowsInto must preserve every per-row value
-//     chain bit for bit), across batch sizes, layer counts and extra
-//     input covariates;
+//     chain bit for bit), across batch sizes and hidden widths;
 //   - FrozenModel keeps one plan per kind, and that plan replays every
 //     live batch up to its capacity;
 //   - warm replay never moves the arena high-water mark (zero per-step
@@ -96,20 +95,26 @@ TEST(RolloutPlanTest, ReplayMatchesEagerBytesAcrossBatches) {
   ExpectReplayMatchesEager(TinyConfig());
 }
 
-TEST(RolloutPlanTest, ReplayMatchesEagerWithTwoLayers) {
+SagdfnConfig WithHidden(int64_t hidden, uint64_t seed) {
   SagdfnConfig config = TinyConfig();
-  config.num_layers = 2;
-  config.seed = 34;
-  ExpectReplayMatchesEager(config);
+  config.hidden_dim = hidden;
+  config.seed = seed;
+  return config;
 }
 
-TEST(RolloutPlanTest, ReplayMatchesEagerWithExtraCovariates) {
-  // input_dim > 2: the decoder must carry the extra channels of the last
-  // observation forward, exactly like the eager Concat does.
-  SagdfnConfig config = TinyConfig();
-  config.input_dim = 4;
-  config.seed = 35;
-  ExpectReplayMatchesEager(config);
+// Hidden 9 and 17 leave a tail past whole 8-float AVX2 vectors in every
+// row kernel (and 17 spans three vectors), which the register tiles
+// handle with masked loads and stores.
+TEST(RolloutPlanTest, ReplayMatchesEagerAtVectorTailWidths) {
+  for (int64_t hidden : {int64_t{9}, int64_t{17}}) {
+    SCOPED_TRACE(hidden);
+    ExpectReplayMatchesEager(WithHidden(hidden, 34));
+  }
+}
+
+// Hidden 16, the CLI's and perfbench's width: whole vectors only.
+TEST(RolloutPlanTest, ReplayMatchesEagerAtCliHiddenWidth) {
+  ExpectReplayMatchesEager(WithHidden(16, 35));
 }
 
 // The streaming carry contract at the plan level: a kFull replay over the
@@ -164,10 +169,10 @@ void ExpectIncrementalResumeMatchesEager(const SagdfnConfig& config) {
 
 TEST(RolloutPlanTest, IncrementalResumeMatchesEagerAccumulatedBytes) {
   ExpectIncrementalResumeMatchesEager(TinyConfig());
-  SagdfnConfig two_layers = TinyConfig();
-  two_layers.num_layers = 2;
-  two_layers.seed = 36;
-  ExpectIncrementalResumeMatchesEager(two_layers);
+  for (int64_t hidden : {int64_t{9}, int64_t{16}, int64_t{17}}) {
+    SCOPED_TRACE(hidden);
+    ExpectIncrementalResumeMatchesEager(WithHidden(hidden, 36));
+  }
 }
 
 TEST(RolloutPlanTest, IncrementalPlanRequiresStateIn) {

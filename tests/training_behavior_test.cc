@@ -101,8 +101,8 @@ TEST(TeacherForcingTest, EvalModeIgnoresTeacher) {
 }
 
 TEST(TeacherForcingTest, RnnSeq2SeqSupportsIt) {
-  baselines::RnnSeq2Seq model(baselines::RnnSeq2Seq::CellType::kLstm, 2, 6,
-                              4, 3, 3);
+  baselines::RnnSeq2Seq model(baselines::RnnSeq2Seq::CellType::kLstm, 6, 4,
+                              3, 3);
   utils::Rng rng(2);
   Tensor x = Tensor::Normal(Shape({2, 4, 5, 2}), rng);
   Tensor tod = Tensor::Zeros(Shape({2, 3}));
