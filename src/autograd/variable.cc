@@ -1,7 +1,14 @@
 #include "autograd/variable.h"
 
+#include <chrono>
+#include <memory>
+#include <mutex>
+#include <string>
+#include <unordered_map>
 #include <unordered_set>
+#include <utility>
 
+#include "obs/telemetry.h"
 #include "tensor/simd.h"
 #include "tensor/tensor_ops.h"
 #include "utils/check.h"
@@ -41,6 +48,51 @@ void Node::AccumulateGrad(tensor::Tensor&& g) {
 namespace {
 
 thread_local bool t_grad_enabled = true;
+
+/// The "autograd.backward.<op_name>" timer site, made on first use and
+/// kept for the life of the process (a TimerSite holds its name by
+/// pointer, and the map owns both).
+obs::TimerSite& BackwardTimerSite(const char* op_name) {
+  static std::mutex mu;
+  static auto* sites =
+      new std::unordered_map<std::string, std::unique_ptr<obs::TimerSite>>();
+  std::lock_guard<std::mutex> lock(mu);
+  auto [it, inserted] =
+      sites->try_emplace(std::string("autograd.backward.") + op_name);
+  if (inserted) {
+    it->second = std::make_unique<obs::TimerSite>(it->first.c_str());
+  }
+  return *it->second;
+}
+
+/// Runs each backward_fn in `order` and, when `timed`, charges its wall
+/// time to its op kind's timer site. Sites are looked up once per op
+/// name per call: op names are string literals, so a name's pointer
+/// identifies it within one backward pass.
+void RunBackward(const std::vector<internal::Node*>& order, bool timed) {
+  std::vector<std::pair<const char*, obs::TimerSite*>> sites;
+  for (auto it = order.rbegin(); it != order.rend(); ++it) {
+    internal::Node* node = *it;
+    if (!node->backward_fn || !node->grad_defined) continue;
+    if (!timed) {
+      node->backward_fn(node->grad);
+      continue;
+    }
+    obs::TimerSite* site = nullptr;
+    for (const auto& [name, s] : sites) {
+      if (name == node->op_name) site = s;
+    }
+    if (site == nullptr) {
+      site = &BackwardTimerSite(node->op_name);
+      sites.emplace_back(node->op_name, site);
+    }
+    const auto t0 = std::chrono::steady_clock::now();
+    node->backward_fn(node->grad);
+    site->Record(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                     std::chrono::steady_clock::now() - t0)
+                     .count());
+  }
+}
 
 }  // namespace
 
@@ -95,16 +147,7 @@ void Variable::Backward() {
   node_->AccumulateGrad(tensor::Tensor::Ones(node_->value.shape()));
   // `order` is post-order (parents before children); walk it reversed so
   // each node's grad is complete before it propagates.
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    internal::Node* node = *it;
-    if (node->backward_fn && node->grad_defined) {
-      node->backward_fn(node->grad);
-    }
-  }
-}
-
-Variable Variable::Detach() const {
-  return Variable(node_->value, /*requires_grad=*/false);
+  RunBackward(order, obs::Telemetry::CollectionEnabled());
 }
 
 Variable Variable::FromNode(std::shared_ptr<internal::Node> node) {

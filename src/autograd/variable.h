@@ -77,9 +77,6 @@ class Variable {
   /// accumulating into the grad() of every reachable requires_grad leaf.
   void Backward();
 
-  /// Detaches from the tape: result shares the value but has no history.
-  Variable Detach() const;
-
   const tensor::Shape& shape() const { return node_->value.shape(); }
   int64_t size() const { return node_->value.size(); }
   int64_t dim(int64_t d) const { return node_->value.dim(d); }

@@ -50,16 +50,9 @@ ag::Variable FastGraphConv::Forward(
   }
 
   // Diffusion series: term_0 = X; term_{j+1} = (D+I)^{-1}(A_s term_j[I] +
-  // term_j). Each term contributes through its own W_j. The fused step
-  // streams the indexed rows directly (no gathered [B, K, C] tensor, no
-  // mixed/normalized intermediates); see core/fused_ops.h.
-  ag::Variable term = x;
-  ag::Variable out = ag::BatchedMatMul(term, weights_[0]);
-  for (int64_t j = 1; j < diffusion_steps_; ++j) {
-    term = OneStepFastGConv(a_s, term, index_set, *inv_deg);
-    out = ag::Add(out, ag::BatchedMatMul(term, weights_[j]));
-  }
-  return ag::Add(out, bias_);
+  // term_j). Each term contributes through its own W_j. One tape node for
+  // the whole sum; see core/fused_ops.h.
+  return GraphConv(a_s, index_set, *inv_deg, x, weights_, bias_);
 }
 
 GConvGruCell::GConvGruCell(int64_t in_dim, int64_t hidden_dim,

@@ -31,6 +31,10 @@ void Accumulate(const std::shared_ptr<Node>& node, Tensor g) {
   if (node->requires_grad) node->AccumulateGrad(std::move(g));
 }
 
+/// Multiply-adds per task of a row-parallel matmul, as in
+/// tensor::BatchedMatMul (the partition never changes a row's bits).
+constexpr int64_t kMatMulGrainFlops = int64_t{1} << 16;
+
 /// Row grain so each task carries roughly kElementwiseGrain elements.
 int64_t RowGrain(int64_t row_len) {
   return std::max<int64_t>(
@@ -127,136 +131,229 @@ void GruTailBlendInto(const float* gates, const float* h, const float* c_pre,
   });
 }
 
-ag::Variable OneStepFastGConv(const ag::Variable& a_s,
-                              const ag::Variable& term,
-                              const std::vector<int64_t>& index_set,
-                              const ag::Variable& inv_deg) {
-  SAGDFN_CHECK_EQ(term.shape().ndim(), 3);
-  SAGDFN_CHECK_EQ(a_s.shape().ndim(), 2);
-  const int64_t batch = term.dim(0);
-  const int64_t n = term.dim(1);
-  const int64_t c = term.dim(2);
-  const int64_t k = static_cast<int64_t>(index_set.size());
-  SAGDFN_CHECK_EQ(a_s.dim(0), n);
-  SAGDFN_CHECK_EQ(a_s.dim(1), k);
-  SAGDFN_CHECK_EQ(inv_deg.dim(0), n);
-  SAGDFN_CHECK_EQ(inv_deg.size(), n);
-  for (int64_t j = 0; j < k; ++j) {
-    SAGDFN_CHECK_GE(index_set[j], 0);
-    SAGDFN_CHECK_LT(index_set[j], n);
+void OneStepFastGConvBackwardInto(const float* a_s, const float* term,
+                                  const float* inv_deg, const float* out,
+                                  const std::vector<int64_t>& index_set,
+                                  const float* g, int64_t batch, int64_t n,
+                                  int64_t c, float* d_a, float* d_inv,
+                                  float* d_term, bool term_grad) {
+  const int64_t kk = static_cast<int64_t>(index_set.size());
+  const int64_t* idx = index_set.data();
+
+  // gm = g * inv_deg (the gradient at `mixed`, before normalization)
+  // doubles as the direct d_term contribution; it is materialized into
+  // the d_term buffer and read back by the a_s / gather passes BEFORE the
+  // scatter pass overwrites anything.
+  ParallelFor(0, batch * n, RowGrain(c), [&](int64_t r0, int64_t r1) {
+    const simd::Kernels& kern = simd::K();
+    for (int64_t r = r0; r < r1; ++r) {
+      const int64_t i = r % n;
+      kern.mul_s(g + r * c, inv_deg[i], d_term + r * c, c);
+    }
+  });
+
+  if (d_a != nullptr) {
+    // d_a[i, j] = sum_b dot(gm[b, i, :], term[b, idx[j], :]): one
+    // dot_gather call per (i, b) covers every j, adding the batches' dots
+    // in ascending order. Disjoint a_s rows per task.
+    ParallelFor(0, n, RowGrain(kk * c * batch), [&](int64_t i0, int64_t i1) {
+      const simd::Kernels& kern = simd::K();
+      ScratchArena& arena = ScratchArena::ThreadLocal();
+      ScratchArena::Scope scope(arena);
+      double* acc = arena.AllocArray<double>(kk);
+      for (int64_t i = i0; i < i1; ++i) {
+        std::fill_n(acc, kk, 0.0);
+        for (int64_t b = 0; b < batch; ++b) {
+          kern.dot_gather(d_term + (b * n + i) * c, term + b * n * c, idx, kk,
+                          c, acc);
+        }
+        float* da_row = d_a + i * kk;
+        for (int64_t j = 0; j < kk; ++j) {
+          da_row[j] = static_cast<float>(acc[j]);
+        }
+      }
+    });
   }
 
-  Tensor out{Shape({batch, n, c})};
-  OneStepFastGConvInto(a_s.value().data(), term.value().data(),
-                       inv_deg.value().data(), index_set, batch, n, c,
-                       out.data());
+  if (d_inv != nullptr) {
+    // d_inv[i] = sum_{b,c} g * mixed, with mixed recomputed as out / inv
+    // (inv = 1/(deg+1) is never zero).
+    ParallelFor(0, n, RowGrain(batch * c), [&](int64_t i0, int64_t i1) {
+      const simd::Kernels& kern = simd::K();
+      for (int64_t i = i0; i < i1; ++i) {
+        double acc = 0.0;
+        for (int64_t b = 0; b < batch; ++b) {
+          acc += kern.dot(g + (b * n + i) * c, out + (b * n + i) * c, c);
+        }
+        d_inv[i] = static_cast<float>(acc / inv_deg[i]);
+      }
+    });
+  }
 
+  if (!term_grad) return;
+  // Gather backward: dG_b = a_s^T gm_b ([K, C]), then d_term[b, idx[j], :]
+  // += dG_b[j, :]. a_s^T is built once in the calling thread's arena;
+  // each dG_b row is one MatMulRowsInto row, the fma chain over ascending
+  // i with zero weights skipped that an axpy per (i, j) would run. dG_b
+  // lives in the worker's arena and is fully computed (reads of gm done)
+  // before the scatter writes into the same batch slab — idx[j] may alias
+  // any row, including i itself. Batches are disjoint per task; the j
+  // scatter runs in ascending order, so repeated indices accumulate
+  // deterministically.
+  ScratchArena& arena = ScratchArena::ThreadLocal();
+  ScratchArena::Scope scope(arena);
+  float* a_t = arena.AllocArray<float>(kk * n);
+  for (int64_t i = 0; i < n; ++i) {
+    for (int64_t j = 0; j < kk; ++j) a_t[j * n + i] = a_s[i * kk + j];
+  }
+  ParallelFor(0, batch, 1, [&](int64_t b0, int64_t b1) {
+    const simd::Kernels& kern = simd::K();
+    ScratchArena& task_arena = ScratchArena::ThreadLocal();
+    ScratchArena::Scope task_scope(task_arena);
+    float* dg = task_arena.AllocArray<float>(kk * c);
+    for (int64_t b = b0; b < b1; ++b) {
+      float* dt_base = d_term + b * n * c;
+      tensor::MatMulRowsInto(a_t, dt_base, dg, 0, kk, n, c);
+      for (int64_t j = 0; j < kk; ++j) {
+        kern.acc_add(dt_base + idx[j] * c, dg + j * c, c);
+      }
+    }
+  });
+}
+
+ag::Variable GraphConv(const ag::Variable& a_s,
+                       const std::vector<int64_t>& index_set,
+                       const ag::Variable& inv_deg, const ag::Variable& x,
+                       const std::vector<ag::Variable>& weights,
+                       const ag::Variable& bias) {
+  SAGDFN_CHECK_EQ(x.shape().ndim(), 3);
+  SAGDFN_CHECK_EQ(a_s.shape().ndim(), 2);
+  const int64_t batch = x.dim(0);
+  const int64_t n = x.dim(1);
+  const int64_t c = x.dim(2);
+  const int64_t k = static_cast<int64_t>(index_set.size());
+  const int64_t steps = static_cast<int64_t>(weights.size());
+  SAGDFN_CHECK_GE(steps, 1);
+  const int64_t o = bias.size();
+  SAGDFN_CHECK_EQ(bias.shape().ndim(), 1);
+  for (const ag::Variable& w : weights) {
+    SAGDFN_CHECK_EQ(w.shape().ndim(), 2);
+    SAGDFN_CHECK_EQ(w.dim(0), c);
+    SAGDFN_CHECK_EQ(w.dim(1), o);
+  }
+  if (steps > 1) {
+    SAGDFN_CHECK_EQ(a_s.dim(0), n);
+    SAGDFN_CHECK_EQ(a_s.dim(1), k);
+    SAGDFN_CHECK_EQ(inv_deg.dim(0), n);
+    SAGDFN_CHECK_EQ(inv_deg.size(), n);
+    for (int64_t j = 0; j < k; ++j) {
+      SAGDFN_CHECK_GE(index_set[j], 0);
+      SAGDFN_CHECK_LT(index_set[j], n);
+    }
+  }
+
+  // The diffusion series term_1 .. term_{J-1}; term_0 is x itself. The
+  // backward reads them all, so they live as long as the node.
+  std::vector<Tensor> terms;
+  terms.reserve(steps - 1);
+  const float* prev = x.value().data();
+  for (int64_t j = 1; j < steps; ++j) {
+    Tensor t{Shape({batch, n, c})};
+    OneStepFastGConvInto(a_s.value().data(), prev, inv_deg.value().data(),
+                         index_set, batch, n, c, t.data());
+    prev = t.data();
+    terms.push_back(std::move(t));
+  }
+
+  // out = ((p_0 + p_1) + ...) + bias row by row, p_j = term_j W_j by the
+  // per-row matmul chain of tensor::BatchedMatMul, each p_j (j >= 1)
+  // staged in the task's arena and added in ascending j: the elementwise
+  // Add chain the composed ops ran, without taping any p_j or partial
+  // sum.
+  Tensor out{Shape({batch, n, o})};
+  float* po = out.data();
+  const float* pb = bias.value().data();
+  const int64_t rows = batch * n;
+  const int64_t grain = std::max<int64_t>(
+      1, kMatMulGrainFlops / std::max<int64_t>(1, steps * c * o));
+  ParallelFor(0, rows, grain, [&](int64_t r0, int64_t r1) {
+    const simd::Kernels& kern = simd::K();
+    tensor::MatMulRowsInto(x.value().data(), weights[0].value().data(), po,
+                           r0, r1, c, o);
+    ScratchArena& arena = ScratchArena::ThreadLocal();
+    ScratchArena::Scope scope(arena);
+    float* part =
+        steps > 1 ? arena.AllocArray<float>((r1 - r0) * o) : nullptr;
+    for (int64_t j = 1; j < steps; ++j) {
+      tensor::MatMulRowsInto(terms[j - 1].data() + r0 * c,
+                             weights[j].value().data(), part, 0, r1 - r0, c,
+                             o);
+      kern.acc_add(po + r0 * o, part, (r1 - r0) * o);
+    }
+    for (int64_t r = r0; r < r1; ++r) {
+      kern.add(po + r * o, pb, po + r * o, o);
+    }
+  });
+
+  // Parents in the order the composed chain's tape first reached them:
+  // x (through the W_0 product), then a_s and inv_deg (through the first
+  // diffusion step, so not at all when J = 1), then the leaves.
+  std::vector<ag::Variable> inputs = {x};
+  if (steps > 1) {
+    inputs.push_back(a_s);
+    inputs.push_back(inv_deg);
+  }
+  inputs.insert(inputs.end(), weights.begin(), weights.end());
+  inputs.push_back(bias);
+  auto nx = x.node();
   auto na = a_s.node();
-  auto nt = term.node();
   auto ninv = inv_deg.node();
+  std::vector<std::shared_ptr<Node>> nw;
+  nw.reserve(steps);
+  for (const ag::Variable& w : weights) nw.push_back(w.node());
+  auto nb = bias.node();
   std::vector<int64_t> idx = index_set;
   return MakeOp(
-      "OneStepFastGConv", out, {a_s, term, inv_deg},
-      [na, nt, ninv, idx, out, batch, n, c, k](const Tensor& g) {
-        const int64_t kk = k;
-        const float* pg = g.data();
-        const float* pa = na->value.data();
-        const float* pt = nt->value.data();
-        const float* pinv = ninv->value.data();
-        const float* pout = out.data();
-
-        // gm = g * inv_deg (the gradient at `mixed`, before normalization)
-        // doubles as the direct d_term contribution; it is materialized
-        // into the d_term buffer and read back by the a_s / gather passes
-        // BEFORE the scatter pass overwrites anything.
-        Tensor d_term{Shape({batch, n, c})};
-        float* pdt = d_term.data();
-        ParallelFor(0, batch * n, RowGrain(c), [&](int64_t r0, int64_t r1) {
-          const simd::Kernels& kern = simd::K();
-          for (int64_t r = r0; r < r1; ++r) {
-            const int64_t i = r % n;
-            kern.mul_s(pg + r * c, pinv[i], pdt + r * c, c);
+      "GraphConv", std::move(out), inputs,
+      [nx, na, ninv, nw, nb, idx, terms = std::move(terms), batch, n, c,
+       steps](const Tensor& g) {
+        if (nb->requires_grad) {
+          Accumulate(nb, tensor::ReduceTo(g, nb->value.shape()));
+        }
+        // Gradient reaching term_j for j >= 1 exists whenever anything
+        // upstream of the diffusion needs one.
+        const bool diffusion_grad =
+            nx->requires_grad || na->requires_grad || ninv->requires_grad;
+        // The diffusion step j+1's gradient into term_j, added to the W_j
+        // product's: the two consumers of term_j.
+        Tensor carry;
+        for (int64_t j = steps - 1; j >= 0; --j) {
+          const Tensor& term_j = j == 0 ? nx->value : terms[j - 1];
+          if (nw[j]->requires_grad) {
+            Accumulate(nw[j], tensor::BatchedMatMulTN(term_j, g, true));
           }
-        });
-
-        if (na->requires_grad) {
-          // d_a[i, j] = sum_b dot(gm[b, i, :], term[b, idx[j], :]): one
-          // dot_gather call per (i, b) covers every j, adding the batches'
-          // dots in ascending order. Disjoint a_s rows per task.
-          Tensor d_a{Shape({n, kk})};
-          float* pda = d_a.data();
-          ParallelFor(0, n, RowGrain(kk * c * batch),
-                      [&](int64_t i0, int64_t i1) {
-                        const simd::Kernels& kern = simd::K();
-                        ScratchArena& arena = ScratchArena::ThreadLocal();
-                        ScratchArena::Scope scope(arena);
-                        double* acc = arena.AllocArray<double>(kk);
-                        for (int64_t i = i0; i < i1; ++i) {
-                          std::fill_n(acc, kk, 0.0);
-                          for (int64_t b = 0; b < batch; ++b) {
-                            kern.dot_gather(pdt + (b * n + i) * c,
-                                            pt + b * n * c, idx.data(), kk,
-                                            c, acc);
-                          }
-                          float* da_row = pda + i * kk;
-                          for (int64_t j = 0; j < kk; ++j) {
-                            da_row[j] = static_cast<float>(acc[j]);
-                          }
-                        }
-                      });
+          if (!(j == 0 ? nx->requires_grad : diffusion_grad)) continue;
+          Tensor d_term = tensor::BatchedMatMulNT(g, nw[j]->value, false);
+          if (j + 1 < steps) {
+            simd::K().acc_add(d_term.data(), carry.data(), d_term.size());
+          }
+          if (j == 0) {
+            Accumulate(nx, std::move(d_term));
+            break;
+          }
+          const Tensor& term_prev = j == 1 ? nx->value : terms[j - 2];
+          Tensor d_a, d_inv;
+          if (na->requires_grad) d_a = Tensor(na->value.shape());
+          if (ninv->requires_grad) d_inv = Tensor(ninv->value.shape());
+          carry = Tensor(term_prev.shape());
+          OneStepFastGConvBackwardInto(
+              na->value.data(), term_prev.data(), ninv->value.data(),
+              term_j.data(), idx, d_term.data(), batch, n, c,
+              na->requires_grad ? d_a.data() : nullptr,
+              ninv->requires_grad ? d_inv.data() : nullptr, carry.data(),
+              /*term_grad=*/j > 1 || nx->requires_grad);
           Accumulate(na, std::move(d_a));
-        }
-
-        if (ninv->requires_grad) {
-          // d_inv[i] = sum_{b,c} g * mixed, with mixed recomputed as
-          // out / inv (inv = 1/(deg+1) is never zero).
-          Tensor d_inv{Shape({n, 1})};
-          float* pdi = d_inv.data();
-          ParallelFor(0, n, RowGrain(batch * c), [&](int64_t i0, int64_t i1) {
-            const simd::Kernels& kern = simd::K();
-            for (int64_t i = i0; i < i1; ++i) {
-              double acc = 0.0;
-              for (int64_t b = 0; b < batch; ++b) {
-                acc += kern.dot(pg + (b * n + i) * c,
-                                pout + (b * n + i) * c, c);
-              }
-              pdi[i] = static_cast<float>(acc / pinv[i]);
-            }
-          });
           Accumulate(ninv, std::move(d_inv));
-        }
-
-        if (nt->requires_grad) {
-          // Gather backward: dG_b = a_s^T gm_b ([K, C]), then d_term[b,
-          // idx[j], :] += dG_b[j, :]. a_s^T is built once in the calling
-          // thread's arena; each dG_b row is one MatMulRowsInto row, the
-          // fma chain over ascending i with zero weights skipped that an
-          // axpy per (i, j) would run. dG_b lives in the worker's arena
-          // and is fully computed (reads of gm done) before the scatter
-          // writes into the same batch slab — idx[j] may alias any row,
-          // including i itself. Batches are disjoint per task; the j
-          // scatter runs in ascending order, so repeated indices
-          // accumulate deterministically.
-          ScratchArena& arena = ScratchArena::ThreadLocal();
-          ScratchArena::Scope scope(arena);
-          float* a_t = arena.AllocArray<float>(kk * n);
-          for (int64_t i = 0; i < n; ++i) {
-            for (int64_t j = 0; j < kk; ++j) a_t[j * n + i] = pa[i * kk + j];
-          }
-          ParallelFor(0, batch, 1, [&](int64_t b0, int64_t b1) {
-            const simd::Kernels& kern = simd::K();
-            ScratchArena& task_arena = ScratchArena::ThreadLocal();
-            ScratchArena::Scope task_scope(task_arena);
-            float* dg = task_arena.AllocArray<float>(kk * c);
-            for (int64_t b = b0; b < b1; ++b) {
-              float* dt_base = pdt + b * n * c;
-              tensor::MatMulRowsInto(a_t, dt_base, dg, 0, kk, n, c);
-              for (int64_t j = 0; j < kk; ++j) {
-                kern.acc_add(dt_base + idx[j] * c, dg + j * c, c);
-              }
-            }
-          });
-          Accumulate(nt, std::move(d_term));
         }
       });
 }

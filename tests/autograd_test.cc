@@ -94,14 +94,6 @@ TEST(AutogradTest, NoGradGuardDisablesTape) {
   EXPECT_FALSE(out.requires_grad());
 }
 
-TEST(AutogradTest, DetachStopsGradient) {
-  Variable a(T({2}, {1}), true);
-  Variable d = Mul(a, a).Detach();
-  Variable out = Mul(d, a);  // only the direct factor contributes
-  SumAll(out).Backward();
-  EXPECT_FLOAT_EQ(a.grad()[0], 4.0f);  // d = 4 constant, d*(da)=4
-}
-
 TEST(AutogradTest, ZeroGradClears) {
   Variable a(T({1}, {1}), true);
   SumAll(Mul(a, a)).Backward();

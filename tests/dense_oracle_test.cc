@@ -8,8 +8,8 @@
 //     no autograd. The optimized float pipeline must agree to 1e-5.
 //
 //  2. Gradient oracles: an alternative autograd graph built from basic
-//     ops only, where every slim gather (IndexSelect, fused
-//     OneStepFastGConv, GruBlend) is replaced by multiplication with an
+//     ops only, where every slim gather (IndexSelect, the fused
+//     GraphConv node, GruBlend) is replaced by multiplication with an
 //     explicit selection matrix P [M, N] and dense matmuls. Both graphs
 //     share the SAME parameter leaves, so after running Backward on
 //     each (with ZeroGrad in between) their parameter and input
@@ -564,7 +564,7 @@ TEST(DenseOracleTest, FastGraphConvGradientsMatchDenseGraph) {
                    /*requires_grad=*/true);
     std::map<std::string, ag::Variable> params = ParamMap(conv);
 
-    // Slim pipeline (fused OneStepFastGConv).
+    // Slim pipeline (one fused GraphConv node).
     ProbeLoss(conv.Forward(a_s, index_set, x), c.seed).Backward();
     std::map<std::string, Tensor> slim_grads;
     for (auto& [name, p] : params) {

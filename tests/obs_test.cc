@@ -9,8 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include "autograd/ops.h"
+#include "core/fast_gconv.h"
 #include "test_support.h"
 #include "utils/parallel.h"
+#include "utils/rng.h"
 
 namespace sagdfn::obs {
 namespace {
@@ -236,6 +239,46 @@ TEST(TelemetryTest, ResetRegistryClearsCountersAndGauges) {
   EXPECT_EQ(t.counter("obs_test.reset_counter"), 0);
   EXPECT_DOUBLE_EQ(t.gauge("obs_test.reset_gauge"), 0.0);
   EXPECT_EQ(t.timer("obs_test.reset_timer").count, 0);
+}
+
+// Two stacked graph convolutions: one GraphConv node each, so one
+// GraphConv backward each.
+void BackwardThroughTwoGraphConvs() {
+  namespace ag = ::sagdfn::autograd;
+  using tensor::Shape;
+  using tensor::Tensor;
+  utils::Rng rng(3);
+  core::FastGraphConv conv(4, 4, 2, rng);
+  ag::Variable a_s(Tensor::Uniform(Shape({6, 2}), rng), true);
+  ag::Variable x(Tensor::Normal(Shape({2, 6, 4}), rng), true);
+  const std::vector<int64_t> idx = {1, 4};
+  ag::SumAll(conv.Forward(a_s, idx, conv.Forward(a_s, idx, x))).Backward();
+}
+
+TEST(TelemetryTest, BackwardTimesEachOpKindWhenEnabled) {
+  CollectionScope scope(true);
+  Telemetry& t = Telemetry::Global();
+  const int64_t convs = t.timer("autograd.backward.GraphConv").count;
+  const int64_t sums = t.timer("autograd.backward.SumAll").count;
+  BackwardThroughTwoGraphConvs();
+  EXPECT_EQ(t.timer("autograd.backward.GraphConv").count, convs + 2);
+  EXPECT_EQ(t.timer("autograd.backward.SumAll").count, sums + 1);
+}
+
+TEST(TelemetryTest, BackwardMakesNoTimerWhenDisabled) {
+  namespace ag = ::sagdfn::autograd;
+  CollectionScope scope(false);
+  Telemetry& t = Telemetry::Global();
+  const int64_t convs = t.timer("autograd.backward.GraphConv").count;
+  BackwardThroughTwoGraphConvs();
+  ag::Variable a(tensor::Tensor::Scalar(2.0f), true);
+  ag::internal::MakeOp("ObsTestUntimedOp", a.value().Clone(), {a},
+                       [](const tensor::Tensor&) {})
+      .Backward();
+  EXPECT_EQ(t.timer("autograd.backward.GraphConv").count, convs);
+  for (const auto& [name, stats] : t.timers()) {
+    EXPECT_NE(name, "autograd.backward.ObsTestUntimedOp");
+  }
 }
 
 TEST(TelemetryTest, NowSecondsIsMonotonic) {

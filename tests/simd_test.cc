@@ -9,9 +9,9 @@
 //      1, 2, 4 threads at a FIXED dispatch level;
 //   3. full-model forward+backward and Adam steps memcmp-identical
 //      across levels;
-//   4. fused ops (OneStepFastGConv, GruStep) and the gru_blend kernel
-//      against their composed
-//      reference chains, plus finite-difference gradients;
+//   4. fused ops (GraphConv, the diffusion step's backward core, GruStep)
+//      and the gru_blend kernel against their composed reference chains,
+//      plus finite-difference gradients;
 //   5. ScratchArena reuse/reset/high-water semantics;
 //   6. DeterministicBlockReduce correctness and the kReduceBlock pin.
 #include "tensor/simd.h"
@@ -33,6 +33,7 @@
 #include "autograd/ops.h"
 #include "core/fused_ops.h"
 #include "core/sagdfn.h"
+#include "graph_conv_reference.h"
 #include "optim/optimizer.h"
 #include "tensor/tensor_ops.h"
 #include "utils/arena.h"
@@ -646,7 +647,7 @@ TEST(FusedOpsTest, OneStepFastGConvMatchesComposedChain) {
   ag::Variable term(Tensor::Normal(Shape({batch, n, c}), rng), true);
   ag::Variable inv(Tensor::Uniform(Shape({n, 1}), rng), true);
 
-  Tensor fused = core::OneStepFastGConv(a_s, term, idx, inv).value();
+  Tensor fused = test_support::OneStepFastGConv(a_s, term, idx, inv).value();
   Tensor composed = ComposedGconvStep(a_s, term, idx, inv).value();
   EXPECT_TRUE(tensor::AllClose(fused, composed, 1e-5f, 1e-5f));
 }
@@ -664,7 +665,7 @@ TEST(FusedOpsTest, OneStepFastGConvBackwardMatchesComposedChain) {
     ag::Variable term(t0.Clone(), true);
     ag::Variable inv(i0.Clone(), true);
     ag::Variable out = fused
-                           ? core::OneStepFastGConv(a_s, term, idx, inv)
+                           ? test_support::OneStepFastGConv(a_s, term, idx, inv)
                            : ComposedGconvStep(a_s, term, idx, inv);
     ag::MeanAll(ag::Mul(out, out)).Backward();
     return std::vector<Tensor>{a_s.grad(), term.grad(), inv.grad()};
@@ -688,7 +689,7 @@ TEST(FusedOpsTest, OneStepFastGConvRepeatedIndicesAccumulate) {
   Tensor i0 = Tensor::Uniform(Shape({n, 1}), rng);
   ag::Variable a_f(a0.Clone(), true), t_f(t0.Clone(), true),
       i_f(i0.Clone(), true);
-  ag::MeanAll(core::OneStepFastGConv(a_f, t_f, idx, i_f)).Backward();
+  ag::MeanAll(test_support::OneStepFastGConv(a_f, t_f, idx, i_f)).Backward();
   ag::Variable a_c(a0.Clone(), true), t_c(t0.Clone(), true),
       i_c(i0.Clone(), true);
   ag::MeanAll(ComposedGconvStep(a_c, t_c, idx, i_c)).Backward();
@@ -710,8 +711,8 @@ TEST(FusedOpsTest, OneStepFastGConvPassesGradCheck) {
   EXPECT_TRUE(ag::CheckGradients(
       [&](const std::vector<ag::Variable>& v) {
         return ag::MeanAll(
-            ag::Mul(core::OneStepFastGConv(v[0], v[1], idx, v[2]),
-                    core::OneStepFastGConv(v[0], v[1], idx, v[2])));
+            ag::Mul(test_support::OneStepFastGConv(v[0], v[1], idx, v[2]),
+                    test_support::OneStepFastGConv(v[0], v[1], idx, v[2])));
       },
       inputs, &error))
       << error;
@@ -829,7 +830,7 @@ TEST(FusedOpsTest, OneStepFastGConvBackwardMatchesReferenceBits) {
               ag::Variable a_s(a0.Clone(), true);
               ag::Variable term(t0.Clone(), true);
               ag::Variable inv(inv0.Clone(), true);
-              ag::Variable out = core::OneStepFastGConv(a_s, term, idx, inv);
+              ag::Variable out = test_support::OneStepFastGConv(a_s, term, idx, inv);
               ag::SumAll(ag::Mul(out, ag::Variable(g))).Backward();
               const GconvGrads want = ReferenceGconvBackward(
                   a0, t0, idx, inv0, g, out.value());
@@ -852,6 +853,154 @@ TEST(FusedOpsTest, OneStepFastGConvBackwardMatchesReferenceBits) {
       }
     }
   }
+}
+
+// core::GraphConv against the composed chain it replaced
+// (tests/graph_conv_reference.h), byte for byte: the forward value and the
+// gradients of a_s, inv_deg, x, every W_j and the bias. The index set
+// repeats a node and a_s carries zeros, so the scatter accumulates and the
+// diffusion skips entries.
+struct GraphConvCase {
+  int64_t steps, c, o, batch, n;
+  bool x_grad = true, a_grad = true;
+};
+
+void ExpectGraphConvMatchesComposed(const GraphConvCase& k,
+                                    const std::string& where) {
+  utils::Rng rng(static_cast<uint64_t>(k.steps * 100000 + k.c * 1000 +
+                                       k.o * 10 + k.batch));
+  const int64_t m = 5;
+  std::vector<int64_t> idx = ShuffledIndices(k.n, m, rng.Next());
+  idx[m - 1] = idx[1];
+  Tensor a0 = Tensor::Normal(Shape({k.n, m}), rng);
+  for (int64_t e = 0; e < k.n * m; e += 7) a0.data()[e] = 0.0f;
+  Tensor inv0 =
+      tensor::AddScalar(Tensor::Uniform(Shape({k.n, 1}), rng), 0.25f);
+  Tensor x0 = Tensor::Normal(Shape({k.batch, k.n, k.c}), rng);
+  std::vector<Tensor> w0;
+  for (int64_t j = 0; j < k.steps; ++j) {
+    w0.push_back(Tensor::Normal(Shape({k.c, k.o}), rng));
+  }
+  Tensor b0 = Tensor::Normal(Shape({k.o}), rng);
+  Tensor g = Tensor::Normal(Shape({k.batch, k.n, k.o}), rng);
+
+  struct Run {
+    Tensor out;
+    std::vector<Tensor> grads;
+  };
+  auto run = [&](bool fused) {
+    ag::Variable a_s(a0.Clone(), k.a_grad);
+    ag::Variable inv(inv0.Clone(), true);
+    ag::Variable x(x0.Clone(), k.x_grad);
+    std::vector<ag::Variable> w;
+    for (const Tensor& t : w0) w.emplace_back(t.Clone(), true);
+    ag::Variable bias(b0.Clone(), true);
+    ag::Variable out =
+        fused ? core::GraphConv(a_s, idx, inv, x, w, bias)
+              : test_support::ComposedGraphConv(a_s, idx, inv, x, w, bias);
+    ag::SumAll(ag::Mul(out, ag::Variable(g))).Backward();
+    Run r{out.value(), {a_s.grad(), inv.grad(), x.grad(), bias.grad()}};
+    for (const ag::Variable& v : w) r.grads.push_back(v.grad());
+    return r;
+  };
+  const Run got = run(true);
+  const Run want = run(false);
+  const std::string what =
+      where + " J=" + std::to_string(k.steps) + " c=" + std::to_string(k.c) +
+      " o=" + std::to_string(k.o) + " batch=" + std::to_string(k.batch) +
+      " n=" + std::to_string(k.n) + " x_grad=" + std::to_string(k.x_grad) +
+      " a_grad=" + std::to_string(k.a_grad);
+  ExpectSameBytes(got.out.data(), want.out.data(), want.out.size(),
+                  "value " + what);
+  const char* names[] = {"d_a", "d_inv", "d_x", "d_bias"};
+  for (size_t i = 0; i < want.grads.size(); ++i) {
+    const std::string name =
+        i < 4 ? names[i] : "d_w" + std::to_string(i - 4);
+    ASSERT_EQ(got.grads[i].shape(), want.grads[i].shape()) << name << what;
+    ExpectSameBytes(got.grads[i].data(), want.grads[i].data(),
+                    want.grads[i].size(), name + " " + what);
+  }
+}
+
+/// Runs `body` at each SIMD level and pool sizes 1, 2 and 8.
+template <typename Body>
+void AtEveryLevelAndPoolSize(Body body) {
+  std::vector<simd::Level> levels = {simd::Level::kScalar};
+  if (simd::Avx2Available()) levels.push_back(simd::Level::kAvx2);
+  for (simd::Level level : levels) {
+    LevelScope level_scope(level);
+    for (int64_t threads : {1, 2, 8}) {
+      ThreadScope thread_scope(threads);
+      body(std::string(simd::LevelName(level)) +
+           " threads=" + std::to_string(threads));
+      if (testing::Test::HasFailure()) return;
+    }
+  }
+}
+
+// Input and output widths across the 8-lane boundary, J = 1-3, batches 1
+// and 3. N = 37 with batch 3 gives 111 rows, enough for the pool to split
+// the forward's and the backward's row ranges at the wider shapes.
+TEST(FusedOpsTest, GraphConvMatchesComposedChainBits) {
+  AtEveryLevelAndPoolSize([](const std::string& where) {
+    for (int64_t steps = 1; steps <= 3; ++steps) {
+      for (int64_t c : {1, 7, 8, 9, 17, 33}) {
+        for (int64_t o : {1, 7, 8, 9, 17, 33}) {
+          for (int64_t batch : {1, 3}) {
+            ExpectGraphConvMatchesComposed({steps, c, o, batch, 37}, where);
+            if (testing::Test::HasFailure()) return;
+          }
+        }
+      }
+    }
+  });
+}
+
+// x without a gradient (the first encoder step's [x | h0] input) and a_s
+// without one: the diffusion gradients still reach what needs them, and
+// the rest stays untouched.
+TEST(FusedOpsTest, GraphConvMatchesComposedChainBitsWithoutSomeGradients) {
+  AtEveryLevelAndPoolSize([](const std::string& where) {
+    for (int64_t steps = 1; steps <= 3; ++steps) {
+      for (auto [c, o] : {std::pair<int64_t, int64_t>{7, 9}, {17, 33}}) {
+        for (int64_t batch : {1, 3}) {
+          GraphConvCase k{steps, c, o, batch, 37};
+          k.x_grad = false;
+          ExpectGraphConvMatchesComposed(k, where);
+          k.x_grad = true;
+          k.a_grad = false;
+          ExpectGraphConvMatchesComposed(k, where);
+          if (testing::Test::HasFailure()) return;
+        }
+      }
+    }
+  });
+}
+
+TEST(FusedOpsTest, GraphConvPassesGradCheck) {
+  const int64_t n = 5, c = 2, o = 3, batch = 2;
+  const std::vector<int64_t> idx = {4, 0, 2};
+  utils::Rng rng(51);
+  const Tensor g = Tensor::Normal(Shape({batch, n, o}), rng);
+  std::vector<Tensor> inputs = {
+      Tensor::Uniform(Shape({n, 3}), rng),
+      // Keep inv away from zero: d_inv recomputes mixed as out / inv.
+      tensor::AddScalar(Tensor::Uniform(Shape({n, 1}), rng), 0.5f),
+      Tensor::Normal(Shape({batch, n, c}), rng),
+      Tensor::Normal(Shape({c, o}), rng),
+      Tensor::Normal(Shape({c, o}), rng),
+      Tensor::Normal(Shape({c, o}), rng),
+      Tensor::Normal(Shape({o}), rng),
+  };
+  std::string error;
+  EXPECT_TRUE(ag::CheckGradients(
+      [&](const std::vector<ag::Variable>& v) {
+        ag::Variable out =
+            core::GraphConv(v[0], idx, v[1], v[2], {v[3], v[4], v[5]}, v[6]);
+        return ag::MeanAll(ag::Mul(out, ag::Mul(out, ag::Variable(g))));
+      },
+      inputs, &error))
+      << error;
 }
 
 // The gru_blend kernel (the blend inside GruTailBlend and GruStep) against

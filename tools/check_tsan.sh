@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Builds the parallel-kernel and serving tests under ThreadSanitizer and
-# runs the thread-pool / determinism suites at 8 threads, and the fused
-# diffusion-step and BatchedMatMul backward memcmp suites at pool sizes
-# 1, 2 and 8 (per-task arena scratch, scatter into shared gradients),
+# runs the thread-pool / determinism suites at 8 threads, and the
+# GraphConv node, fused diffusion-step and BatchedMatMul backward memcmp
+# suites at pool sizes 1, 2 and 8 (per-task arena scratch, scatter into
+# shared gradients),
 # and the tensor-storage recycler's multi-thread test (four threads
 # allocating, one mutex, buffers released on a thread other than the
 # one that allocated them).
